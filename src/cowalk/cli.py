@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -441,9 +442,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_theta_value(argv: list[str]) -> list[str]:
+    """Rewrite ``--theta -1,0,1`` as ``--theta=-1,0,1``.
+
+    argparse reads a value that starts with '-' and is not a single number
+    as an option flag, so a list of offsets led by a negative one would be
+    refused.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--theta" and re.match(r"-\.?\d", tok):
+            out[-1] = f"--theta={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_theta_value(argv))
     try:
         cfg = _build_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:

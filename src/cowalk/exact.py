@@ -14,7 +14,8 @@ derived from that chain:
   because the truncation error is an explicit bound, not an estimate.
 * ``laplace_V`` / ``laplace_R`` build the Laplace transforms of the tail and
   of its level differences as exact rational functions, via the level
-  recursions of the death chain.
+  recursions of the death chain run on integer numerator polynomials over
+  the known product of the levels' linear factors.
 * ``expected_tau`` is the transform at 0, evaluated as an exact rational.
 * ``r_diff_table`` tabulates the level differences r(m,t) = v(m,t)-v(m-1,t)
   and the second differences r(m-1,t)-r(m,t), attaching a certified sign to
@@ -34,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .ratfun import Poly, RationalFn
+from .ratfun import RationalFn
 from .strategies import Regime, optimal_rates, regime
 
 __all__ = [
@@ -136,19 +137,28 @@ def _poisson_weights(lam_t: np.ndarray, k_max: int) -> np.ndarray:
     return w
 
 
+def _poisson_tail_upper(lam_t: float, k: int) -> float:
+    """Upper bound on P(Poisson(lam_t) > k); needs lam_t < k + 2."""
+    if lam_t == 0.0:
+        return 0.0
+    rho = lam_t / (k + 2)
+    if rho >= 0.9:
+        return 1.0
+    logw = -lam_t + (k + 1) * math.log(lam_t) - math.lgamma(k + 2)
+    return math.exp(logw) / (1.0 - rho) * (1.0 + 1e-9)
+
+
 def _truncation_order(lam_t_max: float, eps: float) -> int:
-    """Smallest k with certified Poisson tail mass below eps/2."""
+    """Smallest k in the search schedule with certified Poisson tail mass
+    P(Poisson(lam_t_max) > k) below eps/2.
+
+    The bound is ``_poisson_tail_upper``, a ratio bound on the tail itself:
+    1 - sum(weights) would cancel to rounding noise once lam_t is large.
+    """
     k_max = max(20, int(lam_t_max + 12 * math.sqrt(lam_t_max + 1) + 20))
-    while True:
-        k = np.arange(k_max + 1)
-        if lam_t_max > 0:
-            logw = -lam_t_max + k * np.log(lam_t_max) - gammaln(k + 1)
-            tail = 1.0 - math.fsum(np.exp(logw))
-        else:
-            tail = 0.0
-        if tail <= eps / 2:
-            return k_max
+    while _poisson_tail_upper(lam_t_max, k_max) > eps / 2:
         k_max = int(k_max * 1.3) + 16
+    return k_max
 
 
 def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
@@ -202,43 +212,126 @@ def survival_exact(d: int, m: int, t_grid, eps: float = 1e-12) -> np.ndarray:
 # Laplace transforms and expected coupling times
 
 
-_V_CACHE: dict[int, list[RationalFn]] = {}
+# Level m's generator equation, multiplied by (d-1), reads
+#   l_m V(m) = (d-1) + c1 V(m-1) + c2 V(m-2),   l_m = (c1 + c2) + (d-1) alpha,
+# with (c1, c2) = kernel_numerators(m).  Every V(m) therefore lives over the
+# known denominator D_m = l_1 ... l_m, with an integer numerator polynomial
+#   P_m = (d-1) D_{m-1} + c1 P_{m-1} + c2 l_{m-1} P_{m-2}.
+# R(m) = V(m) - V(m-1) has numerator N_m = P_m - l_m P_{m-1} over D_m, and
+# R(m-1) - R(m) has numerator l_m N_{m-1} - N_m over D_m, so a zero test is
+# an emptiness test and no polynomial gcd is ever needed.  Polynomials here
+# are lists of Python ints, ascending powers, without trailing zeros.
 
 
-def _laplace_v_levels(d: int, m_max: int) -> list[RationalFn]:
-    """Transforms V(0..m_max) for one d, extended on demand and cached."""
-    alpha = Poly([0, 1])
-    levels = _V_CACHE.setdefault(d, [RationalFn(0)])
-    for m in range(len(levels), m_max + 1):
-        if regime(m, d) is Regime.C3:
-            # exit rate m*d/(d-1), single -1 jumps:
-            # (m*d + alpha*(d-1)) V(m) = (d-1) + m*d V(m-1)
-            den = RationalFn(alpha * (d - 1) + m * d)
-            v = (RationalFn(d - 1) + m * d * levels[m - 1]) / den
-        else:
-            # (m+alpha)(d-1) V(m) = (d-1) + m V(m-2) + m(d-2) V(m-1)
-            prev2 = levels[m - 2] if m >= 2 else RationalFn(0)
-            den = RationalFn((alpha + m) * (d - 1))
-            v = (RationalFn(d - 1) + m * prev2 + m * (d - 2) * levels[m - 1]) / den
-        levels.append(v)
-    return levels
+def _ipoly_add(p: list[int], q: list[int]) -> list[int]:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _ipoly_scale(p: list[int], c: int) -> list[int]:
+    return [c * v for v in p] if c else []
+
+
+def _ipoly_mul_linear(p: list[int], a: int, b: int) -> list[int]:
+    """p * (a + b*alpha), for b != 0."""
+    if not p:
+        return []
+    out = [a * p[0]]
+    out += [a * p[i] + b * p[i - 1] for i in range(1, len(p))]
+    out.append(b * p[-1])
+    return out
+
+
+def _ipoly_div_linear(p: list[int], a: int, b: int) -> list[int] | None:
+    """p / (a + b*alpha) for a primitive factor (gcd(a, b) = 1, b > 0), or
+    None if the factor does not divide p.  By Gauss's lemma an exact quotient
+    has integer coefficients, so an inexact step already proves the factor's
+    root is not a root of p."""
+    quo = [0] * (len(p) - 1)
+    carry = p[-1]
+    for i in range(len(p) - 2, -1, -1):
+        quo[i], rest = divmod(carry, b)
+        if rest:
+            return None
+        carry = p[i] - a * quo[i]
+    return None if carry else quo
+
+
+@dataclass(frozen=True)
+class _TransformLevels:
+    """Numerators of V(0..m_max) over D_m = prod_{j<=m} (s[j] + q*alpha)."""
+
+    q: int
+    s: list[int]  # s[j] = c1 + c2 at level j; s[0] unused
+    P: list[list[int]]
+
+    def r_numerator(self, m: int) -> list[int]:
+        """N_m = P_m - l_m P_{m-1}, the numerator of R(m) over D_m."""
+        return _ipoly_add(self.P[m], _ipoly_mul_linear(self.P[m - 1], -self.s[m], -self.q))
+
+    def second_diff_numerator(self, m: int) -> list[int]:
+        """l_m N_{m-1} - N_m, the numerator of R(m-1) - R(m) over D_m."""
+        return _ipoly_add(_ipoly_mul_linear(self.r_numerator(m - 1), self.s[m], self.q),
+                          _ipoly_scale(self.r_numerator(m), -1))
+
+    def canonical(self, num: list[int], m: int) -> RationalFn:
+        """num / D_m in canonical form: cancel each factor l_j whose root
+        num shares (a repeated factor is tested once per occurrence), so
+        what remains is coprime without a gcd."""
+        if not num:
+            return RationalFn(0)
+        den = [1]  # D_m = den * prod(g), with den built from primitive factors
+        for j in range(1, m + 1):
+            g = math.gcd(self.s[j], self.q)
+            a, b = self.s[j] // g, self.q // g
+            quo = _ipoly_div_linear(num, a, b)
+            if quo is None:
+                den = _ipoly_mul_linear(den, a, b)
+            else:
+                num = quo
+            den = _ipoly_scale(den, g)
+        return RationalFn._from_coprime(num, den)
+
+
+def _transform_levels(d: int, m_max: int) -> _TransformLevels:
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    gen = build_generator(d, m_max)
+    q = d - 1
+    s = [0]
+    P: list[list[int]] = [[]]
+    D = [1]  # D_{m-1}
+    for m in range(1, m_max + 1):
+        c1, c2 = gen.kernel_numerators(m)
+        num = _ipoly_add(_ipoly_scale(D, q), _ipoly_scale(P[m - 1], c1))
+        if c2:  # never at m = 1, which is always a singles level
+            num = _ipoly_add(num, _ipoly_scale(_ipoly_mul_linear(P[m - 2], s[m - 1], q), c2))
+        s.append(c1 + c2)
+        P.append(num)
+        D = _ipoly_mul_linear(D, s[m], q)
+    return _TransformLevels(q=q, s=s, P=P)
 
 
 def laplace_V(d: int, m: int) -> RationalFn:
     """Laplace transform of t -> P(tau > t | N_0 = m), exact in alpha."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _laplace_v_levels(d, m)[m]
+    levels = _transform_levels(d, m)
+    return levels.canonical(levels.P[m], m)
 
 
 def laplace_R(d: int, m: int) -> RationalFn:
     """Laplace transform of the level difference r(m, t) = v(m,t) - v(m-1,t)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    levels = _laplace_v_levels(d, m)
-    return levels[m] - levels[m - 1]
+    levels = _transform_levels(d, m)
+    return levels.canonical(levels.r_numerator(m), m)
 
 
 def expected_tau(d: int, m: int) -> Fraction:
@@ -367,17 +460,6 @@ def _term_bounds(num: int, scale: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _poisson_tail_upper(lam_t: float, k: int) -> float:
-    """Upper bound on P(Poisson(lam_t) > k); needs lam_t < k + 2."""
-    if lam_t == 0.0:
-        return 0.0
-    rho = lam_t / (k + 2)
-    if rho >= 0.9:
-        return 1.0
-    logw = -lam_t + (k + 1) * math.log(lam_t) - math.lgamma(k + 2)
-    return math.exp(logw) / (1.0 - rho) * (1.0 + 1e-9)
-
-
 def _certify_exact(gen: LumpedGenerator, cells, t_grid, kind_first: bool):
     """Sign cells of the first or second difference by exact partial sums.
 
@@ -492,9 +574,10 @@ def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
     diff = r[:-1] - r[1:]
     gen = build_generator(d, m_max)
 
-    r_zero_rows = [m - 1 for m in range(1, m_max + 1) if laplace_R(d, m).is_zero]
+    levels = _transform_levels(d, m_max)
+    r_zero_rows = [m - 1 for m in range(1, m_max + 1) if not levels.r_numerator(m)]
     diff_zero_rows = [m - 2 for m in range(2, m_max + 1)
-                      if (laplace_R(d, m - 1) - laplace_R(d, m)).is_zero]
+                      if not levels.second_diff_numerator(m)]
     r_certs = _sign_cells(r, r_zero_rows, gen, t_grid, eps, kind_first=True)
     diff_certs = _sign_cells(diff, diff_zero_rows, gen, t_grid, eps, kind_first=False)
     return RDiffTable(d=d, m_max=m_max, t_grid=t_grid, eps=eps,

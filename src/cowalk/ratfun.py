@@ -177,6 +177,26 @@ class RationalFn:
         self.num = Poly(ni)
         self.den = Poly(di)
 
+    @classmethod
+    def _from_coprime(cls, num, den) -> "RationalFn":
+        """Canonical form of num/den without a gcd.
+
+        ``num`` and ``den`` are integer coefficient lists (ascending, no
+        trailing zeros, ``den`` nonzero) that the caller knows to be coprime;
+        only the joint content and the sign are normalized here.
+        """
+        if not num:
+            return cls(0)
+        content = 0
+        for v in (*num, *den):
+            content = gcd(content, v)
+        if den[-1] < 0:
+            content = -content
+        self = cls.__new__(cls)
+        self.num = Poly([v // content for v in num])
+        self.den = Poly([v // content for v in den])
+        return self
+
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero

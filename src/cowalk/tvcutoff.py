@@ -4,8 +4,9 @@ The walk started at 0 has i.i.d. coordinates, each on the complete graph
 K_d, so its law at time t is a product measure determined by the single
 coordinate law (probability ``a`` of sitting at the start value, ``b`` of
 sitting at each other value).  Total variation against the uniform law then
-lumps over the number of coordinates at their start value, which makes the
-exact computation O(n) per time point in log space -- large n is cheap.
+lumps over the number of coordinates at their start value: the exact
+distance is the gap between two binomial tails, two incomplete beta values
+per time point at any n.
 
 Also here: the exact tail of the optimal coupling from a uniform start (a
 binomial mixture over the initial unmatched count), the d -> infinity
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import betainc, gammaln, ndtr
 
 from .exact import expected_tau, expected_tau_float, survival_table
 from .simulate import SurvivalCurve
@@ -59,24 +60,26 @@ def coordinate_law(d: int, t: float) -> CoordinateLaw:
 def tv_exact(d: int, n: int, t: float) -> float:
     """Exact TV distance between the time-t law (start 0) and uniform.
 
-    Lumped over k = number of coordinates at the start value:
-    TV = sum_k C(n,k) (d-1)^(n-k) max(0, a^k b^(n-k) - d^-n), evaluated in
-    log space; equivalently the gap between two binomial tails.
+    Lumped over K = number of coordinates at the start value, the walk's
+    likelihood ratio to uniform, (a d)^K (d b)^(n-K), is increasing in K, so
+    TV = P(K >= k*) under Binomial(n, a) minus the same under Binomial(n, 1/d),
+    with k* the first K where the ratio exceeds 1.  Each tail is one
+    regularized incomplete beta value, accurate to a few ulps at any n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     law = coordinate_law(d, t)
     if law.b == 0.0:  # point mass vs uniform
         return 1.0 - float(d) ** (-n)
-    k = np.arange(n + 1)
-    log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    log_walk = log_binom + k * math.log(law.a) + (n - k) * math.log((d - 1) * law.b)
-    log_unif = log_binom + k * math.log(1.0 / d) + (n - k) * math.log((d - 1.0) / d)
-    mask = log_walk > log_unif
-    if not mask.any():
+    if law.a * d <= 1.0:  # uniform to float precision
         return 0.0
-    pos = math.fsum(np.exp(log_walk[mask])) - math.fsum(np.exp(log_unif[mask]))
-    return min(max(pos, 0.0), 1.0)
+    r1 = math.log(law.a * d)
+    r2 = -math.log(d * law.b)
+    k_star = math.floor(n * r2 / (r1 + r2)) + 1
+    if k_star > n:
+        return 0.0
+    gap = betainc(k_star, n - k_star + 1, law.a) - betainc(k_star, n - k_star + 1, 1.0 / d)
+    return min(max(float(gap), 0.0), 1.0)
 
 
 def cutoff_time(d: int, n: int) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -87,6 +88,57 @@ def test_cutoff_cli(tmp_path):
                    "--out", str(path)) == 0
     rows = io.read_cutoff_csv(path)
     assert rows[0]["tv_asymptotic"] == pytest.approx(0.3829249225480262, abs=1e-10)
+
+
+def test_cutoff_readme_command(capsys):
+    # a theta list led by a negative offset is a value, not a flag
+    assert run_cli("cutoff", "--d", "5", "--n", "100000", "--theta", "-1,0,1") == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [float(r["theta"]) for r in rows] == [-1.0, 0.0, 1.0]
+    tv = [float(r["tv_exact"]) for r in rows]
+    assert tv[0] > tv[1] > tv[2]
+
+
+LAPLACE_D5_M3 = """\
+{
+  "d": 5,
+  "identities": {
+    "R1_minus_R2_is_1_over_2_plus_alpha": true,
+    "R2_closed_form": true,
+    "R2_minus_R3_closed_form": true,
+    "V1_closed_form": true
+  },
+  "levels": [
+    {
+      "V": "0",
+      "m": 0
+    },
+    {
+      "R": "(4)/(5 + 4*a)",
+      "V": "(4)/(5 + 4*a)",
+      "expected_tau": "4/5",
+      "m": 1
+    },
+    {
+      "R": "(3)/(10 + 13*a + 4*a^2)",
+      "V": "(11 + 4*a)/(10 + 13*a + 4*a^2)",
+      "expected_tau": "11/10",
+      "m": 2
+    },
+    {
+      "R": "(31 + 8*a)/(120 + 196*a + 100*a^2 + 16*a^3)",
+      "V": "(163 + 100*a + 16*a^2)/(120 + 196*a + 100*a^2 + 16*a^3)",
+      "expected_tau": "163/120",
+      "m": 3
+    }
+  ]
+}
+"""
+
+
+def test_laplace_readme_command_stdout(capsys):
+    assert run_cli("laplace", "--d", "5", "--m", "3") == 0
+    assert capsys.readouterr().out == LAPLACE_D5_M3
 
 
 def test_laplace_json(tmp_path):

@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from cowalk.exact import (
     survival_exact,
     survival_table,
 )
-from cowalk.ratfun import Poly, RationalFn
+from cowalk.ratfun import Poly, RationalFn, poly_gcd
 from cowalk.strategies import Regime, regime
 
 
@@ -79,6 +81,21 @@ def test_tail_monotone_in_t_and_m():
     assert (np.diff(v[:, 1:], axis=0) >= -1e-12).all()  # nondecreasing in m
 
 
+def test_truncation_order_certified_at_large_lambda_t():
+    # 1 - sum(weights) is rounding noise at lambda*t = 12000; the order must
+    # come from a bound on the tail itself, and quickly
+    from scipy.special import pdtrc
+
+    from cowalk.exact import _poisson_tail_upper, _truncation_order
+
+    start = time.perf_counter()
+    k = _truncation_order(12000.0, 1e-12)
+    assert time.perf_counter() - start < 1.0
+    assert _poisson_tail_upper(12000.0, k) <= 0.5e-12
+    assert pdtrc(k, 12000.0) <= 0.5e-12
+    assert k < 15000
+
+
 def test_invalid_args():
     with pytest.raises(ValueError):
         survival_table(4, 5, [0.5], eps=0.0)
@@ -123,6 +140,87 @@ def test_R2_minus_R3_vanishes_at_d4():
 
 def test_R2_vanishes_at_d2():
     assert laplace_R(2, 2).is_zero
+
+
+def _generic_levels(d, m_max):
+    """V(0..m_max) by generic RationalFn arithmetic on the level equations."""
+    a = alpha_poly()
+    levels = [RationalFn(0)]
+    for m in range(1, m_max + 1):
+        if regime(m, d) is Regime.C3:
+            v = (RationalFn(d - 1) + m * d * levels[m - 1]) / RationalFn(a * (d - 1) + m * d)
+        else:
+            prev2 = levels[m - 2] if m >= 2 else RationalFn(0)
+            v = ((RationalFn(d - 1) + m * prev2 + m * (d - 2) * levels[m - 1])
+                 / RationalFn((a + m) * (d - 1)))
+        levels.append(v)
+    return levels
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 10])
+def test_transforms_equal_generic_arithmetic(d):
+    levels = _generic_levels(d, 8)
+    for m in range(9):
+        assert laplace_V(d, m) == levels[m], (d, m)
+        if m >= 1:
+            assert laplace_R(d, m) == levels[m] - levels[m - 1], (d, m)
+
+
+def _scalar_levels(d, m_max, alpha):
+    """V(0..m_max) at one rational alpha by a Fraction recursion."""
+    values = [Fraction(0)]
+    for m in range(1, m_max + 1):
+        if regime(m, d) is Regime.C3:
+            values.append((d - 1 + m * d * values[m - 1]) / (m * d + alpha * (d - 1)))
+        else:
+            prev2 = values[m - 2] if m >= 2 else Fraction(0)
+            values.append((d - 1 + m * prev2 + m * (d - 2) * values[m - 1])
+                          / ((m + alpha) * (d - 1)))
+    return values
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 10])
+def test_deep_transforms_match_scalar_recursion(d):
+    v30, r30 = laplace_V(d, 30), laplace_R(d, 30)
+    for alpha in (Fraction(0), Fraction(1, 3), Fraction(2), Fraction(7, 5), Fraction(-1, 7)):
+        values = _scalar_levels(d, 30, alpha)
+        assert v30(alpha) == values[30], (d, alpha)
+        assert r30(alpha) == values[30] - values[29], (d, alpha)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 10])
+def test_transforms_canonical(d):
+    # coprime, jointly content-free integer coefficients, positive leading
+    # denominator coefficient: the form generic arithmetic would produce
+    for m in range(1, 31):
+        for f in (laplace_V(d, m), laplace_R(d, m)):
+            if f.is_zero:
+                assert f.den == Poly([1])
+                continue
+            coeffs = f.num.coeffs + f.den.coeffs
+            assert all(c.denominator == 1 for c in coeffs)
+            content = 0
+            for c in coeffs:
+                content = gcd(content, int(c))
+            assert content == 1, (d, m)
+            assert f.den.coeffs[-1] > 0
+            assert poly_gcd(f.num, f.den).degree == 0, (d, m)
+
+
+def test_zero_transform_rows():
+    # R(m) vanishes only at (d=2, m=2), R(m-1) - R(m) only at (d=4, m=3)
+    from cowalk.exact import _transform_levels
+
+    r_zero, diff_zero = [], []
+    for d in range(2, 13):
+        levels = _transform_levels(d, 30)
+        r_zero += [(d, m) for m in range(1, 31) if not levels.r_numerator(m)]
+        diff_zero += [(d, m) for m in range(2, 31) if not levels.second_diff_numerator(m)]
+        for m in range(2, 9):
+            generic = laplace_R(d, m - 1) - laplace_R(d, m)
+            assert generic.is_zero == ((d, m) in diff_zero), (d, m)
+    assert r_zero == [(2, 2)]
+    assert diff_zero == [(4, 3)]
 
 
 @pytest.mark.parametrize("d", range(2, 13))

@@ -46,6 +46,14 @@ def test_rational_canonical_form():
     assert g.num == Poly([-1])
 
 
+def test_from_coprime_normalizes_content_and_sign():
+    # the gcd-free constructor agrees with the gcd path on coprime input
+    f = RationalFn._from_coprime([4, -6], [-2, 0, -8])
+    assert f == RationalFn(Poly([4, -6]), Poly([-2, 0, -8]))
+    assert f.num == Poly([-2, 3]) and f.den == Poly([1, 0, 4])
+    assert RationalFn._from_coprime([], [3, 1]).is_zero
+
+
 def test_rational_equality_and_zero():
     assert RationalFn(Poly([1, 1]), Poly([2, 2])) == RationalFn(Poly([3]), Poly([6]))
     assert (RationalFn(Poly([1])) - RationalFn(Poly([1]))).is_zero

@@ -90,6 +90,22 @@ def test_tv_large_n_runs_fast():
     assert 0.0 <= tv_exact(10, 10**6, cutoff_time(10, 10**6)) <= 1.0
 
 
+@pytest.mark.parametrize("n", [10, 50])
+def test_tv_matches_high_precision_sum(n):
+    # the lumped sum over K, in 40-digit arithmetic, from the same float a
+    mpmath = pytest.importorskip("mpmath")
+    for d in (2, 3, 5, 10):
+        for t in (0.05, 0.3, 1.0, cutoff_time(d, n), 2.5, 6.0):
+            with mpmath.workdps(40):
+                a = mpmath.mpf(coordinate_law(d, t).a)
+                b = (1 - a) / (d - 1)
+                unif = mpmath.mpf(d) ** (-n)
+                ref = mpmath.fsum(mpmath.binomial(n, k) * (d - 1) ** (n - k)
+                                  * max(a**k * b ** (n - k) - unif, 0)
+                                  for k in range(n + 1))
+            assert abs(tv_exact(d, n, t) - float(ref)) <= 2e-15, (d, n, t)
+
+
 def test_tv_invariant_under_start_relabeling():
     # complete-graph symmetry: the distance from stationarity is the same
     # from every start state; brute-force product law from arbitrary starts
@@ -153,6 +169,28 @@ def test_survival_from_stationary_n1_closed_form():
         assert np.abs(curve.value - closed).max() <= 1e-12
         tv = np.array([tv_exact(d, 1, t) for t in grid])
         assert np.abs(curve.value - tv).max() <= 1e-12  # tight at n = 1
+
+
+def test_survival_from_stationary_large_n_against_expm_multiply():
+    # lambda * t reaches 4800 here; the Poisson truncation must still
+    # certify its bound (it once grew k_max until memory ran out)
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import expm_multiply
+
+    from cowalk.exact import build_generator
+
+    d, n = 5, 400
+    grid = np.linspace(0.0, 12.0, 13)
+    curve = survival_from_stationary(d, n, grid)
+    gen = build_generator(d, n)
+    # generator of the death chain acting on row distributions, transposed
+    q_t = diags([-gen.exit_rate, gen.down1[1:], gen.down2[2:]], [0, 1, 2]).tocsc()
+    m = np.arange(n + 1)
+    start = np.exp([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + k * math.log(1 - 1 / d) + (n - k) * math.log(1 / d) for k in m])
+    laws = expm_multiply(q_t, start, start=0.0, stop=12.0, num=13, endpoint=True)
+    ref = 1.0 - laws[:, 0]
+    assert np.abs(curve.value - ref).max() <= 1e-10
 
 
 def test_coupling_inequality_on_grid():
