@@ -1,18 +1,12 @@
-"""Hot simulation loops, compiled with numba when available.
+"""Hot simulation loops: a vectorized numpy lumped kernel and a plain
+Python event kernel.
 
-Backend selection: set ``COWALK_BACKEND=numpy`` to force the uncompiled
-fallback (vectorized numpy for the lumped kernel, plain Python for the
-event kernel); ``COWALK_BACKEND=numba`` to require numba.  Default is numba
-when importable.  Both backends consume pre-generated uniform deviates
-positionally, so results agree across backends and replicate chunks can run
-in parallel with a deterministic reduction.
+Both consume pre-generated uniform deviates positionally, so replicate
+chunks can run in parallel with a deterministic reduction.
 
 Strategy codes for the event kernel: 0 optimal, 1 independent, 2 synchronous.
 """
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
@@ -20,72 +14,28 @@ OPTIMAL_CODE = 0
 INDEPENDENT_CODE = 1
 SYNCHRONOUS_CODE = 2
 
-_env = os.environ.get("COWALK_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise RuntimeError(f"COWALK_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-
-if _env in ("", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA
-
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # lumped death-chain batch
 
 
-def _lumped_batch_loop(total, p2, m0, t_max, exp_draws, u_jump, tau, njumps):
-    """Per-replicate jump chain of the unmatched count.
+def lumped_batch(total, p2, m0, t_max, u_exp, u_jump):
+    """Jump chains of the unmatched count, one per replicate, advanced in
+    lockstep; returns (tau, n_jumps).
 
     total[m]: exit rate at level m; p2[m]: probability a jump is -2.
-    exp_draws: (R, m0) unit-mean exponential deviates (transformed on the
-    host so both backends see bit-identical inputs); u_jump: (R, m0)
-    uniforms.  Consumed positionally.  tau is +inf when the chain cannot
-    move or absorption exceeds t_max.
+    u_exp: (R, m0) unit-mean exponential deviates; u_jump: (R, m0)
+    uniforms.  Replicate r consumes row r positionally, one column per jump.
+    tau is +inf when the chain cannot move or absorption exceeds t_max.
     """
-    n_rep = exp_draws.shape[0]
-    for r in range(n_rep):
-        m = m0
-        t = 0.0
-        jumps = 0
-        step = 0
-        while m > 0:
-            rate = total[m]
-            if rate <= 0.0:
-                t = math.inf
-                break
-            t += exp_draws[r, step] / rate
-            if t > t_max:
-                t = math.inf
-                break
-            if u_jump[r, step] < p2[m]:
-                m -= 2
-            else:
-                m -= 1
-            if m < 0:
-                m = 0
-            jumps += 1
-            step += 1
-        tau[r] = t
-        njumps[r] = jumps
-
-
-def _lumped_batch_numpy(total, p2, m0, t_max, exp_draws, u_jump, tau, njumps):
-    """Vectorized fallback; identical draw consumption per replicate."""
-    n_rep = exp_draws.shape[0]
+    total = np.asarray(total)
+    p2 = np.asarray(p2)
+    n_rep = u_exp.shape[0]
+    njumps = np.zeros(n_rep, dtype=np.int64)
     m = np.full(n_rep, m0, dtype=np.int64)
     t = np.zeros(n_rep)
     done = np.zeros(n_rep, dtype=bool)
@@ -100,7 +50,7 @@ def _lumped_batch_numpy(total, p2, m0, t_max, exp_draws, u_jump, tau, njumps):
         done |= stuck
         move = live & ~stuck
         dt = np.zeros(n_rep)
-        dt[move] = exp_draws[move, step] / rate[move]
+        dt[move] = u_exp[move, step] / rate[move]
         t[move] += dt[move]
         censored = move & (t > t_max)
         t[censored] = np.inf
@@ -113,7 +63,7 @@ def _lumped_batch_numpy(total, p2, m0, t_max, exp_draws, u_jump, tau, njumps):
         finished = move & (m == 0)
         njumps[finished] = step + 1
         done |= finished
-    tau[:] = t
+    return t, njumps
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +72,23 @@ def _lumped_batch_numpy(total, p2, m0, t_max, exp_draws, u_jump, tau, njumps):
 _DOMINATING_BLOCK_RATE = 2.0  # >= per-coordinate pair-event rate of any strategy
 
 
-def _marginal_batch_loop(code, d, n, x0, y0, ev_count, offsets, u,
-                         xchg, ychg, xinc, yinc, joint_moves):
-    """Thinned event loop for the coupled pair at full coordinate detail.
+def marginal_batch(code, d, n, x0, y0, ev_count, offsets, u, paired):
+    """Thinned event loop for the coupled pair at full coordinate detail;
+    returns (xchg, ychg, xinc, yinc, joint_moves).
 
     Candidate events arrive at rate 2*n (the dominating rate); each consumes
     four uniforms: thinning, coordinate choice, row/class choice, sub-choice.
-    Records per-coordinate value-change counts, pooled increment tallies
-    (index by increment size 1..d-1), and per-replicate counts of events
-    that moved both chains at once.
+    ``paired[m]`` tells whether the optimal strategy runs in paired mode at
+    unmatched count m.  Records per-coordinate value-change counts, pooled
+    increment tallies (index by increment size 1..d-1), and per-replicate
+    counts of events that moved both chains at once.
     """
     n_rep = ev_count.shape[0]
+    xchg = np.zeros((n_rep, n), dtype=np.int64)
+    ychg = np.zeros((n_rep, n), dtype=np.int64)
+    xinc = np.zeros(d, dtype=np.int64)
+    yinc = np.zeros(d, dtype=np.int64)
+    joint_moves = np.zeros(n_rep, dtype=np.int64)
     x = np.empty(n, dtype=np.int64)
     y = np.empty(n, dtype=np.int64)
     for r in range(n_rep):
@@ -222,8 +178,7 @@ def _marginal_batch_loop(code, d, n, x0, y0, ev_count, offsets, u,
             for c in range(n):
                 if x[c] != y[c]:
                     n_unm += 1
-            singles_mode = (n_unm % 2 == 1) and (n_unm * (d - 2) < 2 * (d - 1))
-            if singles_mode:
+            if not paired[n_unm]:
                 k = int(u2 * d)
                 if k >= d:
                     k = d - 1
@@ -280,40 +235,4 @@ def _marginal_batch_loop(code, d, n, x0, y0, ev_count, offsets, u,
                 xchg[r, i] += 1
                 ychg[r, i] += 1
                 joint_moves[r] += 1
-
-
-if USE_NUMBA:
-    _lumped_batch_jit = njit(cache=True, nogil=True)(_lumped_batch_loop)
-    _marginal_batch_jit = njit(cache=True, nogil=True)(_marginal_batch_loop)
-
-
-def lumped_batch(total, p2, m0, t_max, u_exp, u_jump):
-    """Dispatch the lumped batch kernel; returns (tau, n_jumps)."""
-    n_rep = u_exp.shape[0]
-    tau = np.empty(n_rep)
-    njumps = np.zeros(n_rep, dtype=np.int64)
-    if m0 == 0:
-        tau.fill(0.0)
-        return tau, njumps
-    args = (np.asarray(total), np.asarray(p2), m0, t_max, u_exp, u_jump, tau, njumps)
-    if USE_NUMBA:
-        _lumped_batch_jit(*args)
-    else:
-        _lumped_batch_numpy(*args)
-    return tau, njumps
-
-
-def marginal_batch(code, d, n, x0, y0, ev_count, offsets, u):
-    """Dispatch the event kernel; returns (xchg, ychg, xinc, yinc, joint)."""
-    n_rep = ev_count.shape[0]
-    xchg = np.zeros((n_rep, n), dtype=np.int64)
-    ychg = np.zeros((n_rep, n), dtype=np.int64)
-    xinc = np.zeros(d, dtype=np.int64)
-    yinc = np.zeros(d, dtype=np.int64)
-    joint = np.zeros(n_rep, dtype=np.int64)
-    fn = _marginal_batch_jit if USE_NUMBA else _marginal_batch_loop
-    fn(code, d, n,
-       np.ascontiguousarray(x0, dtype=np.int64),
-       np.ascontiguousarray(y0, dtype=np.int64),
-       ev_count, offsets, u, xchg, ychg, xinc, yinc, joint)
-    return xchg, ychg, xinc, yinc, joint
+    return xchg, ychg, xinc, yinc, joint_moves

@@ -36,14 +36,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .ratfun import RationalFn
-from .strategies import Regime, optimal_rates, regime
+from .strategies import DeathChain, Strategy, death_chain
 
 __all__ = [
-    "LumpedGenerator",
     "TailTable",
     "SignCert",
     "RDiffTable",
-    "build_generator",
     "survival_table",
     "survival_exact",
     "laplace_V",
@@ -54,53 +52,6 @@ __all__ = [
     "check_total_monotone",
     "r_diff_table",
 ]
-
-
-# ---------------------------------------------------------------------------
-# lumped generator
-
-
-@dataclass(frozen=True)
-class LumpedGenerator:
-    """Death-chain generator of the unmatched count under the optimal strategy.
-
-    Rates are stored as floats for the numeric path and as integer
-    numerators over the common denominator ``(d-1) * lam_int`` for the
-    exact-arithmetic path (``lam_int`` is an integer uniformization rate).
-    """
-
-    d: int
-    m_max: int
-    down1: np.ndarray
-    down2: np.ndarray
-    exit_rate: np.ndarray
-    lam_int: int
-
-    @property
-    def denom(self) -> int:
-        return (self.d - 1) * self.lam_int
-
-    def kernel_numerators(self, m: int) -> tuple[int, int]:
-        """(c1, c2): integer numerators of the one-step probabilities to
-        m-1 and m-2 over ``denom``."""
-        if m == 0:
-            return 0, 0
-        if regime(m, self.d) is Regime.C3:
-            return m * self.d, 0
-        return m * (self.d - 2), m
-
-
-def build_generator(d: int, m_max: int) -> LumpedGenerator:
-    down1 = np.zeros(m_max + 1)
-    down2 = np.zeros(m_max + 1)
-    for m in range(1, m_max + 1):
-        sched = optimal_rates(m, d)
-        down1[m] = float(sched.down1)
-        down2[m] = float(sched.down2)
-    exit_rate = down1 + down2
-    lam_int = max(1, math.ceil(exit_rate.max()))
-    return LumpedGenerator(d=d, m_max=m_max, down1=down1, down2=down2,
-                           exit_rate=exit_rate, lam_int=lam_int)
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +119,13 @@ def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if (t_grid < 0).any():
         raise ValueError("t_grid must be nonnegative")
-    gen = build_generator(d, m_max)
-    lam = float(gen.lam_int)
+    chain = death_chain(Strategy.OPTIMAL, d, m_max)
+    lam = float(chain.lam_int)
     k_max = _truncation_order(lam * t_grid.max(), eps)
     w = _poisson_weights(lam * t_grid, k_max)
 
-    p1 = gen.down1 / lam
-    p2 = gen.down2 / lam
+    p1 = chain.down1 / lam
+    p2 = chain.down2 / lam
     stay = 1.0 - p1 - p2
     stay[0] = 1.0
 
@@ -198,7 +149,7 @@ def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
     out[0, :] = 0.0
     np.clip(out, 0.0, 1.0, out=out)
     return TailTable(d=d, m_max=m_max, t_grid=t_grid, values=out, eps=eps,
-                     uniformization_rate=gen.lam_int, n_terms=k_max)
+                     uniformization_rate=chain.lam_int, n_terms=k_max)
 
 
 def survival_exact(d: int, m: int, t_grid, eps: float = 1e-12) -> np.ndarray:
@@ -214,8 +165,9 @@ def survival_exact(d: int, m: int, t_grid, eps: float = 1e-12) -> np.ndarray:
 
 # Level m's generator equation, multiplied by (d-1), reads
 #   l_m V(m) = (d-1) + c1 V(m-1) + c2 V(m-2),   l_m = (c1 + c2) + (d-1) alpha,
-# with (c1, c2) = kernel_numerators(m).  Every V(m) therefore lives over the
-# known denominator D_m = l_1 ... l_m, with an integer numerator polynomial
+# with (c1, c2) the death chain's numerators at level m.  Every V(m) therefore
+# lives over the known denominator D_m = l_1 ... l_m, with an integer numerator
+# polynomial
 #   P_m = (d-1) D_{m-1} + c1 P_{m-1} + c2 l_{m-1} P_{m-2}.
 # R(m) = V(m) - V(m-1) has numerator N_m = P_m - l_m P_{m-1} over D_m, and
 # R(m-1) - R(m) has numerator l_m N_{m-1} - N_m over D_m, so a zero test is
@@ -300,19 +252,16 @@ class _TransformLevels:
 
 
 def _transform_levels(d: int, m_max: int) -> _TransformLevels:
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    gen = build_generator(d, m_max)
+    c1, c2 = death_chain(Strategy.OPTIMAL, d, m_max).numerators()
     q = d - 1
     s = [0]
     P: list[list[int]] = [[]]
     D = [1]  # D_{m-1}
     for m in range(1, m_max + 1):
-        c1, c2 = gen.kernel_numerators(m)
-        num = _ipoly_add(_ipoly_scale(D, q), _ipoly_scale(P[m - 1], c1))
-        if c2:  # never at m = 1, which is always a singles level
-            num = _ipoly_add(num, _ipoly_scale(_ipoly_mul_linear(P[m - 2], s[m - 1], q), c2))
-        s.append(c1 + c2)
+        num = _ipoly_add(_ipoly_scale(D, q), _ipoly_scale(P[m - 1], c1[m]))
+        if c2[m]:  # never at m = 1, which is always a singles level
+            num = _ipoly_add(num, _ipoly_scale(_ipoly_mul_linear(P[m - 2], s[m - 1], q), c2[m]))
+        s.append(c1[m] + c2[m])
         P.append(num)
         D = _ipoly_mul_linear(D, s[m], q)
     return _TransformLevels(q=q, s=s, P=P)
@@ -334,36 +283,35 @@ def laplace_R(d: int, m: int) -> RationalFn:
     return levels.canonical(levels.r_numerator(m), m)
 
 
+def _mean_levels(d: int, m_max: int, zero):
+    """Yield E[tau | N_0 = m] for m = 0..m_max, in the number type of
+    ``zero`` (``Fraction(0)`` for exact rationals, ``0.0`` for float64).
+
+    Level m's generator equation at alpha = 0, times (d-1):
+    (c1 + c2) E_m = (d-1) + c1 E_{m-1} + c2 E_{m-2}.  Only nonnegative terms
+    are mixed, so the float recursion is relatively accurate.  The
+    numerators are read through memoryviews, which yield Python ints
+    without holding a list of them.
+    """
+    chain = death_chain(Strategy.OPTIMAL, d, m_max)
+    e1 = e2 = zero
+    yield zero
+    for c1, c2 in zip(memoryview(chain.c1)[1:], memoryview(chain.c2)[1:]):
+        e1, e2 = ((d - 1) + c1 * e1 + c2 * e2) / (c1 + c2), e1
+        yield e1
+
+
 def expected_tau(d: int, m: int) -> Fraction:
     """E[tau | N_0 = m] as an exact rational (the transform at alpha = 0)."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    prev2, prev1 = Fraction(0), Fraction(0)
-    for j in range(1, m + 1):
-        if regime(j, d) is Regime.C3:
-            cur = Fraction(d - 1, j * d) + prev1
-        else:
-            cur = Fraction(1, j) + (prev2 + (d - 2) * prev1) / (d - 1)
-        prev2, prev1 = prev1, cur
-    return prev1
+    for e in _mean_levels(d, m, Fraction(0)):
+        pass
+    return e
 
 
 def expected_tau_float(d: int, m_max: int) -> np.ndarray:
-    """E[tau | N_0 = m] for m = 0..m_max in float64.
-
-    The recursion mixes only nonnegative terms, so it is relatively
-    accurate; intended for the deep levels (m up to ~10^6) where exact
-    rationals are pointless.
-    """
-    out = np.zeros(m_max + 1)
-    for m in range(1, m_max + 1):
-        if m % 2 == 1 and m * (d - 2) < 2 * (d - 1):
-            out[m] = (d - 1) / (m * d) + out[m - 1]
-        else:
-            out[m] = 1.0 / m + (out[m - 2] + (d - 2) * out[m - 1]) / (d - 1)
-    return out
+    """E[tau | N_0 = m] for m = 0..m_max in float64, for the deep levels
+    (m up to ~10^6) where exact rationals are pointless."""
+    return np.fromiter(_mean_levels(d, m_max, 0.0), dtype=float, count=m_max + 1)
 
 
 def mk_bound_mean(k: int, m: int) -> Fraction:
@@ -421,21 +369,19 @@ class SignCert(enum.Enum):
 _SHIFT = 128  # fixed-point bits for exact-integer term evaluation
 
 
-def _exact_step_diffs(gen: LumpedGenerator, k_max: int):
+def _exact_step_diffs(chain: DeathChain, k_max: int):
     """Integer-exact per-step absorption differences of the uniformized chain.
 
-    Yields, for k = 0..k_max, the integers (scaled by denom**k):
+    Yields, for k = 0..k_max, the integers (scaled by denom**k, where
+    denom = (d-1) * lam_int):
     first[m-1]  ~ a_k(m-1) - a_k(m)            (m = 1..m_max)
     second[m-2] ~ first(m-1) - first(m)        (m = 2..m_max)
     where a_k(m) is the probability of absorption within k steps from m.
     Every quantity is exact, so signs are decisive.
     """
-    m_max = gen.m_max
-    dd = gen.denom
-    c1 = [0] * (m_max + 1)
-    c2 = [0] * (m_max + 1)
-    for m in range(1, m_max + 1):
-        c1[m], c2[m] = gen.kernel_numerators(m)
+    m_max = chain.m_max
+    dd = (chain.d - 1) * chain.lam_int
+    c1, c2 = chain.numerators()
     stay = [dd - c1[m] - c2[m] for m in range(m_max + 1)]
     stay[0] = dd
     a = [1] + [0] * m_max  # absorption indicators, scaled by denom**0
@@ -460,7 +406,7 @@ def _term_bounds(num: int, scale: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _certify_exact(gen: LumpedGenerator, cells, t_grid, kind_first: bool):
+def _certify_exact(chain: DeathChain, cells, t_grid, kind_first: bool):
     """Sign cells of the first or second difference by exact partial sums.
 
     cells: list of (m, t_index).  For each cell the uniformization series
@@ -470,7 +416,8 @@ def _certify_exact(gen: LumpedGenerator, cells, t_grid, kind_first: bool):
     """
     if not cells:
         return {}
-    lam = float(gen.lam_int)
+    lam_int = chain.lam_int
+    lam = float(lam_int)
     k_of_t = {j: math.ceil(3.0 * lam * t_grid[j]) + 40 for _, j in cells}
     k_need = max(k_of_t.values())
     lo = {cell: 0.0 for cell in cells}
@@ -479,7 +426,7 @@ def _certify_exact(gen: LumpedGenerator, cells, t_grid, kind_first: bool):
     for j in {j for _, j in cells}:
         w_cache[j] = _poisson_weights(np.array([lam * t_grid[j]]), k_of_t[j])[:, 0]
     scale = 1
-    for k, first, second in _exact_step_diffs(gen, k_need):
+    for k, first, second in _exact_step_diffs(chain, k_need):
         vec = first if kind_first else second
         for cell in cells:
             m, j = cell
@@ -490,7 +437,7 @@ def _certify_exact(gen: LumpedGenerator, cells, t_grid, kind_first: bool):
             w = w_cache[j][k]
             lo[cell] += w * tlo
             hi[cell] += w * thi
-        scale *= gen.denom
+        scale *= (chain.d - 1) * lam_int
     out = {}
     for cell in cells:
         m, j = cell
@@ -532,7 +479,7 @@ class RDiffTable:
         return cells
 
 
-def _sign_cells(values, zero_rows, gen, t_grid, eps, kind_first):
+def _sign_cells(values, zero_rows, chain, t_grid, eps, kind_first):
     """Apply the 2*eps rule, then exact certificates for the small cells."""
     certs = np.full(values.shape, SignCert.UNDETERMINED.value, dtype=object)
     certs[values > 2 * eps] = SignCert.POSITIVE.value
@@ -542,7 +489,7 @@ def _sign_cells(values, zero_rows, gen, t_grid, eps, kind_first):
     pending = [(i + (1 if kind_first else 2), j)
                for i, j in zip(*np.nonzero(certs == SignCert.UNDETERMINED.value))
                if t_grid[j] > 0]
-    bounds = _certify_exact(gen, pending, t_grid, kind_first)
+    bounds = _certify_exact(chain, pending, t_grid, kind_first)
     for (m, j), (lo, hi) in bounds.items():
         i = m - (1 if kind_first else 2)
         if lo > 0:
@@ -572,14 +519,14 @@ def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
     v = table.values
     r = v[1:] - v[:-1]
     diff = r[:-1] - r[1:]
-    gen = build_generator(d, m_max)
+    chain = death_chain(Strategy.OPTIMAL, d, m_max)
 
     levels = _transform_levels(d, m_max)
     r_zero_rows = [m - 1 for m in range(1, m_max + 1) if not levels.r_numerator(m)]
     diff_zero_rows = [m - 2 for m in range(2, m_max + 1)
                       if not levels.second_diff_numerator(m)]
-    r_certs = _sign_cells(r, r_zero_rows, gen, t_grid, eps, kind_first=True)
-    diff_certs = _sign_cells(diff, diff_zero_rows, gen, t_grid, eps, kind_first=False)
+    r_certs = _sign_cells(r, r_zero_rows, chain, t_grid, eps, kind_first=True)
+    diff_certs = _sign_cells(diff, diff_zero_rows, chain, t_grid, eps, kind_first=False)
     return RDiffTable(d=d, m_max=m_max, t_grid=t_grid, eps=eps,
                       r_values=r, r_certs=r_certs,
                       diff_values=diff, diff_certs=diff_certs)

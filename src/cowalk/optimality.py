@@ -20,7 +20,13 @@ import numpy as np
 
 from .exact import survival_exact, survival_table
 from .simulate import SurvivalCurve, estimate_survival
-from .strategies import RateSchedule, Strategy, optimal_rates
+from .strategies import (
+    RateSchedule,
+    Strategy,
+    optimal_rates,
+    paired_schedule,
+    singles_schedule,
+)
 
 __all__ = [
     "FeasibleMaxResult",
@@ -33,14 +39,6 @@ __all__ = [
     "verify_argmax_grid",
     "dominance_test",
 ]
-
-
-def _cap_vertex(m: int, d: int) -> RateSchedule:
-    return RateSchedule(down2=Fraction(m, d - 1), down1=Fraction(m * (d - 2), d - 1))
-
-
-def _single_vertex(m: int, d: int) -> RateSchedule:
-    return RateSchedule(down2=Fraction(0), down1=Fraction(m * d, d - 1))
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,8 @@ def feasible_max(d: int, m: int, r_m: float, r_m_minus_1: float,
         raise ValueError("m must be >= 1")
     if not (math.isfinite(r_m) and math.isfinite(r_m_minus_1)):
         raise ValueError("tail differences must be finite")
-    cap = _cap_vertex(m, d)
-    single = _single_vertex(m, d)
+    cap = paired_schedule(m, d)
+    single = singles_schedule(m, d)
 
     def objective(s: RateSchedule) -> float:
         return float(s.down2) * (r_m + r_m_minus_1) + float(s.down1) * r_m
@@ -112,7 +110,7 @@ def sample_feasible_schedules(d: int, m: int, count: int, seed: int,
     rng = np.random.default_rng(seed)
     out: list[RateSchedule] = []
     if include_vertices:
-        out += [RateSchedule(), _cap_vertex(m, d), _single_vertex(m, d),
+        out += [RateSchedule(), paired_schedule(m, d), singles_schedule(m, d),
                 RateSchedule(down2=Fraction(m, d - 1))]
     box1 = m * d / (d - 1)
     box2 = m / (d - 1)

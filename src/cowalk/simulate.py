@@ -21,11 +21,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import _kernels
 from .states import WalkParams, hamming
-from .strategies import Strategy, rate_table
+from .strategies import Strategy, death_chain, rate_table
 from ._kernels import INDEPENDENT_CODE, OPTIMAL_CODE, SYNCHRONOUS_CODE
 
 __all__ = [
@@ -151,7 +150,9 @@ def estimate_survival(strategy: Strategy, d: int, start, t_grid, replicates: int
     tau, _ = sample_coupling_times(strategy, d, m0, replicates, seed,
                                    t_max=np.inf if t_max == 0 else t_max * (1 + 1e-12),
                                    n_workers=n_workers)
-    value = (tau[None, :] > t_grid[:, None]).mean(axis=1)
+    # count of tau > t for each t, from the sorted sample: O(R) memory
+    survivors = replicates - np.searchsorted(np.sort(tau), t_grid, side="right")
+    value = survivors / replicates
     sigma = np.sqrt(value * (1.0 - value) / replicates)
     return SurvivalCurve(t_grid=t_grid, value=value,
                          half_width_95=1.959963984540054 * sigma,
@@ -201,6 +202,8 @@ _STRATEGY_CODES = {
 
 def _poisson_chisq(counts: np.ndarray, mean: float, name: str) -> ChiSquareResult:
     """Chi-square of observed counts against Poisson(mean), tail-pooled."""
+    from scipy import stats  # imported here: it dominates ``import cowalk``
+
     n_obs = counts.size
     hi = int(stats.poisson.isf(1e-9, mean)) + 1
     pmf = stats.poisson.pmf(np.arange(hi), mean)
@@ -225,6 +228,8 @@ def _poisson_chisq(counts: np.ndarray, mean: float, name: str) -> ChiSquareResul
 
 
 def _uniform_chisq(hist: np.ndarray, name: str) -> ChiSquareResult:
+    from scipy import stats
+
     total = hist.sum()
     if total == 0:
         raise ValueError("no increments observed")
@@ -252,6 +257,7 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
     x0 = np.zeros(n, dtype=np.int64)
     y0 = np.ones(n, dtype=np.int64)
     rate_dom = _kernels._DOMINATING_BLOCK_RATE * n
+    paired = death_chain(Strategy.OPTIMAL, d, n).c2 > 0
 
     xchg_all = []
     ychg_all = []
@@ -266,7 +272,7 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
         np.cumsum(ev_count, out=offsets[1:])
         u = rng.random((int(offsets[-1]), 4))
         xchg, ychg, xi, yi, joint = _kernels.marginal_batch(
-            code, d, n, x0, y0, ev_count, offsets[:-1], u)
+            code, d, n, x0, y0, ev_count, offsets[:-1], u, paired)
         xchg_all.append(xchg)
         ychg_all.append(ychg)
         xinc += xi

@@ -7,7 +7,11 @@ proposal is accepted with probability q[(i,k),(j,l)].  Row/column sums equal
 to one guarantee that each chain, viewed alone, is a correct simple random
 walk.  For the built-in strategies the number of unmatched coordinates N is
 itself a Markov chain; its jump rates (the "lumped" rates) are what the
-analysis engine and simulator consume.
+analysis engine and simulator consume.  They are stated once, as integer
+numerators over (d-1) of the -1 and -2 jump rates: ``death_chain``
+tabulates them for levels 0..m_max as a ``DeathChain``, and every schedule,
+rate table, kernel, transform and mean is read from that chain or from the
+same per-level rule.
 
 The optimal strategy runs in two modes, decided by ``regime``:
 
@@ -36,7 +40,11 @@ __all__ = [
     "Strategy",
     "Regime",
     "RateSchedule",
+    "DeathChain",
+    "death_chain",
     "regime",
+    "paired_schedule",
+    "singles_schedule",
     "optimal_rates",
     "competitor_rates",
     "rates_for",
@@ -95,75 +103,155 @@ class RateSchedule:
         return (d - 1) * (self.down1 + 2 * self.down2) == m * d
 
 
-def regime(m: int, d: int) -> Regime:
-    """Mode of the optimal strategy at unmatched count m."""
+def _check_level(m: int, d: int) -> None:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
+
+
+def _singles_mode(m, d: int):
+    """True where the optimal strategy runs in singles mode (C3) at level m:
+    m odd and m(d-2) < 2(d-1), compared in integers.  ``m`` is an int or an
+    integer array."""
+    return (m % 2 == 1) & (m * (d - 2) < 2 * (d - 1))
+
+
+def regime(m: int, d: int) -> Regime:
+    """Mode of the optimal strategy at unmatched count m."""
+    _check_level(m, d)
     if m == 0:
         return Regime.ABSORBED
-    # C3 iff m odd and m < 2(d-1)/(d-2), compared in integers
-    if m % 2 == 1 and m * (d - 2) < 2 * (d - 1):
-        return Regime.C3
-    return Regime.C2
+    return Regime.C3 if _singles_mode(m, d) else Regime.C2
 
 
-def optimal_rates(m: int, d: int) -> RateSchedule:
-    """Lumped rates of the optimal strategy at level m (exact rationals)."""
-    reg = regime(m, d)
-    if reg is Regime.ABSORBED:
-        return RateSchedule()
-    if reg is Regime.C3:
-        return RateSchedule(down2=Fraction(0), down1=Fraction(m * d, d - 1))
-    return RateSchedule(down2=Fraction(m, d - 1), down1=Fraction(m * (d - 2), d - 1))
+# (c1, c2): rates of the -1 and -2 jumps at level m, times (d-1); m is an int
+# or an integer array.
+
+def _paired(m, d: int):
+    return m * (d - 2), m
 
 
-def competitor_rates(strategy: Strategy, m: int, d: int) -> RateSchedule:
-    """Lumped rates of a baseline strategy at level m.
+def _singles(m, d: int):
+    return m * d, 0
 
-    Independent: unmatched coordinates of X and Y each jump alone at rate 1
-    and hit the other chain's current value with probability 1/(d-1); matched
-    coordinates stay synchronized.  Synchronous: everything synchronized, the
-    distance never changes.  Pairwise-classic: the d=2 recipe applied at any
-    d -- paired mode at even m, independent behaviour at odd m.
+
+def _independent(m, d: int):
+    return 2 * m, 0
+
+
+def _schedule(c1: int, c2: int, d: int) -> RateSchedule:
+    return RateSchedule(down2=Fraction(c2, d - 1), down1=Fraction(c1, d - 1))
+
+
+def paired_schedule(m: int, d: int) -> RateSchedule:
+    """Paired-mode (C2) rates at level m: the pair-capped, budget-saturating
+    vertex of the rate polytope."""
+    return _schedule(*_paired(m, d), d)
+
+
+def singles_schedule(m: int, d: int) -> RateSchedule:
+    """Singles-mode (C3) rates at level m: the budget-saturating vertex with
+    no -2 jumps."""
+    return _schedule(*_singles(m, d), d)
+
+
+@dataclass(frozen=True, eq=False)
+class DeathChain:
+    """Pure-death chain of the unmatched count N under a built-in strategy.
+
+    ``c1[m]`` and ``c2[m]`` (int64, m = 0..m_max) are the rates of the -1 and
+    -2 jumps at level m times (d-1).  The float rates are the correctly
+    rounded values of the rationals c/(d-1).
     """
-    strategy = Strategy(strategy)
+
+    d: int
+    m_max: int
+    c1: np.ndarray
+    c2: np.ndarray
+
+    @property
+    def down1(self) -> np.ndarray:
+        return self.c1 / (self.d - 1)
+
+    @property
+    def down2(self) -> np.ndarray:
+        return self.c2 / (self.d - 1)
+
+    @property
+    def exit_rate(self) -> np.ndarray:
+        return (self.c1 + self.c2) / (self.d - 1)
+
+    @property
+    def lam_int(self) -> int:
+        """Integer uniformization rate: the ceiling of the largest exit rate
+        (at least 1)."""
+        return max(1, -(-int((self.c1 + self.c2).max()) // (self.d - 1)))
+
+    def numerators(self) -> tuple[list[int], list[int]]:
+        """(c1, c2) as lists of Python ints, safe to multiply without bound."""
+        return self.c1.tolist(), self.c2.tolist()
+
+
+def _numerators(strategy: Strategy, m, d: int):
+    """(c1, c2) of ``strategy`` at level(s) m, an int or an int64 array.
+
+    Optimal: singles mode where ``_singles_mode`` holds, paired mode
+    elsewhere.  Independent: unmatched coordinates of X and Y each jump alone
+    at rate 1 and hit the other chain's current value with probability
+    1/(d-1).  Synchronous: everything synchronized, the distance never
+    changes.  Pairwise-classic: the d=2 recipe applied at any d -- paired
+    mode at even m, independent behaviour at odd m.
+    """
+    # ``alone`` marks the levels that do not run in paired mode
     if strategy is Strategy.OPTIMAL:
-        raise ValueError("competitor_rates is for baselines; use optimal_rates")
-    if m == 0:
-        return RateSchedule()
-    if strategy is Strategy.SYNCHRONOUS:
-        return RateSchedule()
-    if strategy is Strategy.INDEPENDENT:
-        return RateSchedule(down1=Fraction(2 * m, d - 1))
-    if strategy is Strategy.PAIRWISE_CLASSIC:
-        if m % 2 == 0:
-            return RateSchedule(down2=Fraction(m, d - 1), down1=Fraction(m * (d - 2), d - 1))
-        return RateSchedule(down1=Fraction(2 * m, d - 1))
-    raise ValueError(f"unknown strategy {strategy!r}")
+        alone, other = _singles_mode(m, d), _singles(m, d)
+    elif strategy is Strategy.PAIRWISE_CLASSIC:
+        alone, other = m % 2 == 1, _independent(m, d)
+    elif strategy is Strategy.INDEPENDENT:
+        alone, other = True, _independent(m, d)
+    else:
+        alone, other = True, (0, 0)
+    (p1, p2), (o1, o2) = _paired(m, d), other
+    return p1 + alone * (o1 - p1), p2 + alone * (o2 - p2)
+
+
+def death_chain(strategy: Strategy, d: int, m_max: int) -> DeathChain:
+    """Death chain of ``strategy`` on levels 0..m_max."""
+    _check_level(m_max, d)
+    c1, c2 = _numerators(Strategy(strategy), np.arange(m_max + 1, dtype=np.int64), d)
+    return DeathChain(d, m_max, c1, c2)
 
 
 def rates_for(strategy: Strategy, m: int, d: int) -> RateSchedule:
-    strategy = Strategy(strategy)
-    if strategy is Strategy.OPTIMAL:
-        return optimal_rates(m, d)
-    return competitor_rates(strategy, m, d)
+    """Lumped rates of ``strategy`` at level m (exact rationals): one level
+    of ``death_chain``."""
+    _check_level(m, d)
+    return _schedule(*_numerators(Strategy(strategy), m, d), d)
+
+
+def optimal_rates(m: int, d: int) -> RateSchedule:
+    _check_level(m, d)
+    return _schedule(*_numerators(Strategy.OPTIMAL, m, d), d)
+
+
+def competitor_rates(strategy: Strategy, m: int, d: int) -> RateSchedule:
+    """Lumped rates of a baseline strategy at level m (see ``death_chain``)."""
+    if Strategy(strategy) is Strategy.OPTIMAL:
+        raise ValueError("competitor_rates is for baselines; use optimal_rates")
+    return rates_for(strategy, m, d)
 
 
 def rate_table(strategy: Strategy, d: int, m_max: int):
     """Float arrays (total exit rate, P(jump is -2)) for levels 0..m_max.
 
-    This is the simulator-boundary conversion of the exact schedules.
+    This is the simulator-boundary conversion of the exact schedules: each
+    entry is the correctly rounded value of its rational.
     """
-    total = np.zeros(m_max + 1)
-    p2 = np.zeros(m_max + 1)
-    for m in range(1, m_max + 1):
-        sched = rates_for(strategy, m, d)
-        tot = sched.total
-        total[m] = float(tot)
-        p2[m] = float(sched.down2 / tot) if tot > 0 else 0.0
-    return total, p2
+    chain = death_chain(strategy, d, m_max)
+    exits = chain.c1 + chain.c2
+    p2 = np.divide(chain.c2, exits, out=np.zeros(m_max + 1), where=exits > 0)
+    return chain.exit_rate, p2
 
 
 def _row(i: int, k: int, d: int) -> int:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import betainc, gammaln, ndtr
 
-from .exact import expected_tau, expected_tau_float, survival_table
+from .exact import _mean_levels, expected_tau_float, survival_table
 from .simulate import SurvivalCurve
 
 __all__ = [
@@ -120,10 +120,18 @@ def cutoff_profile(d: int, n: int, theta_list) -> list[CutoffPoint]:
     return out
 
 
-def _binomial_log_weights(n: int, p: float) -> np.ndarray:
+def _binomial_weights(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) probabilities, normalised to sum to one: the log
+    weights (differences of large gammaln values, off by up to ~1e-9
+    absolute at n ~ 1e6) are shifted by their maximum before exponentiating,
+    and the normalisation divides out their common error."""
     k = np.arange(n + 1)
-    return (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-            + k * math.log(p) + (n - k) * math.log1p(-p))
+    w = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+         + k * math.log(p) + (n - k) * math.log1p(-p))
+    w -= w.max()
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
 
 
 def survival_from_stationary(d: int, n: int, t_grid, eps: float = 1e-12) -> SurvivalCurve:
@@ -133,8 +141,7 @@ def survival_from_stationary(d: int, n: int, t_grid, eps: float = 1e-12) -> Surv
     corresponding mixture of the exact per-level tails.
     """
     table = survival_table(d, n, t_grid, eps)
-    logw = _binomial_log_weights(n, 1.0 - 1.0 / d)
-    value = np.exp(logw) @ table.values
+    value = _binomial_weights(n, 1.0 - 1.0 / d) @ table.values
     np.clip(value, 0.0, 1.0, out=value)
     zeros = np.zeros_like(table.t_grid)
     return SurvivalCurve(t_grid=table.t_grid, value=value, half_width_95=zeros,
@@ -181,24 +188,21 @@ _EXACT_MEAN_LIMIT = 2000
 def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
     """E[coupling time] with Y_0 uniform: binomial mixture of per-level means.
 
-    Exact rational for moderate n; for large n the binomial weights are
-    computed in log space and the level means in float64 (the level
-    recursion mixes only nonnegative terms, so it stays relatively
-    accurate).  Returns a Fraction or a float accordingly.
+    Exact rational for moderate n; for large n the normalised binomial
+    weights and the level means are float64 (the level recursion mixes only
+    nonnegative terms, so it stays relatively accurate).  Both paths run the
+    level recursion once.  Returns a Fraction or a float accordingly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if exact is None:
         exact = n <= _EXACT_MEAN_LIMIT
     if exact:
-        p_num, p_den = d - 1, d
         total = Fraction(0)
-        w = Fraction(1, p_den**n)  # weight of m = 0
-        for m in range(n + 1):
+        w = 1  # C(n, m) (d-1)^m, the weight of level m times d^n
+        for m, e in enumerate(_mean_levels(d, n, Fraction(0))):
             if m > 0:
-                w = w * (n - m + 1) * p_num / m
-            total += w * expected_tau(d, m)
-        return total
-    levels = expected_tau_float(d, n)
-    w = np.exp(_binomial_log_weights(n, 1.0 - 1.0 / d))
-    return float(w @ levels)
+                w = w * (n - m + 1) * (d - 1) // m
+            total += w * e
+        return total / d**n
+    return float(_binomial_weights(n, 1.0 - 1.0 / d) @ expected_tau_float(d, n))

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from cowalk.exact import (
     SignCert,
-    build_generator,
     check_total_monotone,
     expected_tau,
     expected_tau_float,
@@ -20,7 +19,7 @@ from cowalk.exact import (
     survival_table,
 )
 from cowalk.ratfun import Poly, RationalFn, poly_gcd
-from cowalk.strategies import Regime, regime
+from cowalk.strategies import Regime, Strategy, death_chain, regime
 
 
 # --- closed-form tails ------------------------------------------------------
@@ -438,7 +437,7 @@ def test_d3_diff_row_negative_is_reported():
 
 
 def test_generator_exit_rates():
-    gen = build_generator(3, 8)
+    gen = death_chain(Strategy.OPTIMAL, 3, 8)
     for m in range(1, 9):
         if regime(m, 3) is Regime.C3:
             assert gen.exit_rate[m] == pytest.approx(m * 3 / 2)

@@ -12,9 +12,11 @@ from cowalk.strategies import (
     Strategy,
     build_q_matrix,
     competitor_rates,
+    death_chain,
     lump_rates,
     optimal_rates,
     rate_table,
+    rates_for,
     regime,
 )
 
@@ -107,6 +109,40 @@ def test_rate_table_matches_schedules():
         sched = optimal_rates(m, 4)
         assert total[m] == pytest.approx(float(sched.total), abs=1e-15)
         assert p2[m] == pytest.approx(float(sched.down2 / sched.total), abs=1e-15)
+
+
+def _level_numerators(strategy, m, d):
+    """(c1, c2) at one level, stated case by case from the model."""
+    if m == 0 or strategy is Strategy.SYNCHRONOUS:
+        return 0, 0
+    if strategy is Strategy.OPTIMAL:
+        if m % 2 == 1 and m * (d - 2) < 2 * (d - 1):
+            return m * d, 0
+        return m * (d - 2), m
+    if strategy is Strategy.PAIRWISE_CLASSIC and m % 2 == 0:
+        return m * (d - 2), m
+    return 2 * m, 0
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_death_chain_numerators(strategy):
+    for d in (2, 3, 4, 7):
+        chain = death_chain(strategy, d, 60)
+        c1, c2 = chain.numerators()
+        assert all(type(c) is int for c in c1 + c2)
+        assert [(c1[m], c2[m]) for m in range(61)] == [
+            _level_numerators(strategy, m, d) for m in range(61)]
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_rate_table_is_correctly_rounded(strategy):
+    # each entry equals float() of the exact rational, bit for bit
+    for d in range(2, 13):
+        total, p2 = rate_table(strategy, d, 200)
+        for m in range(201):
+            sched = rates_for(strategy, m, d)
+            assert total[m] == float(sched.total)
+            assert p2[m] == (float(sched.down2 / sched.total) if sched.total else 0.0)
 
 
 # --- control matrices -------------------------------------------------------

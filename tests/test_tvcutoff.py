@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import ndtr
 
-from cowalk.exact import expected_tau
+from cowalk.exact import expected_tau, expected_tau_float
 from cowalk.tvcutoff import (
     coordinate_law,
     cutoff_profile,
@@ -177,12 +177,12 @@ def test_survival_from_stationary_large_n_against_expm_multiply():
     from scipy.sparse import diags
     from scipy.sparse.linalg import expm_multiply
 
-    from cowalk.exact import build_generator
+    from cowalk.strategies import Strategy, death_chain
 
     d, n = 5, 400
     grid = np.linspace(0.0, 12.0, 13)
     curve = survival_from_stationary(d, n, grid)
-    gen = build_generator(d, n)
+    gen = death_chain(Strategy.OPTIMAL, d, n)
     # generator of the death chain acting on row distributions, transposed
     q_t = diags([-gen.exit_rate, gen.down1[1:], gen.down2[2:]], [0, 1, 2]).tocsc()
     m = np.arange(n + 1)
@@ -254,6 +254,34 @@ def test_mean_tau_stationary_monotone_in_n():
     for d in (2, 4):
         vals = [float(mean_tau_stationary(d, n)) for n in (1, 2, 4, 8, 16, 32)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_mean_tau_stationary_equals_per_level_sum():
+    for d in (2, 3, 5, 10):
+        levels = [expected_tau(d, m) for m in range(61)]
+        for n in range(1, 61):
+            direct = sum((Fraction(math.comb(n, m) * (d - 1) ** m, d**n) * levels[m]
+                          for m in range(n + 1)), Fraction(0))
+            assert mean_tau_stationary(d, n) == direct
+
+
+def test_mean_tau_stationary_float_at_n1e6():
+    # reference: binomial weights by ratio recurrence outward from the mode,
+    # normalised, every sum by math.fsum
+    d, n = 5, 10**6
+    p = (d - 1) / d
+    ratio = p / (1 - p)
+    mode = int((n + 1) * p)
+    w = [0.0] * (n + 1)
+    w[mode] = 1.0
+    for m in range(mode, n):
+        w[m + 1] = w[m] * (n - m) / (m + 1) * ratio
+    for m in range(mode, 0, -1):
+        w[m - 1] = w[m] * m / (n - m + 1) / ratio
+    levels = expected_tau_float(d, n)
+    ref = math.fsum(wi * e for wi, e in zip(w, levels.tolist())) / math.fsum(w)
+    value = mean_tau_stationary(d, n, exact=False)
+    assert abs(value - ref) <= 1e-12 * ref
 
 
 def test_mean_tau_stationary_weights_sum():
