@@ -3,8 +3,9 @@
 Subcommands: simulate, exact, laplace, mean-tau, tv, cutoff, limit, verify,
 validate-marginals.  Every run writes its artifact (CSV or JSON) plus a
 ``<file>.meta.json`` sidecar with the seed, parameters, and versions; with
-no --out the artifact goes to stdout and no sidecar is written.  Flags win
-over values from an optional JSON config file (--config).
+no --out the artifact goes to stdout, byte for byte the same, and no sidecar
+is written.  Each subcommand takes only the flags it reads; flags win over
+values from an optional JSON config file (--config).
 
 Exit codes: 0 success, 2 invalid configuration, 1 runtime failure,
 3 internal assertion failure.
@@ -16,9 +17,9 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -86,84 +87,45 @@ class ExperimentConfig:
         return np.linspace(self.t_start, self.t_stop, self.t_points)
 
 
-def _csv_floats(text: str) -> list[float]:
+def float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _csv_ints(text: str) -> list[int]:
+def int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip() != ""]
-
-
-def _add_common(p: argparse.ArgumentParser, grid: bool = True):
-    p.add_argument("--config", type=str, help="JSON config file; flags win")
-    p.add_argument("--out", type=str, help="output file (default: stdout)")
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None, help="certified error bound")
-    p.add_argument("--workers", type=int, default=None,
-                   help="replicate-chunk workers (default: COWALK_WORKERS or 1)")
-    if grid:
-        p.add_argument("--t", type=str, default=None,
-                       help="comma-separated time points (overrides grid flags)")
-        p.add_argument("--t-start", type=float, default=None)
-        p.add_argument("--t-stop", type=float, default=None)
-        p.add_argument("--t-points", type=int, default=None)
-        p.add_argument("--t-spacing", choices=["linear", "log"], default=None)
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             file_vals = json.load(fh)
-        unknown = set(file_vals) - {f for f in cfg.__dataclass_fields__}
+        unknown = set(file_vals) - {f.name for f in fields(cfg)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, val in file_vals.items():
             setattr(cfg, key, val)
-    mapping = {
-        "d": "d", "n": "n", "m": "m", "mmax": "m_max", "strategy": "strategy",
-        "replicates": "replicates", "seed": "seed", "eps": "eps",
-        "horizon": "horizon", "out": "out", "fmt": "fmt", "workers": "workers",
-        "t_start": "t_start", "t_stop": "t_stop", "t_points": "t_points",
-        "t_spacing": "t_spacing", "samples": "samples",
-    }
-    for arg_name, cfg_name in mapping.items():
-        val = getattr(args, arg_name, None)
+    for f in fields(cfg):  # every flag's dest is a field name
+        val = getattr(args, f.name, None)
         if val is not None:
-            setattr(cfg, cfg_name, val)
-    if getattr(args, "t", None) is not None:
-        cfg.t_values = _csv_floats(args.t)
-    if getattr(args, "theta", None) is not None:
-        cfg.theta = _csv_floats(args.theta)
-    if getattr(args, "d_list", None) is not None:
-        cfg.d_list = _csv_ints(args.d_list)
+            setattr(cfg, f.name, val)
     return cfg.validate()
 
 
-def _emit(cfg: ExperimentConfig, command: str, writer_csv, payload) -> None:
-    """Write the artifact per --out/--format, plus the metadata sidecar."""
-    if cfg.out is None:
-        if cfg.fmt == "json" or writer_csv is None:
-            json.dump(io.to_jsonable(payload), sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+def _emit(cfg: ExperimentConfig, command: str, payload, write_csv=None) -> None:
+    """Write the artifact once, to stdout or to --out plus its metadata
+    sidecar: CSV through ``write_csv(stream)`` when given and asked for,
+    else JSON."""
+    with (open(cfg.out, "w", newline="") if cfg.out is not None
+          else nullcontext(sys.stdout)) as fh:
+        if write_csv is None or cfg.fmt == "json":
+            io.write_json(payload, fh)
         else:
-            import tempfile
-
-            with tempfile.NamedTemporaryFile("w+", suffix=".csv", delete=False) as fh:
-                pass
-            writer_csv(Path(fh.name))
-            sys.stdout.write(Path(fh.name).read_text())
-            Path(fh.name).unlink()
-        return
-    path = Path(cfg.out)
-    if cfg.fmt == "json" or writer_csv is None:
-        io.write_json(payload, path)
-    else:
-        writer_csv(path)
-    io.write_metadata(path, command, {k: v for k, v in vars(cfg).items() if k != "out"},
-                      cfg.seed)
-    print(f"wrote {path}", file=sys.stderr)
+            write_csv(fh)
+    if cfg.out is not None:
+        io.write_metadata(cfg.out, command,
+                          {k: v for k, v in vars(cfg).items() if k != "out"}, cfg.seed)
+        print(f"wrote {cfg.out}", file=sys.stderr)
 
 
 def _require(cfg: ExperimentConfig, *names):
@@ -181,7 +143,7 @@ def _cmd_simulate(cfg: ExperimentConfig):
     curve = simulate.estimate_survival(Strategy(cfg.strategy), cfg.d, cfg.m,
                                        cfg.t_grid(), cfg.replicates, cfg.seed,
                                        n_workers=cfg.workers)
-    _emit(cfg, "simulate", lambda p: io.write_survival_csv(curve, p), curve)
+    _emit(cfg, "simulate", curve, lambda fh: io.write_survival_csv(curve, fh))
 
 
 def _cmd_exact(cfg: ExperimentConfig):
@@ -191,11 +153,8 @@ def _cmd_exact(cfg: ExperimentConfig):
     m_max = cfg.m_max if cfg.m_max is not None else max(cfg.m, 1)
     table = exact.survival_table(cfg.d, m_max, cfg.t_grid(), cfg.eps)
     if cfg.m_max is None:
-        table = exact.TailTable(d=table.d, m_max=cfg.m, t_grid=table.t_grid,
-                                values=table.values[: cfg.m + 1], eps=table.eps,
-                                uniformization_rate=table.uniformization_rate,
-                                n_terms=table.n_terms)
-    _emit(cfg, "exact", lambda p: io.write_tail_csv(table, p), table)
+        table = replace(table, m_max=cfg.m, values=table.values[: cfg.m + 1])
+    _emit(cfg, "exact", table, lambda fh: io.write_tail_csv(table, fh))
 
 
 def _cmd_laplace(cfg: ExperimentConfig):
@@ -225,7 +184,7 @@ def _cmd_laplace(cfg: ExperimentConfig):
             exact.laplace_R(d, 2) - exact.laplace_R(d, 3)
             == RationalFn(Poly([d - 4]), Poly([2, 1]) * Poly([3, 1]) * Poly([d - 1])))
     payload = {"d": d, "levels": rows, "identities": {k: bool(v) for k, v in checks.items()}}
-    _emit(cfg, "laplace", None, payload)
+    _emit(cfg, "laplace", payload)
 
 
 def _cmd_mean_tau(cfg: ExperimentConfig):
@@ -255,32 +214,22 @@ def _cmd_mean_tau(cfg: ExperimentConfig):
             payload["log_n"] = math.log(cfg.n)
             payload["ratio_to_log_n"] = ratio
             payload["in_half_to_one"] = bool(0.5 <= ratio <= 1.0)
-    _emit(cfg, "mean-tau", None, payload)
+    _emit(cfg, "mean-tau", payload)
 
 
 def _cmd_tv(cfg: ExperimentConfig):
     _require(cfg, "d", "n")
     grid = cfg.t_grid()
     values = [tvcutoff.tv_exact(cfg.d, cfg.n, t) for t in grid]
-
-    def write(path):
-        import csv as _csv
-
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["t", "tv_exact"])
-            for t, v in zip(grid, values):
-                w.writerow([repr(float(t)), repr(float(v))])
-
-    _emit(cfg, "tv", write, {"d": cfg.d, "n": cfg.n,
-                             "t": list(map(float, grid)), "tv_exact": values})
+    _emit(cfg, "tv", {"d": cfg.d, "n": cfg.n, "t": list(map(float, grid)), "tv_exact": values},
+          lambda fh: io.write_csv(fh, ["t", "tv_exact"], zip(grid, values)))
 
 
 def _cmd_cutoff(cfg: ExperimentConfig):
     _require(cfg, "d", "n")
     theta = cfg.theta if cfg.theta is not None else [-1.0, 0.0, 1.0]
     points = tvcutoff.cutoff_profile(cfg.d, cfg.n, theta)
-    _emit(cfg, "cutoff", lambda p: io.write_cutoff_csv(points, p), points)
+    _emit(cfg, "cutoff", points, lambda fh: io.write_cutoff_csv(points, fh))
 
 
 def _cmd_limit(cfg: ExperimentConfig):
@@ -293,17 +242,8 @@ def _cmd_limit(cfg: ExperimentConfig):
         payload["gaps"] = gaps
         payload["strictly_decreasing"] = bool(
             all(a.sup_gap > b.sup_gap for a, b in zip(gaps, gaps[1:])))
-
-    def write(path):
-        import csv as _csv
-
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["t", "limit_tail"])
-            for t, v in zip(payload["t"], payload["limit_tail"]):
-                w.writerow([repr(t), repr(v)])
-
-    _emit(cfg, "limit", write, payload)
+    _emit(cfg, "limit", payload, lambda fh: io.write_csv(
+        fh, ["t", "limit_tail"], zip(payload["t"], payload["limit_tail"])))
 
 
 def _cmd_verify(cfg: ExperimentConfig):
@@ -349,7 +289,7 @@ def _cmd_verify(cfg: ExperimentConfig):
                 for i, j in zip(*np.nonzero(~np.isin(sign_table.r_certs, ["positive"])))}),
         },
     }
-    _emit(cfg, "verify", None, payload)
+    _emit(cfg, "verify", payload)
 
 
 def _cmd_validate_marginals(cfg: ExperimentConfig):
@@ -359,7 +299,7 @@ def _cmd_validate_marginals(cfg: ExperimentConfig):
                                          cfg.horizon, cfg.replicates, cfg.seed)
     payload = io.to_jsonable(report)
     payload["passed"] = report.passed
-    _emit(cfg, "validate-marginals", None, payload)
+    _emit(cfg, "validate-marginals", payload)
 
 
 _HANDLERS = {
@@ -375,6 +315,58 @@ _HANDLERS = {
 }
 
 
+# every flag once: option strings and argparse keywords, each dest a field
+# of ExperimentConfig
+_FLAGS = {
+    "config": (["--config"], {"help": "JSON config file; flags win"}),
+    "out": (["--out"], {"help": "output file (default: stdout)"}),
+    "format": (["--format"], {"dest": "fmt", "choices": ["csv", "json"]}),
+    "seed": (["--seed"], {"type": int}),
+    "eps": (["--eps"], {"type": float, "help": "certified error bound"}),
+    "workers": (["--workers"], {"type": int, "help": "replicate-chunk workers (default 1)"}),
+    "d": (["--d"], {"type": int}),
+    "n": (["--n"], {"type": int, "help": "coordinates"}),
+    "m": (["--m"], {"type": int, "help": "start level (unmatched count)"}),
+    "mmax": (["--mmax"], {"dest": "m_max", "type": int, "help": "highest start level"}),
+    "strategy": (["--strategy"], {"choices": _STRATEGY_NAMES}),
+    "replicates": (["--replicates", "-R"], {"type": int}),
+    "horizon": (["--horizon", "-T"], {"type": float}),
+    "samples": (["--samples"], {"type": int, "help": "random feasible rate schedules per cell"}),
+    "theta": (["--theta"], {"type": float_list, "help": "comma-separated offsets"}),
+    "d-list": (["--d-list"], {"type": int_list, "help": "comma-separated increasing d values"}),
+    "t": (["--t"], {"dest": "t_values", "type": float_list,
+                    "help": "comma-separated time points (overrides grid flags)"}),
+    "t-start": (["--t-start"], {"type": float}),
+    "t-stop": (["--t-stop"], {"type": float}),
+    "t-points": (["--t-points"], {"type": int}),
+    "t-spacing": (["--t-spacing"], {"choices": ["linear", "log"]}),
+}
+_GRID = "t t-start t-stop t-points t-spacing"
+
+# subcommand: (help, the flags its handler reads)
+_COMMANDS = {
+    "simulate": ("empirical survival curve of a coupling",
+                 f"d m strategy replicates format seed workers {_GRID}"),
+    "exact": ("certified tail probabilities of the optimum", f"d m mmax format eps {_GRID}"),
+    "laplace": ("exact transforms and identities", "d m"),
+    "mean-tau": ("exact expected coupling times and bounds", "d m n"),
+    "tv": ("exact total-variation distance from uniform", f"d n format {_GRID}"),
+    "cutoff": ("TV cutoff profile vs the normal asymptotic", "d n theta format"),
+    "limit": ("large-d limiting tail and convergence gaps", f"n d-list format eps {_GRID}"),
+    "verify": ("optimality certification report",
+               f"d mmax replicates samples seed eps workers {_GRID}"),
+    "validate-marginals": ("chi-square marginal-law checks",
+                           "d n strategy horizon replicates seed"),
+}
+
+# flags that read differently on one subcommand
+_VARIANTS = {
+    ("simulate", "m"): (["--m", "--m0"], _FLAGS["m"][1]),
+    ("validate-marginals", "strategy"):
+        (["--strategy"], {"choices": ["optimal", "independent", "synchronous"]}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cowalk",
@@ -382,63 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cowalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="empirical survival curve of a coupling")
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", "--m0", dest="m", type=int, help="initial unmatched count")
-    p.add_argument("--strategy", choices=_STRATEGY_NAMES)
-    p.add_argument("--replicates", "-R", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("exact", help="certified tail probabilities of the optimum")
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int, help="single start level")
-    p.add_argument("--mmax", type=int, help="tabulate all levels up to mmax")
-    _add_common(p)
-
-    p = sub.add_parser("laplace", help="exact transforms and identities")
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int)
-    _add_common(p, grid=False)
-
-    p = sub.add_parser("mean-tau", help="exact expected coupling times and bounds")
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int, help="coordinates, for the uniform-start mean")
-    _add_common(p, grid=False)
-
-    p = sub.add_parser("tv", help="exact total-variation distance from uniform")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("cutoff", help="TV cutoff profile vs the normal asymptotic")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--theta", type=str, help="comma-separated offsets")
-    _add_common(p, grid=False)
-
-    p = sub.add_parser("limit", help="large-d limiting tail and convergence gaps")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d-list", type=str, help="comma-separated increasing d values")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="optimality certification report")
-    p.add_argument("--d", type=int)
-    p.add_argument("--mmax", type=int)
-    p.add_argument("--replicates", "-R", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None,
-                   help="random feasible rate schedules per cell")
-    _add_common(p)
-
-    p = sub.add_parser("validate-marginals", help="chi-square marginal-law checks")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--strategy", choices=["optimal", "independent", "synchronous"])
-    p.add_argument("--horizon", "-T", type=float, default=None)
-    p.add_argument("--replicates", "-R", type=int, default=None)
-    _add_common(p, grid=False)
-
+    for command, (help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names.split() + ["config", "out"]:
+            opts, kwargs = _VARIANTS.get((command, name), _FLAGS[name])
+            p.add_argument(*opts, **kwargs)
     return parser
 
 

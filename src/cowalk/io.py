@@ -5,9 +5,10 @@ Formats (CSV columns):
   tail table: m, then one column per grid time
   cutoff:     theta,T_d,t,tv_exact,tv_asymptotic
 
-Floats are written with shortest round-trip repr, so identical inputs give
-byte-identical files; run metadata (which includes a timestamp) goes to a
-separate ``<name>.meta.json`` sidecar.
+Writers take an open text stream.  CSV has LF line ends and floats in
+shortest round-trip repr, so identical inputs give byte-identical files;
+run metadata (which includes a timestamp) goes to a separate
+``<name>.meta.json`` sidecar.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .simulate import SurvivalCurve
 from .tvcutoff import CutoffPoint
 
 __all__ = [
+    "write_csv",
     "write_survival_csv",
     "read_survival_csv",
     "write_tail_csv",
@@ -42,13 +44,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_survival_csv(curve: SurvivalCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "value", "half_width_95", "half_width_3sigma", "replicates"])
-        for j, t in enumerate(curve.t_grid):
-            w.writerow([_fmt(t), _fmt(curve.value[j]), _fmt(curve.half_width_95[j]),
-                        _fmt(curve.half_width_3sigma[j]), curve.replicates])
+def write_csv(fh, header, rows) -> None:
+    """Header and rows as CSV with LF line ends: integer cells as they are,
+    every other cell in shortest round-trip float repr."""
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([v if isinstance(v, (int, np.integer)) else _fmt(v) for v in row])
+
+
+def write_survival_csv(curve: SurvivalCurve, fh) -> None:
+    cols = (curve.t_grid, curve.value, curve.half_width_95, curve.half_width_3sigma)
+    write_csv(fh, ["t", "value", "half_width_95", "half_width_3sigma", "replicates"],
+              ((*row, curve.replicates) for row in zip(*cols)))
 
 
 def read_survival_csv(path) -> SurvivalCurve:
@@ -61,12 +69,9 @@ def read_survival_csv(path) -> SurvivalCurve:
                          replicates=int(rows[0]["replicates"]) if rows else 0)
 
 
-def write_tail_csv(table: TailTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m"] + [f"t={_fmt(t)}" for t in table.t_grid])
-        for m in range(table.m_max + 1):
-            w.writerow([m] + [_fmt(v) for v in table.values[m]])
+def write_tail_csv(table: TailTable, fh) -> None:
+    write_csv(fh, ["m"] + [f"t={_fmt(t)}" for t in table.t_grid],
+              ([m, *table.values[m]] for m in range(table.m_max + 1)))
 
 
 def read_tail_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -78,13 +83,9 @@ def read_tail_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return t_grid, values
 
 
-def write_cutoff_csv(points: list[CutoffPoint], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta", "T_d", "t", "tv_exact", "tv_asymptotic"])
-        for p in points:
-            w.writerow([_fmt(p.theta), _fmt(p.cutoff), _fmt(p.t),
-                        _fmt(p.tv_exact), _fmt(p.tv_asymptotic)])
+def write_cutoff_csv(points: list[CutoffPoint], fh) -> None:
+    write_csv(fh, ["theta", "T_d", "t", "tv_exact", "tv_asymptotic"],
+              ((p.theta, p.cutoff, p.t, p.tv_exact, p.tv_asymptotic) for p in points))
 
 
 def read_cutoff_csv(path) -> list[dict]:
@@ -114,10 +115,9 @@ def to_jsonable(obj):
     return obj
 
 
-def write_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_json(obj, fh) -> None:
+    json.dump(to_jsonable(obj), fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def write_metadata(out_path, command: str, params: dict, seed) -> Path:
@@ -127,13 +127,12 @@ def write_metadata(out_path, command: str, params: dict, seed) -> Path:
     path = Path(str(out_path) + ".meta.json")
     record = {
         "command": command,
-        "parameters": to_jsonable(params),
+        "parameters": params,
         "seed": seed,
         "version": __version__,
         "python": platform.python_version(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(record, fh)
     return path

@@ -16,11 +16,11 @@ deterministic reduction by chunk index.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import chdtrc, gammaln, pdtr, pdtrik, xlogy
 
 from . import _kernels
 from .states import WalkParams, hamming
@@ -36,14 +36,10 @@ __all__ = [
     "sample_coupling_times",
     "estimate_survival",
     "validate_marginals",
-    "default_workers",
 ]
 
 _CHUNK = 1 << 15
-
-
-def default_workers() -> int:
-    return max(1, int(os.environ.get("COWALK_WORKERS", "1")))
+_BLOCK = 1 << 21  # replicate-steps of uniforms drawn and run at once
 
 
 @dataclass(frozen=True)
@@ -76,10 +72,16 @@ def _chunk_bounds(replicates: int, m0: int):
 
 
 def _run_lumped_chunk(seed, index, lo, hi, total, p2, m0, t_max):
+    # sub-blocks draw the chunk's stream in order, so they change no value
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
-    u = rng.random((hi - lo, m0, 2))
-    exp_draws = -np.log1p(-u[:, :, 0])  # holding-time deviates, host-side
-    return _kernels.lumped_batch(total, p2, m0, t_max, exp_draws, u[:, :, 1])
+    rows = max(1, _BLOCK // max(m0, 1))
+    parts = []
+    for start in range(lo, hi, rows):
+        u = rng.random((min(rows, hi - start), m0, 2))
+        exp_draws = -np.log1p(-u[:, :, 0])  # holding-time deviates, host-side
+        parts.append(_kernels.lumped_batch(total, p2, m0, t_max, exp_draws, u[:, :, 1]))
+    tau, njumps = zip(*parts)
+    return np.concatenate(tau), np.concatenate(njumps)
 
 
 def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
@@ -96,7 +98,7 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
         raise ValueError("t_max must be positive")
     total, p2 = rate_table(Strategy(strategy), d, max(m0, 1))
     bounds = _chunk_bounds(replicates, m0)
-    n_workers = n_workers or default_workers()
+    n_workers = n_workers or 1
     tau = np.empty(replicates)
     njumps = np.empty(replicates, dtype=np.int64)
 
@@ -200,13 +202,29 @@ _STRATEGY_CODES = {
 }
 
 
+def _chisq(observed: np.ndarray, expected: np.ndarray, name: str) -> ChiSquareResult:
+    """Pearson chi-square of observed against expected counts (the statistic
+    and p-value of ``scipy.stats.chisquare``, without importing it)."""
+    obs_total, exp_total = observed.sum(), expected.sum()
+    if abs(obs_total - exp_total) > np.finfo(float).eps ** 0.5 * min(obs_total, exp_total):
+        raise ValueError("observed and expected counts have different totals")
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    dof = observed.size - 1
+    return ChiSquareResult(name=name, statistic=stat, dof=dof,
+                           p_value=float(chdtrc(dof, stat)))
+
+
 def _poisson_chisq(counts: np.ndarray, mean: float, name: str) -> ChiSquareResult:
     """Chi-square of observed counts against Poisson(mean), tail-pooled."""
-    from scipy import stats  # imported here: it dominates ``import cowalk``
-
     n_obs = counts.size
-    hi = int(stats.poisson.isf(1e-9, mean)) + 1
-    pmf = stats.poisson.pmf(np.arange(hi), mean)
+    # one past the (1 - 1e-9)-quantile of Poisson(mean)
+    q = 1.0 - 1e-9
+    hi = math.ceil(pdtrik(q, mean))
+    if hi > 0 and pdtr(hi - 1, mean) >= q:
+        hi -= 1
+    hi += 1
+    levels = np.arange(hi)
+    pmf = np.exp(xlogy(levels, mean) - gammaln(levels + 1) - mean)
     # pool bins from the right until every expected count is >= 5
     expected = pmf * n_obs
     edges = [0]
@@ -222,20 +240,14 @@ def _poisson_chisq(counts: np.ndarray, mean: float, name: str) -> ChiSquareResul
     observed = np.histogram(np.minimum(counts, hi - 1), bins=edges)[0].astype(float)
     probs = np.add.reduceat(pmf, edges[:-1])
     probs[-1] += 1.0 - pmf.sum()
-    stat, p = stats.chisquare(observed, probs * n_obs)
-    return ChiSquareResult(name=name, statistic=float(stat), dof=len(probs) - 1,
-                           p_value=float(p))
+    return _chisq(observed, probs * n_obs, name)
 
 
 def _uniform_chisq(hist: np.ndarray, name: str) -> ChiSquareResult:
-    from scipy import stats
-
-    total = hist.sum()
-    if total == 0:
+    if hist.sum() == 0:
         raise ValueError("no increments observed")
-    stat, p = stats.chisquare(hist.astype(float))
-    return ChiSquareResult(name=name, statistic=float(stat), dof=hist.size - 1,
-                           p_value=float(p))
+    observed = hist.astype(float)
+    return _chisq(observed, np.full(observed.size, observed.mean()), name)
 
 
 def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,

@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,52 @@ from cowalk.simulate import SurvivalCurve
 from cowalk.tvcutoff import cutoff_profile
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_commands():
+    """(argv, number stated in the trailing comment or None) per README
+    command line, continuations joined."""
+    cases = []
+    for line in _readme_block("Command line", "sh").replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        stated = comment.strip()
+        try:
+            float(stated)
+        except ValueError:
+            stated = None
+        argv = shlex.split(command)
+        assert argv[0] == "cowalk"
+        cases.append(pytest.param(argv[1:], stated, id=argv[1]))
+    return cases
+
+
+@pytest.mark.parametrize("argv, stated", _readme_commands())
+def test_readme_command(argv, stated, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if stated is not None:
+        assert stated in [line.split(",")[-1] for line in out.splitlines()]
+    if argv[0] == "cutoff":
+        # a theta list led by a negative offset is a value, not a flag
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [float(r["theta"]) for r in rows] == [-1.0, 0.0, 1.0]
+        tv = [float(r["tv_exact"]) for r in rows]
+        assert tv[0] > tv[1] > tv[2]
+
+
+def test_readme_quick_start():
+    exec(_readme_block("Library quick start", "python"), {})
 
 
 def test_exact_single_value(tmp_path, capsys):
@@ -60,14 +105,16 @@ def test_survival_csv_round_trip(tmp_path):
                    "--out", str(path)) == 0
     curve = io.read_survival_csv(path)
     path2 = tmp_path / "again.csv"
-    io.write_survival_csv(curve, path2)
+    with open(path2, "w", newline="") as fh:
+        io.write_survival_csv(curve, fh)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_tail_csv_round_trip(tmp_path):
     table = survival_table(3, 4, [0.0, 0.5, 2.0])
     path = tmp_path / "tail.csv"
-    io.write_tail_csv(table, path)
+    with open(path, "w", newline="") as fh:
+        io.write_tail_csv(table, fh)
     t_grid, values = io.read_tail_csv(path)
     assert (t_grid == table.t_grid).all()
     assert (values == table.values).all()
@@ -76,7 +123,8 @@ def test_tail_csv_round_trip(tmp_path):
 def test_cutoff_csv_round_trip(tmp_path):
     points = cutoff_profile(5, 1000, [-1.0, 0.0, 1.0])
     path = tmp_path / "cutoff.csv"
-    io.write_cutoff_csv(points, path)
+    with open(path, "w", newline="") as fh:
+        io.write_cutoff_csv(points, fh)
     rows = io.read_cutoff_csv(path)
     assert [r["theta"] for r in rows] == [-1.0, 0.0, 1.0]
     assert rows[1]["tv_exact"] == points[1].tv_exact
@@ -88,15 +136,6 @@ def test_cutoff_cli(tmp_path):
                    "--out", str(path)) == 0
     rows = io.read_cutoff_csv(path)
     assert rows[0]["tv_asymptotic"] == pytest.approx(0.3829249225480262, abs=1e-10)
-
-
-def test_cutoff_readme_command(capsys):
-    # a theta list led by a negative offset is a value, not a flag
-    assert run_cli("cutoff", "--d", "5", "--n", "100000", "--theta", "-1,0,1") == 0
-    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert [float(r["theta"]) for r in rows] == [-1.0, 0.0, 1.0]
-    tv = [float(r["tv_exact"]) for r in rows]
-    assert tv[0] > tv[1] > tv[2]
 
 
 LAPLACE_D5_M3 = """\
@@ -204,3 +243,47 @@ def test_stdout_json_format(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["values"][2][0] == pytest.approx(
         2 * np.exp(-2.0) - np.exp(-2.0), abs=1e-10)
+
+
+# a cheap valid command line per subcommand
+BASE_ARGV = {
+    "simulate": "--d 3 --m 2 --strategy optimal --replicates 100 --t 1",
+    "exact": "--d 2 --m 1 --t 0.5",
+    "laplace": "--d 3 --m 1",
+    "mean-tau": "--d 3 --m 2",
+    "tv": "--d 3 --n 1 --t 0",
+    "cutoff": "--d 3 --n 10 --theta 0",
+    "limit": "--n 2 --t 1",
+    "verify": "--d 3 --mmax 2 --t 1 --replicates 100 --samples 1",
+    "validate-marginals": "--d 2 --n 2 --strategy synchronous -T 1 -R 100",
+}
+FLAG_VALUES = {"--seed": "1", "--eps": "1e-9", "--workers": "1", "--format": "json"}
+UNREAD_FLAGS = [
+    ("simulate", "--eps"),
+    ("exact", "--seed"), ("exact", "--workers"),
+    *[(cmd, flag) for cmd in ("laplace", "mean-tau")
+      for flag in ("--seed", "--eps", "--workers", "--format")],
+    *[(cmd, flag) for cmd in ("tv", "cutoff") for flag in ("--seed", "--eps", "--workers")],
+    ("limit", "--seed"), ("limit", "--workers"),
+    ("verify", "--format"),
+    ("validate-marginals", "--eps"), ("validate-marginals", "--workers"),
+    ("validate-marginals", "--format"),
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_flag_the_handler_does_not_read_is_refused(command, flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, *BASE_ARGV[command].split(), flag, FLAG_VALUES[flag]])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["exact", "simulate", "tv", "cutoff", "limit"])
+def test_csv_out_file_equals_stdout(command, tmp_path, capsys):
+    argv = [command, *BASE_ARGV[command].split()]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    path = tmp_path / "artifact.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == stdout
+    assert b"\r" not in stdout

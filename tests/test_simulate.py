@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -231,5 +232,20 @@ def test_import_does_not_load_scipy_stats():
     src = str(Path(__import__("cowalk").__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, cowalk, cowalk.cli; assert 'scipy.stats' not in sys.modules"
+    code = ("import sys, cowalk, cowalk.cli; assert 'scipy.stats' not in sys.modules; "
+            "cowalk.validate_marginals('optimal', cowalk.WalkParams(d=3, n=2), 2.0, 100, 1); "
+            "assert 'scipy.stats' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_lumped_sampler_working_set_is_bounded():
+    # m0 = 2048: the uniforms of one chunk would take 256 MB in one block
+    tracemalloc.start()
+    try:
+        tau, nj = sample_coupling_times("optimal", 4, 2048, 8192, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert float(tau.sum()).hex() == "0x1.7dadb4a23ae1fp+15"
+    assert nj.sum() == 12582650
+    assert peak < 128 * 2**20
