@@ -1,18 +1,14 @@
-"""Hot simulation loops: a vectorized numpy lumped kernel and a plain
-Python event kernel.
+"""Hot simulation loops, both vectorised with numpy across replicates: the
+lumped death-chain kernel and the full-coordinate event kernel.
 
 Both consume pre-generated uniform deviates positionally, so replicate
 chunks can run in parallel with a deterministic reduction.
-
-Strategy codes for the event kernel: 0 optimal, 1 independent, 2 synchronous.
 """
 from __future__ import annotations
 
 import numpy as np
 
-OPTIMAL_CODE = 0
-INDEPENDENT_CODE = 1
-SYNCHRONOUS_CODE = 2
+from .strategies import Strategy
 
 
 def backend_name() -> str:
@@ -72,12 +68,30 @@ def lumped_batch(total, p2, m0, t_max, u_exp, u_jump):
 _DOMINATING_BLOCK_RATE = 2.0  # >= per-coordinate pair-event rate of any strategy
 
 
-def marginal_batch(code, d, n, x0, y0, ev_count, offsets, u, paired):
+def _index(u, k):
+    """Uniform index in range(k) from uniforms u (k may vary per replicate)."""
+    return np.minimum((u * k).astype(np.int64), k - 1)
+
+
+def _skip(k, v):
+    """The k-th value of range(d) other than v."""
+    return k + (k >= v)
+
+
+def _unmatched(x, y, r, i, j):
+    """Unmatched coordinates among {i, j} of replicates r."""
+    return (x[r, i] != y[r, i]).astype(np.int64) + ((j != i) & (x[r, j] != y[r, j]))
+
+
+def marginal_batch(strategy, d, n, x0, y0, ev_count, offsets, u, paired):
     """Thinned event loop for the coupled pair at full coordinate detail;
     returns (xchg, ychg, xinc, yinc, joint_moves).
 
-    Candidate events arrive at rate 2*n (the dominating rate); each consumes
-    four uniforms: thinning, coordinate choice, row/class choice, sub-choice.
+    Candidate events arrive at rate 2*n (the dominating rate); replicate r's
+    e-th candidate reads row offsets[r] + e of u: thinning, coordinate
+    choice, row/class choice, sub-choice.  All replicates with an e-th
+    candidate advance together.  An accepted event sets X(i) := kx and
+    Y(j) := ky, with j = i except on the optimal strategy's pairing row.
     ``paired[m]`` tells whether the optimal strategy runs in paired mode at
     unmatched count m.  Records per-coordinate value-change counts, pooled
     increment tallies (index by increment size 1..d-1), and per-replicate
@@ -89,150 +103,62 @@ def marginal_batch(code, d, n, x0, y0, ev_count, offsets, u, paired):
     xinc = np.zeros(d, dtype=np.int64)
     yinc = np.zeros(d, dtype=np.int64)
     joint_moves = np.zeros(n_rep, dtype=np.int64)
-    x = np.empty(n, dtype=np.int64)
-    y = np.empty(n, dtype=np.int64)
-    for r in range(n_rep):
-        for i in range(n):
-            x[i] = x0[i]
-            y[i] = y0[i]
-        base = offsets[r]
-        for e in range(ev_count[r]):
-            row = base + e
-            u0 = u[row, 0]
-            u1 = u[row, 1]
-            u2 = u[row, 2]
-            u3 = u[row, 3]
-            i = int(u1 * n)
-            if i >= n:
-                i = n - 1
-            matched = x[i] == y[i]
-            if code == OPTIMAL_CODE:
-                block = d / (d - 1.0)
-            elif code == INDEPENDENT_CODE:
-                block = 1.0 if matched else 2.0
-            else:
-                block = 1.0
-            if u0 * _DOMINATING_BLOCK_RATE >= block:
-                continue
-
-            if code == SYNCHRONOUS_CODE:
-                delta = 1 + int(u2 * (d - 1))
-                if delta >= d:
-                    delta = d - 1
-                x[i] = (x[i] + delta) % d
-                y[i] = (y[i] + delta) % d
-                xchg[r, i] += 1
-                ychg[r, i] += 1
-                xinc[delta] += 1
-                yinc[delta] += 1
-                joint_moves[r] += 1
-                continue
-
-            if code == INDEPENDENT_CODE:
-                if matched:
-                    k = int(u2 * (d - 1))
-                    if k >= d - 1:
-                        k = d - 2
-                    if k >= x[i]:
-                        k += 1
-                    xinc[(k - x[i]) % d] += 1
-                    yinc[(k - y[i]) % d] += 1
-                    x[i] = k
-                    y[i] = k
-                    xchg[r, i] += 1
-                    ychg[r, i] += 1
-                    joint_moves[r] += 1
-                else:
-                    k = int(u3 * (d - 1))
-                    if k >= d - 1:
-                        k = d - 2
-                    if u2 < 0.5:
-                        if k >= x[i]:
-                            k += 1
-                        xinc[(k - x[i]) % d] += 1
-                        x[i] = k
-                        xchg[r, i] += 1
-                    else:
-                        if k >= y[i]:
-                            k += 1
-                        yinc[(k - y[i]) % d] += 1
-                        y[i] = k
-                        ychg[r, i] += 1
-                continue
-
-            # optimal strategy
-            if matched:
-                k = int(u2 * d)
-                if k >= d:
-                    k = d - 1
-                if k != x[i]:
-                    xinc[(k - x[i]) % d] += 1
-                    yinc[(k - y[i]) % d] += 1
-                    x[i] = k
-                    y[i] = k
-                    xchg[r, i] += 1
-                    ychg[r, i] += 1
-                    joint_moves[r] += 1
-                continue
-            n_unm = 0
-            for c in range(n):
-                if x[c] != y[c]:
-                    n_unm += 1
-            if not paired[n_unm]:
-                k = int(u2 * d)
-                if k >= d:
-                    k = d - 1
-                moved_both = k != x[i] and k != y[i]
-                if k != x[i]:
-                    xinc[(k - x[i]) % d] += 1
-                    x[i] = k
-                    xchg[r, i] += 1
-                if k != y[i]:
-                    yinc[(k - y[i]) % d] += 1
-                    y[i] = k
-                    ychg[r, i] += 1
-                if moved_both:
-                    joint_moves[r] += 1
-                continue
-            c = int(u2 * d)
-            if c >= d:
-                c = d - 1
-            if c == 0:
-                # pairing row: X(i) makes a match, a uniformly-chosen other
-                # unmatched coordinate of Y makes a second match
-                target = int(u3 * (n_unm - 1))
-                if target >= n_unm - 1:
-                    target = n_unm - 2
-                j = -1
-                seen = 0
-                for cc in range(n):
-                    if cc != i and x[cc] != y[cc]:
-                        if seen == target:
-                            j = cc
-                            break
-                        seen += 1
-                xinc[(y[i] - x[i]) % d] += 1
-                x[i] = y[i]
-                xchg[r, i] += 1
-                yinc[(x[j] - y[j]) % d] += 1
-                y[j] = x[j]
-                ychg[r, j] += 1
-                joint_moves[r] += 1
-            elif c == 1:
-                pass  # completion row: both chains keep their value
-            else:
-                k = c - 2
-                lo = x[i] if x[i] < y[i] else y[i]
-                hi = x[i] if x[i] > y[i] else y[i]
-                if k >= lo:
-                    k += 1
-                if k >= hi:
-                    k += 1
-                xinc[(k - x[i]) % d] += 1
-                yinc[(k - y[i]) % d] += 1
-                x[i] = k
-                y[i] = k
-                xchg[r, i] += 1
-                ychg[r, i] += 1
-                joint_moves[r] += 1
+    x = np.tile(np.asarray(x0, dtype=np.int64), (n_rep, 1))
+    y = np.tile(np.asarray(y0, dtype=np.int64), (n_rep, 1))
+    n_unm = np.count_nonzero(x != y, axis=1)
+    for e in range(int(ev_count.max(initial=0))):
+        r = np.flatnonzero(ev_count > e)
+        u0, u1, u2, u3 = u[offsets[r] + e].T
+        i = _index(u1, n)
+        matched = x[r, i] == y[r, i]
+        if strategy is Strategy.OPTIMAL:
+            block = d / (d - 1.0)
+        elif strategy is Strategy.INDEPENDENT:
+            block = np.where(matched, 1.0, 2.0)
+        else:
+            block = 1.0
+        keep = u0 * _DOMINATING_BLOCK_RATE < block
+        r, i, matched, u2, u3 = r[keep], i[keep], matched[keep], u2[keep], u3[keep]
+        xi, yi = x[r, i], y[r, i]
+        j = i
+        if strategy is Strategy.SYNCHRONOUS:
+            delta = 1 + _index(u2, d - 1)
+            kx, ky = (xi + delta) % d, (yi + delta) % d
+        elif strategy is Strategy.INDEPENDENT:
+            # matched: both move to one value; unmatched: X or Y moves alone
+            k = _index(np.where(matched, u2, u3), d - 1)
+            to_x = u2 < 0.5
+            kx = np.where(matched | to_x, _skip(k, xi), xi)
+            ky = np.where(matched | ~to_x, _skip(k, yi), yi)
+        else:
+            # matched or singles mode: both move to value c
+            c = _index(u2, d)
+            kx, ky = c.copy(), c.copy()
+            pair = ~matched & paired[n_unm[r]]
+            fresh = pair & (c >= 2)
+            lo, hi = np.minimum(xi, yi), np.maximum(xi, yi)
+            kx[fresh] = ky[fresh] = _skip(_skip(c - 2, lo), hi)[fresh]
+            stay = pair & (c == 1)  # completion row: both keep their value
+            kx[stay], ky[stay] = xi[stay], yi[stay]
+            # pairing row: X(i) makes a match, and so does Y at a uniformly
+            # chosen other unmatched coordinate j
+            p = np.flatnonzero(pair & (c == 0))
+            rp = r[p]
+            other = x[rp] != y[rp]
+            other[np.arange(p.size), i[p]] = False
+            target = _index(u3[p], n_unm[rp] - 1)
+            j = i.copy()
+            j[p] = np.argmax(np.cumsum(other, axis=1) > target[:, None], axis=1)
+            kx[p], ky[p] = yi[p], x[rp, j[p]]
+        yj = y[r, j]
+        moved_x, moved_y = kx != xi, ky != yj
+        np.add.at(xinc, (kx - xi)[moved_x] % d, 1)
+        np.add.at(yinc, (ky - yj)[moved_y] % d, 1)
+        xchg[r, i] += moved_x
+        ychg[r, j] += moved_y
+        joint_moves[r] += moved_x & moved_y
+        before = _unmatched(x, y, r, i, j)
+        x[r, i] = kx
+        y[r, j] = ky
+        n_unm[r] += _unmatched(x, y, r, i, j) - before
     return xchg, ychg, xinc, yinc, joint_moves

@@ -17,6 +17,8 @@ import json
 import math
 import re
 import sys
+import types
+import typing
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -95,6 +97,17 @@ def int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip() != ""]
 
 
+def _fits(hint, val) -> bool:
+    """Whether a JSON value fits a field type: bools are not numbers, ints
+    are floats, and lists check every item."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:
+        return any(_fits(h, val) for h in typing.get_args(hint))
+    if origin is list:
+        return isinstance(val, list) and all(_fits(typing.get_args(hint)[0], v) for v in val)
+    return isinstance(val, (int, float) if hint is float else hint) and not isinstance(val, bool)
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
@@ -103,7 +116,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(file_vals) - {f.name for f in fields(cfg)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(ExperimentConfig)
         for key, val in file_vals.items():
+            if not _fits(hints[key], val):
+                raise ValueError(f"config key {key!r} must be "
+                                 f"{ExperimentConfig.__annotations__[key]}, not {val!r}")
             setattr(cfg, key, val)
     for f in fields(cfg):  # every flag's dest is a field name
         val = getattr(args, f.name, None)

@@ -422,6 +422,7 @@ def _certify_exact(chain: DeathChain, cells, t_grid, kind_first: bool):
     k_need = max(k_of_t.values())
     lo = {cell: 0.0 for cell in cells}
     hi = {cell: 0.0 for cell in cells}
+    mag = {cell: 0.0 for cell in cells}  # sum of w * |term| bounds
     w_cache = {}
     for j in {j for _, j in cells}:
         w_cache[j] = _poisson_weights(np.array([lam * t_grid[j]]), k_of_t[j])[:, 0]
@@ -437,12 +438,14 @@ def _certify_exact(chain: DeathChain, cells, t_grid, kind_first: bool):
             w = w_cache[j][k]
             lo[cell] += w * tlo
             hi[cell] += w * thi
+            mag[cell] += w * max(thi, -tlo)
         scale *= (chain.d - 1) * lam_int
     out = {}
     for cell in cells:
         m, j = cell
         tail = _poisson_tail_upper(lam * t_grid[j], k_of_t[j])
-        slack = 1e-10 * max(abs(lo[cell]), abs(hi[cell])) + 5e-324 * k_of_t[j]
+        # sound while k_of_t < 5e4: all rounding is below k(ln k + 1)2^-53 * mag
+        slack = 1e-10 * mag[cell] + 5e-324 * k_of_t[j]
         out[cell] = (lo[cell] - slack - tail, hi[cell] + slack + tail)
     return out
 

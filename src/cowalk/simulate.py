@@ -9,7 +9,8 @@ correct random walk.  Equivalence of the two views is a tested property via
 
 Randomness contract: a master seed is split per replicate chunk through
 ``numpy.random.SeedSequence``; inside a chunk, replicate r owns row r of a
-counter-based (Philox) uniform block.  Replicates are therefore independent,
+counter-based (Philox) uniform block (in the event kernel, one row per
+candidate event).  Replicates are therefore independent,
 reproducible, and safe to fan out across workers; aggregation is a
 deterministic reduction by chunk index.
 """
@@ -25,7 +26,6 @@ from scipy.special import chdtrc, gammaln, pdtr, pdtrik, xlogy
 from . import _kernels
 from .states import WalkParams, hamming
 from .strategies import Strategy, death_chain, rate_table
-from ._kernels import INDEPENDENT_CODE, OPTIMAL_CODE, SYNCHRONOUS_CODE
 
 __all__ = [
     "ReplicateResult",
@@ -195,13 +195,6 @@ class MarginalReport:
         return all(t.p_bonferroni > self.alpha for t in self.tests)
 
 
-_STRATEGY_CODES = {
-    Strategy.OPTIMAL: OPTIMAL_CODE,
-    Strategy.INDEPENDENT: INDEPENDENT_CODE,
-    Strategy.SYNCHRONOUS: SYNCHRONOUS_CODE,
-}
-
-
 def _chisq(observed: np.ndarray, expected: np.ndarray, name: str) -> ChiSquareResult:
     """Pearson chi-square of observed against expected counts (the statistic
     and p-value of ``scipy.stats.chisquare``, without importing it)."""
@@ -260,11 +253,12 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
     uniform law on {1, .., d-1}, separately for X and Y.
     """
     strategy = Strategy(strategy)
-    if strategy not in _STRATEGY_CODES:
+    if strategy is Strategy.PAIRWISE_CLASSIC:
         raise ValueError(f"{strategy.value} has no full-coordinate realization")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    code = _STRATEGY_CODES[strategy]
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     d, n = params.d, params.n
     x0 = np.zeros(n, dtype=np.int64)
     y0 = np.ones(n, dtype=np.int64)
@@ -284,7 +278,7 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
         np.cumsum(ev_count, out=offsets[1:])
         u = rng.random((int(offsets[-1]), 4))
         xchg, ychg, xi, yi, joint = _kernels.marginal_batch(
-            code, d, n, x0, y0, ev_count, offsets[:-1], u, paired)
+            strategy, d, n, x0, y0, ev_count, offsets[:-1], u, paired)
         xchg_all.append(xchg)
         ychg_all.append(ychg)
         xinc += xi

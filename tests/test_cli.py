@@ -237,6 +237,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert run_cli("tv", "--config", str(bad)) == 2
 
 
+@pytest.mark.parametrize("values", [
+    {"d": "3", "n": 1, "t_values": [0.0]},
+    {"d": 3, "n": 1, "t_values": "0.5"},
+    {"d": 3.5, "n": 1, "t_values": [0.5]},
+])
+def test_config_file_value_of_wrong_type_is_refused(tmp_path, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert run_cli("tv", "--config", str(cfg)) == 2
+
+
 def test_stdout_json_format(capsys):
     assert run_cli("exact", "--d", "2", "--m", "2", "--t", "1.0",
                    "--format", "json") == 0

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cowalk import _kernels
 from cowalk.exact import expected_tau, survival_exact
 from cowalk.simulate import (
     estimate_survival,
@@ -15,7 +17,7 @@ from cowalk.simulate import (
     validate_marginals,
 )
 from cowalk.states import WalkParams
-from cowalk.strategies import Strategy
+from cowalk.strategies import Strategy, death_chain
 
 
 def test_trivial_coupling_from_equal_states():
@@ -186,6 +188,11 @@ def test_marginal_validation_rejects_pairwise():
         validate_marginals(Strategy.PAIRWISE_CLASSIC, WalkParams(d=2, n=4), 5.0, 500, 1)
 
 
+def test_marginal_validation_rejects_no_replicates():
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        validate_marginals(Strategy.OPTIMAL, WalkParams(d=3, n=2), 1.0, 0, 1)
+
+
 def test_estimate_survival_equals_dense_count():
     # grid points tied to sampled taus, and taus censored to +inf beyond the
     # grid: the sorted-sample count must equal the dense comparison bitwise
@@ -226,6 +233,29 @@ def test_golden_coupling_times(strategy, tau_sum, nj_sum):
 def test_golden_marginal_statistics(strategy, stats):
     report = validate_marginals(strategy, WalkParams(d=3, n=4), 4.0, 300, seed=55)
     assert [t.statistic.hex() for t in report.tests] == stats
+
+
+def test_golden_event_kernel():
+    # sha256 of every output of the event kernel on 220 seeded random
+    # configurations, pinned from the per-replicate scalar loop it replaced.
+    # (d, n) runs twice over {2..11} x {1..11}, so d = 2 (no fresh value)
+    # and n = 1 are in; random starts leave some coordinates matched, and
+    # paired levels with >= 3 unmatched coordinates occur at larger n.
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(2024)
+    for idx in range(220):
+        d, n = 2 + idx % 10, 1 + idx // 10 % 11
+        x0, y0 = rng.integers(0, d, n), rng.integers(0, d, n)
+        ev_count = rng.poisson(2 * n * rng.uniform(0.1, 1.5), rng.integers(1, 9))
+        offsets = np.concatenate([[0], np.cumsum(ev_count)[:-1]])
+        u = rng.random((int(ev_count.sum()), 4))
+        paired = death_chain(Strategy.OPTIMAL, d, n).c2 > 0
+        for strategy in (Strategy.OPTIMAL, Strategy.INDEPENDENT, Strategy.SYNCHRONOUS):
+            for out in _kernels.marginal_batch(strategy, d, n, x0, y0, ev_count,
+                                               offsets, u, paired):
+                digest.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == (
+        "c6ad9107d7a5e3014df30a1d832fa8039746dbea89fe4de2a7c42a2ae671df03")
 
 
 def test_import_does_not_load_scipy_stats():
