@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, exact, io, optimality, simulate, tvcutoff
-from .ratfun import format_rational
+from .ratfun import Poly, RationalFn, format_rational
 from .states import WalkParams
 from .strategies import Strategy
 
@@ -113,9 +113,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             file_vals = json.load(fh)
-        unknown = set(file_vals) - {f.name for f in fields(cfg)}
+        # argparse sets the dests of the subcommand's own flags only
+        unknown = set(file_vals) - ({f.name for f in fields(cfg)} & vars(args).keys())
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"config keys {args.command} does not take: {sorted(unknown)}")
         hints = typing.get_type_hints(ExperimentConfig)
         for key, val in file_vals.items():
             if not _fits(hints[key], val):
@@ -177,29 +178,27 @@ def _cmd_exact(cfg: ExperimentConfig):
 def _cmd_laplace(cfg: ExperimentConfig):
     _require(cfg, "d", "m")
     d, m = cfg.d, cfg.m
+    levels = exact._transform_levels(d, max(m, 3))  # serves every row and identity
+    V = [levels.canonical(p, level) for level, p in enumerate(levels.P)]
+    R = [None] + [levels.canonical(levels.r_numerator(level), level)
+                  for level in range(1, len(V))]
+    taus = list(exact._mean_levels(d, m, Fraction(0)))
     rows = []
     for level in range(0, m + 1):
-        entry = {"m": level, "V": format_rational(exact.laplace_V(d, level))}
+        entry = {"m": level, "V": format_rational(V[level])}
         if level >= 1:
-            entry["R"] = format_rational(exact.laplace_R(d, level))
-            entry["expected_tau"] = str(exact.expected_tau(d, level))
+            entry["R"] = format_rational(R[level])
+            entry["expected_tau"] = str(taus[level])
         rows.append(entry)
-    from .ratfun import Poly, RationalFn
-
     checks = {
-        "V1_closed_form":
-            exact.laplace_V(d, 1) == RationalFn(Poly([d - 1]), Poly([d, d - 1])),
-        "R2_closed_form":
-            exact.laplace_R(d, 2)
-            == RationalFn(Poly([d - 2]), Poly([2, 1]) * Poly([d, d - 1])),
+        "V1_closed_form": V[1] == RationalFn(Poly([d - 1]), Poly([d, d - 1])),
+        "R2_closed_form": R[2] == RationalFn(Poly([d - 2]), Poly([2, 1]) * Poly([d, d - 1])),
         "R1_minus_R2_is_1_over_2_plus_alpha":
-            exact.laplace_R(d, 1) - exact.laplace_R(d, 2)
-            == RationalFn(Poly([1]), Poly([2, 1])),
+            R[1] - R[2] == RationalFn(Poly([1]), Poly([2, 1])),
     }
     if d >= 4:
         checks["R2_minus_R3_closed_form"] = (
-            exact.laplace_R(d, 2) - exact.laplace_R(d, 3)
-            == RationalFn(Poly([d - 4]), Poly([2, 1]) * Poly([3, 1]) * Poly([d - 1])))
+            R[2] - R[3] == RationalFn(Poly([d - 4]), Poly([2, 1]) * Poly([3, 1]) * Poly([d - 1])))
     payload = {"d": d, "levels": rows, "identities": {k: bool(v) for k, v in checks.items()}}
     _emit(cfg, "laplace", payload)
 
@@ -290,7 +289,7 @@ def _cmd_verify(cfg: ExperimentConfig):
         dominance[comp.value] = {"passed": rep.passed,
                                  "violations": list(rep.violations),
                                  "max_deficit": rep.max_deficit}
-    sign_table = exact.r_diff_table(cfg.d, cfg.m_max, grid, cfg.eps)
+    sign_table = argmax.sign_table
     payload = {
         "d": cfg.d, "m_max": cfg.m_max, "eps": cfg.eps,
         "argmax": {"cells": statuses, "violations": argmax.n_violations,

@@ -406,35 +406,36 @@ def _term_bounds(num: int, scale: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _certify_exact(chain: DeathChain, cells, t_grid, kind_first: bool):
-    """Sign cells of the first or second difference by exact partial sums.
+def _certify_exact(chain: DeathChain, cells, t_grid):
+    """Sign cells of the first and second differences by exact partial sums.
 
-    cells: list of (m, t_index).  For each cell the uniformization series
-    sum_k w_k(t) * q_k  is split into an exactly-evaluated head (q_k are
-    ratios of exact integers, bounded outward to 2^-128) plus a Poisson tail
-    bounded by |q_k| <= 1.  Returns {cell: (lower, upper)} interval bounds.
+    cells: list of (kind, i, t_index), kind 0 for row i of the first
+    differences (level m = i + 1) and 1 for row i of the second (m = i + 2).
+    For each cell the uniformization series  sum_k w_k(t) * q_k  is split
+    into an exactly-evaluated head (q_k are ratios of exact integers, bounded
+    outward to 2^-128) plus a Poisson tail bounded by |q_k| <= 1.  One
+    recursion serves both kinds; each cell sums to its own order.  Returns
+    {cell: (lower, upper)} interval bounds.
     """
     if not cells:
         return {}
     lam_int = chain.lam_int
     lam = float(lam_int)
-    k_of_t = {j: math.ceil(3.0 * lam * t_grid[j]) + 40 for _, j in cells}
+    k_of_t = {j: math.ceil(3.0 * lam * t_grid[j]) + 40 for _, _, j in cells}
     k_need = max(k_of_t.values())
     lo = {cell: 0.0 for cell in cells}
     hi = {cell: 0.0 for cell in cells}
     mag = {cell: 0.0 for cell in cells}  # sum of w * |term| bounds
     w_cache = {}
-    for j in {j for _, j in cells}:
+    for j in k_of_t:
         w_cache[j] = _poisson_weights(np.array([lam * t_grid[j]]), k_of_t[j])[:, 0]
     scale = 1
-    for k, first, second in _exact_step_diffs(chain, k_need):
-        vec = first if kind_first else second
+    for k, *vecs in _exact_step_diffs(chain, k_need):
         for cell in cells:
-            m, j = cell
+            kind, i, j = cell
             if k > k_of_t[j]:
                 continue
-            idx = m - 1 if kind_first else m - 2
-            tlo, thi = _term_bounds(vec[idx], scale)
+            tlo, thi = _term_bounds(vecs[kind][i], scale)
             w = w_cache[j][k]
             lo[cell] += w * tlo
             hi[cell] += w * thi
@@ -442,7 +443,7 @@ def _certify_exact(chain: DeathChain, cells, t_grid, kind_first: bool):
         scale *= (chain.d - 1) * lam_int
     out = {}
     for cell in cells:
-        m, j = cell
+        j = cell[2]
         tail = _poisson_tail_upper(lam * t_grid[j], k_of_t[j])
         # sound while k_of_t < 5e4: all rounding is below k(ln k + 1)2^-53 * mag
         slack = 1e-10 * mag[cell] + 5e-324 * k_of_t[j]
@@ -482,28 +483,27 @@ class RDiffTable:
         return cells
 
 
-def _sign_cells(values, zero_rows, chain, t_grid, eps, kind_first):
-    """Apply the 2*eps rule, then exact certificates for the small cells."""
-    certs = np.full(values.shape, SignCert.UNDETERMINED.value, dtype=object)
-    certs[values > 2 * eps] = SignCert.POSITIVE.value
-    certs[values < -2 * eps] = SignCert.NEGATIVE.value
-    for i in zero_rows:
-        certs[i, :] = SignCert.ZERO.value
-    pending = [(i + (1 if kind_first else 2), j)
-               for i, j in zip(*np.nonzero(certs == SignCert.UNDETERMINED.value))
-               if t_grid[j] > 0]
-    bounds = _certify_exact(chain, pending, t_grid, kind_first)
-    for (m, j), (lo, hi) in bounds.items():
-        i = m - (1 if kind_first else 2)
+def _sign_cells(tables, chain, t_grid, eps):
+    """Sign each (values, zero_rows) table: the 2*eps rule, then exact
+    certificates for the small cells of all tables from one recursion."""
+    all_certs = []
+    pending = []
+    for kind, (values, zero_rows) in enumerate(tables):
+        certs = np.full(values.shape, SignCert.UNDETERMINED.value, dtype=object)
+        certs[values > 2 * eps] = SignCert.POSITIVE.value
+        certs[values < -2 * eps] = SignCert.NEGATIVE.value
+        certs[zero_rows] = SignCert.ZERO.value
+        # t = 0 columns: v(m, 0) = 1 for all m >= 1, differences vanish exactly
+        certs[(certs == SignCert.UNDETERMINED.value) & (t_grid == 0)] = SignCert.ZERO.value
+        pending += [(kind, i, j)
+                    for i, j in zip(*np.nonzero(certs == SignCert.UNDETERMINED.value))]
+        all_certs.append(certs)
+    for (kind, i, j), (lo, hi) in _certify_exact(chain, pending, t_grid).items():
         if lo > 0:
-            certs[i, j] = SignCert.POSITIVE.value
+            all_certs[kind][i, j] = SignCert.POSITIVE.value
         elif hi < 0:
-            certs[i, j] = SignCert.NEGATIVE.value
-    # t = 0 columns: v(m, 0) = 1 for all m >= 1, differences vanish exactly
-    for j in np.nonzero(t_grid == 0)[0]:
-        col = certs[:, j]
-        col[col == SignCert.UNDETERMINED.value] = SignCert.ZERO.value
-    return certs
+            all_certs[kind][i, j] = SignCert.NEGATIVE.value
+    return all_certs
 
 
 def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
@@ -528,8 +528,8 @@ def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
     r_zero_rows = [m - 1 for m in range(1, m_max + 1) if not levels.r_numerator(m)]
     diff_zero_rows = [m - 2 for m in range(2, m_max + 1)
                       if not levels.second_diff_numerator(m)]
-    r_certs = _sign_cells(r, r_zero_rows, chain, t_grid, eps, kind_first=True)
-    diff_certs = _sign_cells(diff, diff_zero_rows, chain, t_grid, eps, kind_first=False)
+    r_certs, diff_certs = _sign_cells([(r, r_zero_rows), (diff, diff_zero_rows)],
+                                      chain, t_grid, eps)
     return RDiffTable(d=d, m_max=m_max, t_grid=t_grid, eps=eps,
                       r_values=r, r_certs=r_certs,
                       diff_values=diff, diff_certs=diff_certs)

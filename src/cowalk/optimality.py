@@ -5,10 +5,10 @@ At unmatched count m the instantaneous optimization is a tiny linear
 program: maximize lam(-2)*[r(m,t)+r(m-1,t)] + lam(-1)*r(m,t) over the
 polytope {lam >= 0, (d-1)(lam(-1)+2 lam(-2)) <= m d, (d-1) lam(-2) <= m},
 with any mass on upward jumps worthless whenever the tail is increasing in
-m.  The polytope has at most four vertices, so the LP is solved by direct
-vertex enumeration; the budget-saturating vertices differ in objective by
-m*(r(m-1,t) - r(m,t))/(d-1), which is why the sign tables from the exact
-engine decide the argmax.
+m.  The polytope has at most four vertices; where r(m,t) >= 0 the
+budget-saturating ones win, and they differ in objective by
+m*(r(m-1,t) - r(m,t))/(d-1), so ``verify_argmax_grid`` reads the argmax
+from the certified sign tables of the exact engine (``r_diff_table``).
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import survival_exact, survival_table
+from .exact import RDiffTable, SignCert, r_diff_table, survival_exact, survival_table
 from .simulate import SurvivalCurve, estimate_survival
 from .strategies import (
     RateSchedule,
@@ -48,12 +48,15 @@ class FeasibleMaxResult:
     tie: bool
 
 
-def feasible_max(d: int, m: int, r_m: float, r_m_minus_1: float,
-                 tie_tol: float = 0.0) -> FeasibleMaxResult:
+def _objective(s: RateSchedule, r_m: float, r_m_minus_1: float) -> float:
+    return float(s.down2) * (r_m + r_m_minus_1) + float(s.down1) * r_m
+
+
+def feasible_max(d: int, m: int, r_m: float, r_m_minus_1: float) -> FeasibleMaxResult:
     """Maximizer of the rate LP at level m given tail differences.
 
     ``r_m`` is r(m,t) and ``r_m_minus_1`` is r(m-1,t) (zero for m = 1).
-    When the two budget-saturating vertices agree within ``tie_tol`` the
+    When the two budget-saturating vertices have equal objectives the
     pair-capped vertex is returned and the result is flagged as a tie.
     Negative r values (possible only as numerical noise) trigger no special
     casing beyond the vertex comparison.
@@ -64,16 +67,12 @@ def feasible_max(d: int, m: int, r_m: float, r_m_minus_1: float,
         raise ValueError("tail differences must be finite")
     cap = paired_schedule(m, d)
     single = singles_schedule(m, d)
-
-    def objective(s: RateSchedule) -> float:
-        return float(s.down2) * (r_m + r_m_minus_1) + float(s.down1) * r_m
-
-    diff = objective(cap) - objective(single)  # = m (r_{m-1} - r_m) / (d-1)
-    if abs(diff) <= tie_tol:
-        return FeasibleMaxResult(schedule=cap, objective=objective(cap), tie=True)
-    if diff > 0:
-        return FeasibleMaxResult(schedule=cap, objective=objective(cap), tie=False)
-    return FeasibleMaxResult(schedule=single, objective=objective(single), tie=False)
+    cap_obj = _objective(cap, r_m, r_m_minus_1)
+    single_obj = _objective(single, r_m, r_m_minus_1)
+    # the objectives differ by m (r_{m-1} - r_m) / (d-1)
+    if cap_obj >= single_obj:
+        return FeasibleMaxResult(schedule=cap, objective=cap_obj, tie=cap_obj == single_obj)
+    return FeasibleMaxResult(schedule=single, objective=single_obj, tie=False)
 
 
 def bellman_gap(d: int, m: int, t: float, schedule: RateSchedule,
@@ -103,18 +102,15 @@ def bellman_gap(d: int, m: int, t: float, schedule: RateSchedule,
     return (-generator(schedule)) - (-generator(optimal_rates(m, d)))
 
 
-def sample_feasible_schedules(d: int, m: int, count: int, seed: int,
-                              include_vertices: bool = True) -> list[RateSchedule]:
-    """Random points of the down-rate polytope by rejection from its
-    bounding box, plus the four vertices."""
+def sample_feasible_schedules(d: int, m: int, count: int, seed: int) -> list[RateSchedule]:
+    """The four vertices of the down-rate polytope, then ``count`` random
+    points of it by rejection from its bounding box."""
     rng = np.random.default_rng(seed)
-    out: list[RateSchedule] = []
-    if include_vertices:
-        out += [RateSchedule(), paired_schedule(m, d), singles_schedule(m, d),
-                RateSchedule(down2=Fraction(m, d - 1))]
+    out = [RateSchedule(), paired_schedule(m, d), singles_schedule(m, d),
+           RateSchedule(down2=Fraction(m, d - 1))]
     box1 = m * d / (d - 1)
     box2 = m / (d - 1)
-    while len(out) < count + 4 * include_vertices:
+    while len(out) < count + 4:
         lam1 = rng.uniform(0, box1)
         lam2 = rng.uniform(0, box2)
         if (d - 1) * (lam1 + 2 * lam2) <= m * d:
@@ -141,6 +137,7 @@ class ArgmaxGridReport:
     t_grid: np.ndarray
     eps: float
     cells: tuple[BellmanCell, ...]
+    sign_table: RDiffTable  # the certified signs the cells were read from
 
     @property
     def n_violations(self) -> int:
@@ -150,41 +147,43 @@ class ArgmaxGridReport:
     def n_ties(self) -> int:
         return sum(c.status == "tie" for c in self.cells)
 
-    @property
-    def all_match(self) -> bool:
-        return self.n_violations == 0
+
+_POSITIVE, _NEGATIVE = SignCert.POSITIVE.value, SignCert.NEGATIVE.value
+_FLIP = {_POSITIVE: _NEGATIVE, _NEGATIVE: _POSITIVE}
 
 
 def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> ArgmaxGridReport:
     """Check cell-by-cell that the rate LP selects the built-in rates.
 
-    The LP inputs carry the uniformization error bound eps, so vertex
-    objectives within the combined slack 4*m*eps/(d-1) count as ties.  A tie
-    means the objective cannot distinguish the vertices, hence nothing beats
-    the built-in rates there; ties are reported but are not violations.  A
-    violation is a cell where the LP strictly prefers a different vertex.
+    The certified signs of ``r_diff_table`` decide the LP: with r(m,t)
+    positive or zero, the sign of r(m-1,t) - r(m,t) (of -r(1,t) at m = 1)
+    picks the paired vertex if positive and the singles vertex if negative.
+    A tie is a cell where a certificate the decision needs does not exclude
+    0 (an exact zero or an undetermined sign), so nothing is shown to beat
+    the built-in rates; it reports the paired vertex and is no violation.
+    A violation is a cell whose certified vertex differs from the built-in
+    rates.
     """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    table = survival_table(d, m_max, t_grid, eps)
-    v = table.values
+    signs = r_diff_table(d, m_max, t_grid, eps)
+    r = signs.r_values
     cells = []
     for m in range(1, m_max + 1):
-        r_m = v[m] - v[m - 1]
-        r_prev = v[m - 1] - v[m - 2] if m >= 2 else np.zeros_like(r_m)
         opt = optimal_rates(m, d)
-        tie_tol = 4.0 * m * eps / (d - 1)
-        for j, t in enumerate(t_grid):
-            res = feasible_max(d, m, float(r_m[j]), float(r_prev[j]), tie_tol=tie_tol)
-            if res.tie:
-                status = "tie"  # objective indifferent: nothing beats the optimum
-            else:
-                status = "match" if res.schedule == opt else "violation"
-            cells.append(BellmanCell(d=d, m=m, t=float(t), r_m=float(r_m[j]),
-                                     r_m_minus_1=float(r_prev[j]), status=status,
-                                     equals_optimal=res.schedule == opt,
-                                     objective=res.objective))
-    return ArgmaxGridReport(d=d, m_max=m_max, t_grid=t_grid, eps=eps,
-                            cells=tuple(cells))
+        vertex = {_POSITIVE: paired_schedule(m, d), _NEGATIVE: singles_schedule(m, d)}
+        decide = ([_FLIP.get(c, c) for c in signs.r_certs[0]] if m == 1
+                  else signs.diff_certs[m - 2])
+        for j, t in enumerate(signs.t_grid):
+            r_m = float(r[m - 1, j])
+            r_prev = float(r[m - 2, j]) if m >= 2 else 0.0
+            nonnegative = signs.r_certs[m - 1, j] in (_POSITIVE, SignCert.ZERO.value)
+            sign = decide[j] if nonnegative else None
+            chosen = vertex.get(sign, vertex[_POSITIVE])  # a tie reports the paired vertex
+            status = ("match" if chosen == opt else "violation") if sign in vertex else "tie"
+            cells.append(BellmanCell(d=d, m=m, t=float(t), r_m=r_m, r_m_minus_1=r_prev,
+                                     status=status, equals_optimal=chosen == opt,
+                                     objective=_objective(chosen, r_m, r_prev)))
+    return ArgmaxGridReport(d=d, m_max=m_max, t_grid=signs.t_grid, eps=eps,
+                            cells=tuple(cells), sign_table=signs)
 
 
 @dataclass(frozen=True)

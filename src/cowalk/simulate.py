@@ -265,28 +265,25 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
     rate_dom = _kernels._DOMINATING_BLOCK_RATE * n
     paired = death_chain(Strategy.OPTIMAL, d, n).c2 > 0
 
-    xchg_all = []
-    ychg_all = []
-    xinc = np.zeros(d, dtype=np.int64)
-    yinc = np.zeros(d, dtype=np.int64)
-    joint_total = 0
-    move_total = 0
+    parts = []
     for idx, (lo, hi) in enumerate(_chunk_bounds(replicates, 1)):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, idx))))
         ev_count = rng.poisson(rate_dom * horizon, hi - lo).astype(np.int64)
-        offsets = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.cumsum(ev_count, out=offsets[1:])
-        u = rng.random((int(offsets[-1]), 4))
-        xchg, ychg, xi, yi, joint = _kernels.marginal_batch(
-            strategy, d, n, x0, y0, ev_count, offsets[:-1], u, paired)
-        xchg_all.append(xchg)
-        ychg_all.append(ychg)
-        xinc += xi
-        yinc += yi
-        joint_total += int(joint.sum())
-        move_total += int(xchg.sum() + ychg.sum())
-    xchg = np.concatenate(xchg_all)
-    ychg = np.concatenate(ychg_all)
+        ends = np.cumsum(ev_count)
+        start = 0
+        while start < hi - lo:
+            # consecutive replicates with at most _BLOCK uniforms (4 per
+            # event), or one replicate; drawn in stream order, so the
+            # sub-blocks change no value
+            first = ends[start] - ev_count[start]
+            stop = max(start + 1, int(np.searchsorted(ends, first + _BLOCK // 4, "right")))
+            count = ev_count[start:stop]
+            u = rng.random((int(ends[stop - 1] - first), 4))
+            parts.append(_kernels.marginal_batch(
+                strategy, d, n, x0, y0, count, ends[start:stop] - count - first, u, paired))
+            start = stop
+    xchg, ychg, xinc, yinc, joint = zip(*parts)
+    xchg, ychg, xinc, yinc = np.concatenate(xchg), np.concatenate(ychg), sum(xinc), sum(yinc)
 
     tests = [
         _poisson_chisq(xchg.ravel(), horizon, "x_changes_poisson"),
@@ -304,5 +301,5 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
         strategy=strategy.value, d=d, n=n, horizon=horizon, replicates=replicates,
         tests=tests,
         mean_changes_x=float(xchg.mean()), mean_changes_y=float(ychg.mean()),
-        all_moves_joint=bool(2 * joint_total == move_total),
+        all_moves_joint=bool(2 * sum(int(j.sum()) for j in joint) == xchg.sum() + ychg.sum()),
     )

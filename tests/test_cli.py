@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cowalk import io
+from cowalk import exact, io, optimality
 from cowalk.cli import main
 from cowalk.exact import survival_table
 from cowalk.simulate import SurvivalCurve
@@ -217,6 +218,35 @@ def test_verify_cli(tmp_path):
     assert set(payload["argmax"]["cells"].values()) <= {"match", "tie"}
 
 
+def test_verify_builds_one_sign_table(monkeypatch, capsys):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[1]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(exact, "survival_table", counted("tails", exact.survival_table))
+    sign_table = counted("signs", exact.r_diff_table)
+    monkeypatch.setattr(exact, "r_diff_table", sign_table)
+    monkeypatch.setattr(optimality, "r_diff_table", sign_table, raising=False)
+    assert run_cli("verify", "--d", "4", "--mmax", "5", "--t", "0.5,1",
+                   "--replicates", "100", "--samples", "2") == 0
+    # one sign table over one tail table; then the Bellman loop's tables at
+    # levels m + 2 and the three dominance tests' exact tails
+    assert calls[:2] == [("signs", 5), ("tails", 5)]
+    assert [name for name, _ in calls].count("signs") == 1
+    assert [level for name, level in calls[2:]] == [3, 4, 5, 6, 7, 2, 2, 2]
+
+
+def test_readme_verify_report_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("verify", "--d", "4", "--mmax", "10", "--out", "report.json") == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == (
+        "b16eaf2aaeee2705eb53c8958b4718612808a2dabdb7ede59efc378329d07a9f")
+
+
 def test_validate_marginals_cli(capsys):
     assert run_cli("validate-marginals", "--d", "2", "--n", "4",
                    "--strategy", "synchronous", "-T", "5", "-R", "400") == 0
@@ -235,6 +265,13 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nonsense": 1}))
     assert run_cli("tv", "--config", str(bad)) == 2
+
+
+def test_config_file_key_of_a_flag_the_command_lacks_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 1e-9, "seed": 3, "d": 3, "n": 2, "t_values": [0.5]}))
+    assert run_cli("tv", "--config", str(cfg)) == 2
+    assert "'eps', 'seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("values", [

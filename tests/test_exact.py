@@ -1,3 +1,4 @@
+import hashlib
 import time
 from fractions import Fraction
 from math import gcd
@@ -444,3 +445,15 @@ def test_generator_exit_rates():
         else:
             assert gen.exit_rate[m] == pytest.approx(m)
     assert gen.exit_rate[0] == 0
+
+
+def test_sign_certificates_are_pinned():
+    # the certificate of every cell; (4, 60) leaves six cells undetermined
+    digest = hashlib.sha256()
+    grid = np.geomspace(0.01, 10, 20)
+    for d, m_max in [(2, 30), (3, 30), (4, 30), (5, 30), (10, 30), (4, 60)]:
+        table = r_diff_table(d, m_max, grid)
+        for certs in (table.r_certs, table.diff_certs):
+            digest.update(",".join(certs.ravel()).encode() + b";")
+    assert digest.hexdigest() == (
+        "1697085ed5ac1b49b13003624b6339a10b31056c94e706ee1ac7d11d5ecc9eb5")

@@ -144,3 +144,39 @@ def test_dominance_pairwise_d2_is_statistically_tight():
 def test_dominance_rejects_optimal_as_competitor():
     with pytest.raises(ValueError):
         dominance_test(3, 3, Strategy.OPTIMAL, [1.0], 1000, seed=0)
+
+
+GRID = np.geomspace(0.01, 10, 20)
+
+
+@pytest.mark.parametrize("d", [3, 10])
+def test_argmax_grid_has_no_ties_where_every_sign_is_certified(d):
+    # every cell is certified; a float tie tolerance of 4*m*eps/(d-1) made
+    # 95 (d = 3) and 142 (d = 10) of them ties
+    rep = verify_argmax_grid(d, 30, GRID)
+    assert rep.n_ties == 0 and rep.n_violations == 0
+    assert all(c.status == "match" and c.equals_optimal for c in rep.cells)
+
+
+def test_argmax_grid_d4_ties_only_on_the_zero_row():
+    # R(2) - R(3) is the zero function at d = 4, so row m = 3 is an exact tie
+    rep = verify_argmax_grid(4, 30, GRID)
+    assert sorted((c.m, c.t) for c in rep.cells if c.status == "tie") == [
+        (3, float(t)) for t in GRID]
+    assert rep.n_violations == 0
+    assert all(c.equals_optimal for c in rep.cells)
+
+
+def test_undetermined_certificates_make_ties_not_matches():
+    rep = verify_argmax_grid(4, 60, GRID)
+    undetermined = rep.sign_table.undetermined_cells()
+    assert sorted(kind for kind, _, _ in undetermined) == ["diff"] + ["r"] * 5
+    # cell (m, t) reads r(m, t) and the sign of r(m-1, t) - r(m, t)
+    decided = {(m, t) for _, m, t in undetermined}
+    assert len(decided) == 5
+    assert {m for m, _ in decided} == {59, 60}
+    assert all(t <= 0.03 for _, t in decided)
+    status = {(c.m, c.t): c.status for c in rep.cells}
+    assert all(status[cell] == "tie" for cell in decided)
+    assert sorted(cell for cell, s in status.items() if s == "tie" and cell[0] != 3) == \
+        sorted(decided)

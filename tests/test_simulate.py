@@ -279,3 +279,20 @@ def test_lumped_sampler_working_set_is_bounded():
     assert float(tau.sum()).hex() == "0x1.7dadb4a23ae1fp+15"
     assert nj.sum() == 12582650
     assert peak < 128 * 2**20
+
+
+def test_marginal_validation_working_set_is_bounded():
+    # 8192 replicates of about 400 candidate events: one chunk whose
+    # uniforms (105 MB) are drawn in several sub-blocks
+    tracemalloc.start()
+    try:
+        report = validate_marginals("optimal", WalkParams(d=4, n=20), 10.0, 8192, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.statistic.hex() for t in report.tests] == [
+        "0x1.1fbeb410621bap+4", "0x1.279a4b3874ca5p+4",
+        "0x1.a0adf71bd4214p-3", "0x1.4d7148086085ep-5"]
+    assert report.mean_changes_x.hex() == "0x1.4027e66666666p+3"
+    assert report.mean_changes_y.hex() == "0x1.4029266666666p+3"
+    assert peak < 48 * 2**20
