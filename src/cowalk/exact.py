@@ -17,13 +17,13 @@ derived from that chain:
   recursions of the death chain run on integer numerator polynomials over
   the known product of the levels' linear factors.
 * ``expected_tau`` is the transform at 0, evaluated as an exact rational.
-* ``r_diff_table`` tabulates the level differences r(m,t) = v(m,t)-v(m-1,t)
-  and the second differences r(m-1,t)-r(m,t), attaching a certified sign to
-  every cell.  A value whose magnitude exceeds twice the uniformization
-  bound is signed directly; smaller values are signed by an exact
-  integer-arithmetic partial sum of the uniformization series (see
-  ``_certify_exact``), and exactly-vanishing cells are recognized from the
-  rational transform.  Cells are never signed from numerical noise.
+* ``r_diff_table`` stacks the level differences r(m,t) = v(m,t)-v(m-1,t)
+  and the second differences r(m-1,t)-r(m,t) into one table and signs every
+  cell: directly where the magnitude exceeds twice the uniformization bound,
+  ZERO where the rational transform vanishes, and otherwise by an exact
+  integer partial sum of the series (``_certify_exact``), which runs the
+  float tails' uniformization step ``_steps`` on integers.  Cells are never
+  signed from numerical noise.
 """
 from __future__ import annotations
 
@@ -112,6 +112,24 @@ def _truncation_order(lam_t_max: float, eps: float) -> int:
     return k_max
 
 
+def _steps(stay, p1, p2):
+    """Yield s_0, s_1, ... (not to be modified): s_k[m] is the chance that
+    the uniformized chain from level m is not absorbed after k steps, each
+    step going m -> m-1, m-2, m with chances p1[m], p2[m], stay[m].  Given
+    numpy object arrays of the integer numerators over (d-1)*lam (stay =
+    (d-1)*lam - c1 - c2, p1 = c1, p2 = c2), s_k is exact times ((d-1)*lam)^k.
+    """
+    s = np.ones_like(stay)
+    s[0] = 0
+    while True:
+        yield s
+        nxt = stay * s
+        nxt[1:] += p1[1:] * s[:-1]
+        nxt[2:] += p2[2:] * s[:-2]
+        nxt[0] = 0
+        s = nxt
+
+
 def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
     """Tail probabilities P(tau > t | N_0 = m) for m = 0..m_max, |err| <= eps."""
     if eps <= 0:
@@ -124,27 +142,14 @@ def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
     k_max = _truncation_order(lam * t_grid.max(), eps)
     w = _poisson_weights(lam * t_grid, k_max)
 
-    p1 = chain.down1 / lam
-    p2 = chain.down2 / lam
-    stay = 1.0 - p1 - p2
-    stay[0] = 1.0
-
-    # s[m] = P(not yet absorbed after k steps of the uniformized chain)
-    s = np.ones(m_max + 1)
-    s[0] = 0.0
+    p1, p2 = chain.down1 / lam, chain.down2 / lam
     out = np.zeros((m_max + 1, len(t_grid)))
     comp = np.zeros_like(out)  # Kahan compensation
-    for k in range(k_max + 1):
-        term = s[:, None] * w[k][None, :]
-        y = term - comp
+    for k, s in zip(range(k_max + 1), _steps(1.0 - p1 - p2, p1, p2)):
+        y = s[:, None] * w[k] - comp
         acc = out + y
         comp = (acc - out) - y
         out = acc
-        nxt = stay * s
-        nxt[1:] += p1[1:] * s[:-1]
-        nxt[2:] += p2[2:] * s[:-2]
-        nxt[0] = 0.0
-        s = nxt
     out[:, t_grid == 0.0] = 1.0
     out[0, :] = 0.0
     np.clip(out, 0.0, 1.0, out=out)
@@ -367,88 +372,45 @@ class SignCert(enum.Enum):
 
 
 _SHIFT = 128  # fixed-point bits for exact-integer term evaluation
+_MAX_HEAD = 50_000  # longest head whose float rounding the slack covers
 
 
-def _exact_step_diffs(chain: DeathChain, k_max: int):
-    """Integer-exact per-step absorption differences of the uniformized chain.
-
-    Yields, for k = 0..k_max, the integers (scaled by denom**k, where
-    denom = (d-1) * lam_int):
-    first[m-1]  ~ a_k(m-1) - a_k(m)            (m = 1..m_max)
-    second[m-2] ~ first(m-1) - first(m)        (m = 2..m_max)
-    where a_k(m) is the probability of absorption within k steps from m.
-    Every quantity is exact, so signs are decisive.
-    """
-    m_max = chain.m_max
-    dd = (chain.d - 1) * chain.lam_int
-    c1, c2 = chain.numerators()
-    stay = [dd - c1[m] - c2[m] for m in range(m_max + 1)]
-    stay[0] = dd
-    a = [1] + [0] * m_max  # absorption indicators, scaled by denom**0
-    for k in range(k_max + 1):
-        first = [a[m - 1] - a[m] for m in range(1, m_max + 1)]
-        second = [first[i] - first[i + 1] for i in range(len(first) - 1)]
-        yield k, first, second
-        nxt = [0] * (m_max + 1)
-        nxt[0] = dd * a[0]
-        for m in range(1, m_max + 1):
-            nxt[m] = stay[m] * a[m] + c1[m] * a[m - 1] + (c2[m] * a[m - 2] if m >= 2 else 0)
-        a = nxt
-
-
-def _term_bounds(num: int, scale: int) -> tuple[float, float]:
-    """Lower/upper float bounds on num/scale (|num/scale| <= 1)."""
-    if num == 0:
-        return 0.0, 0.0
-    q = (num << _SHIFT) // scale  # floor: q/2^128 <= num/scale < (q+1)/2^128
-    lo = math.ldexp(float(q), -_SHIFT)
-    hi = math.ldexp(float(q + 1), -_SHIFT)
-    return lo, hi
-
-
-def _certify_exact(chain: DeathChain, cells, t_grid):
-    """Sign cells of the first and second differences by exact partial sums.
-
-    cells: list of (kind, i, t_index), kind 0 for row i of the first
-    differences (level m = i + 1) and 1 for row i of the second (m = i + 2).
-    For each cell the uniformization series  sum_k w_k(t) * q_k  is split
-    into an exactly-evaluated head (q_k are ratios of exact integers, bounded
-    outward to 2^-128) plus a Poisson tail bounded by |q_k| <= 1.  One
-    recursion serves both kinds; each cell sums to its own order.  Returns
-    {cell: (lower, upper)} interval bounds.
-    """
-    if not cells:
-        return {}
-    lam_int = chain.lam_int
-    lam = float(lam_int)
-    k_of_t = {j: math.ceil(3.0 * lam * t_grid[j]) + 40 for _, _, j in cells}
-    k_need = max(k_of_t.values())
-    lo = {cell: 0.0 for cell in cells}
-    hi = {cell: 0.0 for cell in cells}
-    mag = {cell: 0.0 for cell in cells}  # sum of w * |term| bounds
-    w_cache = {}
-    for j in k_of_t:
-        w_cache[j] = _poisson_weights(np.array([lam * t_grid[j]]), k_of_t[j])[:, 0]
-    scale = 1
-    for k, *vecs in _exact_step_diffs(chain, k_need):
-        for cell in cells:
-            kind, i, j = cell
-            if k > k_of_t[j]:
-                continue
-            tlo, thi = _term_bounds(vecs[kind][i], scale)
-            w = w_cache[j][k]
-            lo[cell] += w * tlo
-            hi[cell] += w * thi
-            mag[cell] += w * max(thi, -tlo)
-        scale *= (chain.d - 1) * lam_int
-    out = {}
-    for cell in cells:
-        j = cell[2]
-        tail = _poisson_tail_upper(lam * t_grid[j], k_of_t[j])
-        # sound while k_of_t < 5e4: all rounding is below k(ln k + 1)2^-53 * mag
-        slack = 1e-10 * mag[cell] + 5e-324 * k_of_t[j]
-        out[cell] = (lo[cell] - slack - tail, hi[cell] + slack + tail)
-    return out
+def _certify_exact(chain: DeathChain, rows: np.ndarray, cols: np.ndarray, t_grid):
+    """Arrays (lower, upper) bounding the (rows, cols) cells of the stacked
+    table of ``r_diff_table``.  Each cell's uniformization series
+    sum_k w_k(t) q_k is split into a head of ceil(3 lam t) + 40 terms and a
+    Poisson tail bounded by |q_k| <= 1; a head term q_k is a difference of
+    the exact vectors of ``_steps`` over ((d-1) lam)^k, bounded outward on a
+    2^-128 grid."""
+    lam = float(chain.lam_int)
+    head_of = np.ceil(3.0 * lam * t_grid).astype(np.int64) + 40
+    heads = head_of[cols]
+    if heads.max(initial=0) >= _MAX_HEAD:
+        raise ValueError(f"a sign certificate at t = {t_grid[cols].max():g} needs {heads.max()}"
+                         f" terms; its rounding bound holds below {_MAX_HEAD}")
+    uniq, at = np.unique(cols, return_inverse=True)
+    w = np.zeros((heads.max(initial=0) + 1, len(uniq)))
+    for i, j in enumerate(uniq):
+        w[:head_of[j] + 1, i] = _poisson_weights(np.array([lam * t_grid[j]]), head_of[j])[:, 0]
+    tail = np.array([_poisson_tail_upper(lam * t_grid[j], head_of[j]) for j in uniq])[at]
+    lo, hi, mag = np.zeros((3, len(rows)))
+    scale, dd = 1, (chain.d - 1) * chain.lam_int
+    c1, c2 = chain.c1.astype(object), chain.c2.astype(object)
+    for k, s in zip(range(len(w)), _steps(dd - c1 - c2, c1, c2)):
+        live = np.flatnonzero(heads >= k)
+        first = s[1:] - s[:-1]
+        num = np.concatenate([first, first[:-1] - first[1:]])[rows[live]]
+        q = num * 2**_SHIFT // scale  # floor: q/2^128 <= num/scale < (q+1)/2^128
+        tlo = q.astype(float) * 2.0**-_SHIFT
+        thi = np.where(num != 0, (q + 1).astype(float) * 2.0**-_SHIFT, 0.0)
+        wk = w[k, at[live]]
+        lo[live] += wk * tlo
+        hi[live] += wk * thi
+        mag[live] += wk * np.maximum(thi, -tlo)
+        scale *= dd
+    # sound while heads < _MAX_HEAD: all rounding is below k(ln k + 1)2^-53 * mag
+    slack = 1e-10 * mag + 5e-324 * heads
+    return lo - slack - tail, hi + slack + tail
 
 
 @dataclass(frozen=True)
@@ -483,53 +445,36 @@ class RDiffTable:
         return cells
 
 
-def _sign_cells(tables, chain, t_grid, eps):
-    """Sign each (values, zero_rows) table: the 2*eps rule, then exact
-    certificates for the small cells of all tables from one recursion."""
-    all_certs = []
-    pending = []
-    for kind, (values, zero_rows) in enumerate(tables):
-        certs = np.full(values.shape, SignCert.UNDETERMINED.value, dtype=object)
-        certs[values > 2 * eps] = SignCert.POSITIVE.value
-        certs[values < -2 * eps] = SignCert.NEGATIVE.value
-        certs[zero_rows] = SignCert.ZERO.value
-        # t = 0 columns: v(m, 0) = 1 for all m >= 1, differences vanish exactly
-        certs[(certs == SignCert.UNDETERMINED.value) & (t_grid == 0)] = SignCert.ZERO.value
-        pending += [(kind, i, j)
-                    for i, j in zip(*np.nonzero(certs == SignCert.UNDETERMINED.value))]
-        all_certs.append(certs)
-    for (kind, i, j), (lo, hi) in _certify_exact(chain, pending, t_grid).items():
-        if lo > 0:
-            all_certs[kind][i, j] = SignCert.POSITIVE.value
-        elif hi < 0:
-            all_certs[kind][i, j] = SignCert.NEGATIVE.value
-    return all_certs
-
-
 def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
     """Tabulate level differences of the tail with certified signs.
 
     r(m, t) = v(m,t) - v(m-1,t) for m = 1..m_max, and the second difference
-    r(m-1,t) - r(m,t) for m = 2..m_max.  Sign certification: |value| > 2*eps
-    signs a cell outright; otherwise an exact integer partial sum of the
-    uniformization series decides it; cells whose rational transform is the
-    zero function are certified ZERO.  Remaining cells stay UNDETERMINED.
+    r(m-1,t) - r(m,t) for m = 2..m_max, are signed as one stacked table:
+    |value| > 2*eps signs a cell; rows with a zero rational transform and
+    t = 0 columns are ZERO; ``_certify_exact`` may sign the rest, which stay
+    UNDETERMINED otherwise.  Raises ValueError if a certificate would need
+    a head of ``_MAX_HEAD`` terms or more, beyond its rounding bound.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     table = survival_table(d, m_max, t_grid, eps)
     t_grid = table.t_grid
-    v = table.values
-    r = v[1:] - v[:-1]
-    diff = r[:-1] - r[1:]
-    chain = death_chain(Strategy.OPTIMAL, d, m_max)
-
+    r = table.values[1:] - table.values[:-1]
+    values = np.concatenate([r, r[:-1] - r[1:]])
     levels = _transform_levels(d, m_max)
-    r_zero_rows = [m - 1 for m in range(1, m_max + 1) if not levels.r_numerator(m)]
-    diff_zero_rows = [m - 2 for m in range(2, m_max + 1)
-                      if not levels.second_diff_numerator(m)]
-    r_certs, diff_certs = _sign_cells([(r, r_zero_rows), (diff, diff_zero_rows)],
-                                      chain, t_grid, eps)
+    zero_rows = [m - 1 for m in range(1, m_max + 1) if not levels.r_numerator(m)]
+    zero_rows += [m_max + m - 2 for m in range(2, m_max + 1)
+                  if not levels.second_diff_numerator(m)]
+    certs = np.full(values.shape, SignCert.UNDETERMINED.value, dtype=object)
+    certs[values > 2 * eps] = SignCert.POSITIVE.value
+    certs[values < -2 * eps] = SignCert.NEGATIVE.value
+    certs[zero_rows] = SignCert.ZERO.value
+    # t = 0 columns: v(m, 0) = 1 for all m >= 1, differences vanish exactly
+    certs[(certs == SignCert.UNDETERMINED.value) & (t_grid == 0)] = SignCert.ZERO.value
+    rows, cols = np.nonzero(certs == SignCert.UNDETERMINED.value)
+    lo, hi = _certify_exact(death_chain(Strategy.OPTIMAL, d, m_max), rows, cols, t_grid)
+    certs[rows[hi < 0], cols[hi < 0]] = SignCert.NEGATIVE.value
+    certs[rows[lo > 0], cols[lo > 0]] = SignCert.POSITIVE.value
     return RDiffTable(d=d, m_max=m_max, t_grid=t_grid, eps=eps,
-                      r_values=r, r_certs=r_certs,
-                      diff_values=diff, diff_certs=diff_certs)
+                      r_values=values[:m_max], r_certs=certs[:m_max],
+                      diff_values=values[m_max:], diff_certs=certs[m_max:])

@@ -189,7 +189,8 @@ def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> Argmax
 @dataclass(frozen=True)
 class DominanceReport:
     """Pointwise comparison of a baseline's empirical tail against the
-    optimal strategy's exact tail."""
+    optimal strategy's exact tail; ``max_deficit`` is the largest shortfall
+    of the empirical tail's Wilson upper bound (z = 3) below exact - eps."""
 
     d: int
     m0: int
@@ -209,7 +210,9 @@ class DominanceReport:
 def dominance_test(d: int, m0: int, competitor: Strategy, t_grid,
                    replicates: int, seed: int, eps: float = 1e-12,
                    n_workers: int | None = None) -> DominanceReport:
-    """Check empirical P(tau_c > t) + 3 half-widths >= exact optimal tail - eps.
+    """Check that the Wilson score upper bound (z = 3) of the empirical
+    P(tau_c > t) is >= the exact optimal tail - eps.  Unlike p + 3 Wald
+    half-widths, the Wilson bound keeps a positive width at p = 0 and 1.
 
     A violation at any grid point is a build-failing finding: it would mean
     some baseline couples faster than the certified-optimal tail allows.
@@ -221,7 +224,9 @@ def dominance_test(d: int, m0: int, competitor: Strategy, t_grid,
     emp = estimate_survival(competitor, d, m0, t_grid, replicates, seed,
                             n_workers=n_workers)
     exact = survival_exact(d, m0, t_grid, eps)
-    slack = emp.value + emp.half_width_3sigma - (exact - eps)
+    p, n, z2 = emp.value, emp.replicates, 9.0
+    upper = (p + z2 / (2 * n) + np.sqrt(z2 * (p * (1 - p) / n + z2 / (4 * n * n)))) / (1 + z2 / n)
+    slack = upper - (exact - eps)
     violations = tuple(int(j) for j in np.nonzero(slack < 0)[0])
     return DominanceReport(d=d, m0=m0, competitor=competitor.value, t_grid=t_grid,
                            empirical=emp, exact_tail=exact, eps=eps,

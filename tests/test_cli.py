@@ -274,6 +274,12 @@ def test_config_file_key_of_a_flag_the_command_lacks_is_refused(tmp_path, capsys
     assert "'eps', 'seed'" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_certificate_beyond_its_rounding_bound(capsys):
+    assert run_cli("verify", "--d", "4", "--mmax", "2", "--t", "10000",
+                   "--replicates", "100", "--samples", "1") == 2
+    assert "terms" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("values", [
     {"d": "3", "n": 1, "t_values": [0.0]},
     {"d": 3, "n": 1, "t_values": "0.5"},

@@ -457,3 +457,25 @@ def test_sign_certificates_are_pinned():
             digest.update(",".join(certs.ravel()).encode() + b";")
     assert digest.hexdigest() == (
         "1697085ed5ac1b49b13003624b6339a10b31056c94e706ee1ac7d11d5ecc9eb5")
+
+
+def test_tail_and_difference_floats_are_pinned():
+    # the float bits of the tails and of both difference tables
+    digest = hashlib.sha256()
+    for d, m_max, grid in [(2, 12, np.linspace(0, 12, 50)), (5, 30, np.array([0, 0.5, 1, 2.0])),
+                           (10, 30, np.geomspace(0.01, 10, 20))]:
+        digest.update(survival_table(d, m_max, grid).values.tobytes())
+    grid = np.geomspace(0.01, 10, 20)
+    for d, m_max in [(2, 30), (3, 30), (4, 30), (5, 30), (10, 30), (4, 60)]:
+        table = r_diff_table(d, m_max, grid)
+        digest.update(table.r_values.tobytes() + table.diff_values.tobytes())
+    assert digest.hexdigest() == (
+        "ab45cd02b1ab7427493fff1e21e264dc6f4831c4ebf20686424c42d03a3d6644")
+
+
+def test_certificate_beyond_its_rounding_bound_is_refused():
+    # a 60,040-term head at t = 1e4; the slack covers heads under 5e4 terms
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="terms"):
+        r_diff_table(4, 2, [10000.0])
+    assert time.perf_counter() - start < 5.0

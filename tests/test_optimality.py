@@ -141,6 +141,14 @@ def test_dominance_pairwise_d2_is_statistically_tight():
     assert (np.abs(rep.empirical.value - rep.exact_tail) <= 4 * sigma).all()
 
 
+def test_dominance_keeps_width_where_no_replicate_survives():
+    # no replicate survives to t = 15 (p-hat = 0) while the optimal tail is
+    # 6.2e-9: a zero-width Wald bound would call that a violation
+    rep = dominance_test(4, 3, Strategy.INDEPENDENT, [15.0], 2000, seed=1)
+    assert rep.empirical.value[0] == 0.0 and rep.exact_tail[0] > 1e-9
+    assert rep.passed and rep.max_deficit == 0.0
+
+
 def test_dominance_rejects_optimal_as_competitor():
     with pytest.raises(ValueError):
         dominance_test(3, 3, Strategy.OPTIMAL, [1.0], 1000, seed=0)
