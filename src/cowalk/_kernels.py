@@ -27,38 +27,29 @@ def lumped_batch(total, p2, m0, t_max, u_exp, u_jump):
     u_exp: (R, m0) unit-mean exponential deviates; u_jump: (R, m0)
     uniforms.  Replicate r consumes row r positionally, one column per jump.
     tau is +inf when the chain cannot move or absorption exceeds t_max.
+
+    The state is (m, t, n_jumps) alone: a replicate is live while m > 0 and
+    t is finite (a stuck or censored one has t = inf, an absorbed one m = 0),
+    and a live replicate has moved at every earlier step.
     """
     total = np.asarray(total)
     p2 = np.asarray(p2)
-    n_rep = u_exp.shape[0]
-    njumps = np.zeros(n_rep, dtype=np.int64)
-    m = np.full(n_rep, m0, dtype=np.int64)
-    t = np.zeros(n_rep)
-    done = np.zeros(n_rep, dtype=bool)
+    m = np.full(u_exp.shape[0], m0, dtype=np.int64)
+    t = np.zeros(u_exp.shape[0])
+    njumps = np.zeros(u_exp.shape[0], dtype=np.int64)
     for step in range(m0):
-        live = ~done & (m > 0)
+        live = (m > 0) & (t < np.inf)
         if not live.any():
             break
         rate = total[m]
-        stuck = live & (rate <= 0.0)
-        t[stuck] = np.inf
-        njumps[stuck] = step
-        done |= stuck
-        move = live & ~stuck
-        dt = np.zeros(n_rep)
-        dt[move] = u_exp[move, step] / rate[move]
-        t[move] += dt[move]
-        censored = move & (t > t_max)
-        t[censored] = np.inf
-        njumps[censored] = step
-        done |= censored
-        move &= ~censored
-        jump = np.where(u_jump[:, step] < p2[m], 2, 1)
-        m[move] -= jump[move]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_next = np.where(rate > 0.0, t + u_exp[:, step] / rate, np.inf)
+        t_next[t_next > t_max] = np.inf
+        t = np.where(live, t_next, t)
+        move = live & (t < np.inf)
+        m -= move * np.where(u_jump[:, step] < p2[m], 2, 1)
         np.maximum(m, 0, out=m)
-        finished = move & (m == 0)
-        njumps[finished] = step + 1
-        done |= finished
+        njumps += move
     return t, njumps
 
 

@@ -371,17 +371,31 @@ class SignCert(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-_SHIFT = 128  # fixed-point bits for exact-integer term evaluation
 _MAX_HEAD = 50_000  # longest head whose float rounding the slack covers
+
+
+def _check_monotone(chain: DeathChain) -> None:
+    """Refuse a chain whose uniformized kernel is not stochastically
+    monotone.  For a death chain with steps -1, -2 that is exactly
+    c1[m] + c2[m] >= c2[m+1] at every level m >= 1, and it makes every s_k
+    of ``_steps`` nondecreasing in m, so level differences lie in [0, 1]."""
+    c1, c2 = chain.c1, chain.c2
+    bad = np.flatnonzero(c1[1:-1] + c2[1:-1] < c2[2:])
+    if bad.size:
+        raise ValueError(f"the uniformized chain is not stochastically monotone at level"
+                         f" {bad[0] + 1}, so sign certificates do not apply")
 
 
 def _certify_exact(chain: DeathChain, rows: np.ndarray, cols: np.ndarray, t_grid):
     """Arrays (lower, upper) bounding the (rows, cols) cells of the stacked
     table of ``r_diff_table``.  Each cell's uniformization series
     sum_k w_k(t) q_k is split into a head of ceil(3 lam t) + 40 terms and a
-    Poisson tail bounded by |q_k| <= 1; a head term q_k is a difference of
-    the exact vectors of ``_steps`` over ((d-1) lam)^k, bounded outward on a
-    2^-128 grid."""
+    Poisson tail bounded by |q_k| <= 1, which for a second difference holds
+    because the chain is checked to be monotone.  A head term q_k is a
+    difference of the exact vectors of ``_steps`` over ((d-1) lam)^k,
+    rounded once to the nearest float (Python int / int is correctly
+    rounded, so its sign is exact and its error relative)."""
+    _check_monotone(chain)
     lam = float(chain.lam_int)
     head_of = np.ceil(3.0 * lam * t_grid).astype(np.int64) + 40
     heads = head_of[cols]
@@ -389,28 +403,25 @@ def _certify_exact(chain: DeathChain, rows: np.ndarray, cols: np.ndarray, t_grid
         raise ValueError(f"a sign certificate at t = {t_grid[cols].max():g} needs {heads.max()}"
                          f" terms; its rounding bound holds below {_MAX_HEAD}")
     uniq, at = np.unique(cols, return_inverse=True)
-    w = np.zeros((heads.max(initial=0) + 1, len(uniq)))
-    for i, j in enumerate(uniq):
-        w[:head_of[j] + 1, i] = _poisson_weights(np.array([lam * t_grid[j]]), head_of[j])[:, 0]
+    w = _poisson_weights(lam * t_grid[uniq], heads.max(initial=0))
     tail = np.array([_poisson_tail_upper(lam * t_grid[j], head_of[j]) for j in uniq])[at]
-    lo, hi, mag = np.zeros((3, len(rows)))
+    val, mag = np.zeros((2, len(rows)))
     scale, dd = 1, (chain.d - 1) * chain.lam_int
     c1, c2 = chain.c1.astype(object), chain.c2.astype(object)
     for k, s in zip(range(len(w)), _steps(dd - c1 - c2, c1, c2)):
         live = np.flatnonzero(heads >= k)
         first = s[1:] - s[:-1]
-        num = np.concatenate([first, first[:-1] - first[1:]])[rows[live]]
-        q = num * 2**_SHIFT // scale  # floor: q/2^128 <= num/scale < (q+1)/2^128
-        tlo = q.astype(float) * 2.0**-_SHIFT
-        thi = np.where(num != 0, (q + 1).astype(float) * 2.0**-_SHIFT, 0.0)
+        term = (np.concatenate([first, first[:-1] - first[1:]])[rows[live]] / scale).astype(float)
         wk = w[k, at[live]]
-        lo[live] += wk * tlo
-        hi[live] += wk * thi
-        mag[live] += wk * np.maximum(thi, -tlo)
+        val[live] += wk * term
+        mag[live] += wk * np.abs(term)
         scale *= dd
-    # sound while heads < _MAX_HEAD: all rounding is below k(ln k + 1)2^-53 * mag
-    slack = 1e-10 * mag + 5e-324 * heads
-    return lo - slack - tail, hi + slack + tail
+    # sound while heads < _MAX_HEAD: the weights are off by at most
+    # k(ln k + 1)2^-53 relatively and each quotient, product and sum by
+    # 2^-53, below 1e-10 * mag together; an underflow adds at most 2^-1074
+    # (5e-324) to each of the heads + 1 terms
+    slack = 1e-10 * mag + 5e-324 * (heads + 1)
+    return val - slack - tail, val + slack + tail
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,7 @@ class SurvivalCurve:
 
 
 def _chunk_bounds(replicates: int, m0: int):
-    chunk = _CHUNK
-    if m0 > 0:
-        chunk = max(1, min(chunk, (1 << 24) // max(m0, 1)))
+    chunk = max(1, min(_CHUNK, (1 << 24) // max(m0, 1)))
     return [(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
 
 
@@ -98,24 +96,17 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
         raise ValueError("t_max must be positive")
     total, p2 = rate_table(Strategy(strategy), d, max(m0, 1))
     bounds = _chunk_bounds(replicates, m0)
-    n_workers = n_workers or 1
-    tau = np.empty(replicates)
-    njumps = np.empty(replicates, dtype=np.int64)
 
     def run(idx):
-        lo, hi = bounds[idx]
-        return idx, _run_lumped_chunk(seed, idx, lo, hi, total, p2, m0, t_max)
+        return _run_lumped_chunk(seed, idx, *bounds[idx], total, p2, m0, t_max)
 
-    if n_workers > 1 and len(bounds) > 1:
+    chunks = range(len(bounds))
+    if (n_workers or 1) > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, range(len(bounds))))
+            tau, njumps = zip(*pool.map(run, chunks))  # yields in chunk order
     else:
-        results = [run(i) for i in range(len(bounds))]
-    for idx, (tau_c, nj_c) in results:
-        lo, hi = bounds[idx]
-        tau[lo:hi] = tau_c
-        njumps[lo:hi] = nj_c
-    return tau, njumps
+        tau, njumps = zip(*map(run, chunks))
+    return np.concatenate(tau), np.concatenate(njumps)
 
 
 def simulate_coupling(strategy: Strategy, params: WalkParams, x0, y0,

@@ -9,6 +9,8 @@ from scipy.integrate import quad
 
 from cowalk.exact import (
     SignCert,
+    _certify_exact,
+    _check_monotone,
     check_total_monotone,
     expected_tau,
     expected_tau_float,
@@ -20,7 +22,7 @@ from cowalk.exact import (
     survival_table,
 )
 from cowalk.ratfun import Poly, RationalFn, poly_gcd
-from cowalk.strategies import Regime, Strategy, death_chain, regime
+from cowalk.strategies import DeathChain, Regime, Strategy, death_chain, regime
 
 
 # --- closed-form tails ------------------------------------------------------
@@ -479,3 +481,47 @@ def test_certificate_beyond_its_rounding_bound_is_refused():
     with pytest.raises(ValueError, match="terms"):
         r_diff_table(4, 2, [10000.0])
     assert time.perf_counter() - start < 5.0
+
+
+# --- assumptions and rounding of the exact certificate -------------------------
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_uniformized_chains_are_monotone(strategy):
+    # c1[m] + c2[m] >= c2[m+1]: the |q_k| <= 1 tail bound of second differences
+    for d in range(2, 13):
+        chain = death_chain(strategy, d, 300)
+        assert (chain.c1[1:-1] + chain.c2[1:-1] >= chain.c2[2:]).all()
+        _check_monotone(chain)
+
+
+def test_nonmonotone_chain_is_refused():
+    # level 2 sends mass 5 to level 0, level 1 only 2: not monotone at m = 1
+    chain = DeathChain(3, 3, np.array([0, 2, 0, 3]), np.array([0, 0, 5, 0]))
+    with pytest.raises(ValueError, match="not stochastically monotone at level 1"):
+        _certify_exact(chain, np.array([3]), np.array([0]), np.array([0.5]))
+
+
+@pytest.mark.parametrize("d", [3, 5, 10])
+def test_certificate_encloses_50_digit_value(d):
+    # cells below the 2*eps float rule at small t, against exp(Qt) at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    m_max, t_grid = 10, np.array([1e-3, 1e-2, 0.05])
+    chain = death_chain(Strategy.OPTIMAL, d, m_max)
+    r = np.diff(survival_table(d, m_max, t_grid).values, axis=0)
+    rows, cols = np.nonzero(np.abs(np.concatenate([r, r[:-1] - r[1:]])) <= 2e-12)
+    assert rows.size >= 4
+    lo, hi = _certify_exact(chain, rows, cols, t_grid)
+    mpmath.mp.dps = 50
+    Q = mpmath.zeros(m_max + 1)
+    for m in range(1, m_max + 1):
+        Q[m, m] = -mpmath.mpf(int(chain.c1[m] + chain.c2[m])) / (d - 1)
+        Q[m, m - 1] = mpmath.mpf(int(chain.c1[m])) / (d - 1)
+        if m >= 2:
+            Q[m, m - 2] = mpmath.mpf(int(chain.c2[m])) / (d - 1)
+    for j in np.unique(cols):
+        P = mpmath.expm(Q * mpmath.mpf(t_grid[j]))
+        rr = [P[m - 1, 0] - P[m, 0] for m in range(1, m_max + 1)]
+        exact = rr + [a - b for a, b in zip(rr, rr[1:])]
+        for i in np.flatnonzero(cols == j):
+            assert lo[i] <= exact[rows[i]] <= hi[i]
+            assert lo[i] > 0 or hi[i] < 0

@@ -207,6 +207,65 @@ def test_estimate_survival_equals_dense_count():
     assert np.array_equal(curve.value, dense)
 
 
+def _lumped_reference(total, p2, m0, t_max, u_exp, u_jump):
+    """Per-replicate scalar loop of the lumped kernel's contract."""
+    tau, njumps = np.zeros(u_exp.shape[0]), np.zeros(u_exp.shape[0], dtype=np.int64)
+    for r in range(u_exp.shape[0]):
+        m, t = m0, 0.0
+        for step in range(m0):
+            if m == 0:
+                break
+            if total[m] <= 0.0:
+                t = np.inf
+                break
+            t = t + u_exp[r, step] / total[m]
+            if t > t_max:
+                t = np.inf
+                break
+            m = max(m - (2 if u_jump[r, step] < p2[m] else 1), 0)
+            njumps[r] += 1
+        tau[r] = t
+    return tau, njumps
+
+
+@pytest.mark.parametrize("total,p2,m0,t_max,u_exp,u_jump", [
+    # level 3 has rate 0 mid-path; row 1 jumps past it by a -2 from level 4
+    ([0.0, 1.0, 2.0, 0.0, 4.0, 5.0], [0, 0, 0.5, 0, 0.5, 0.5], 5, np.inf,
+     [[0.5, 0.25, 1.0, 1.0, 1.0], [0.5, 0.0, 0.3, 2.0, 1.0]],
+     [[0.9, 0.9, 0.9, 0.9, 0.9], [0.9, 0.1, 0.9, 0.9, 0.9]]),
+    # u_exp = 0.0 steps, and absorption exactly at t_max (not censored)
+    ([0.0, 1.0, 1.0, 1.0], [0, 0, 0, 0], 3, 0.75,
+     [[0.0, 0.5, 0.25], [0.5, 0.25, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]],
+     [[0.5, 0.5, 0.5]] * 4),
+    # a -2 jump from level 1 clips at 0; censoring beyond a finite t_max
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 0.0], 2, 1.0,
+     [[0.5, 0.5], [0.25, 1.5], [2.5, 0.1]], [[0.5, 0.0], [0.5, 0.5], [0.5, 0.5]]),
+    # m0 = 0: no columns, every replicate absorbed at t = 0
+    ([0.0], [0.0], 0, np.inf, np.zeros((3, 0)), np.zeros((3, 0))),
+])
+def test_lumped_kernel_matches_scalar_loop(total, p2, m0, t_max, u_exp, u_jump):
+    u_exp, u_jump = np.asarray(u_exp, dtype=float), np.asarray(u_jump, dtype=float)
+    tau, nj = _kernels.lumped_batch(total, p2, m0, t_max, u_exp, u_jump)
+    ref_tau, ref_nj = _lumped_reference(total, p2, m0, t_max, u_exp, u_jump)
+    assert tau.tobytes() == ref_tau.tobytes()
+    assert np.array_equal(nj, ref_nj)
+
+
+def test_lumped_kernel_matches_scalar_loop_on_random_chains():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        m0 = int(rng.integers(1, 9))
+        total = np.where(rng.random(m0 + 1) < 0.2, 0.0, rng.uniform(0.5, 3.0, m0 + 1))
+        p2 = rng.random(m0 + 1)
+        t_max = rng.choice([np.inf, 0.5, 2.0])
+        u_exp = np.where(rng.random((25, m0)) < 0.1, 0.0, rng.exponential(size=(25, m0)))
+        u_jump = rng.random((25, m0))
+        tau, nj = _kernels.lumped_batch(total, p2, m0, t_max, u_exp, u_jump)
+        ref_tau, ref_nj = _lumped_reference(total, p2, m0, t_max, u_exp, u_jump)
+        assert tau.tobytes() == ref_tau.tobytes()
+        assert np.array_equal(nj, ref_nj)
+
+
 # --- golden seeded outputs ----------------------------------------------------
 # Hex values pinned from the kernels before the death-chain refactor; any
 # change to draw consumption or kernel arithmetic shows here bit for bit.
