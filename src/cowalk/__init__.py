@@ -18,23 +18,20 @@ from .exact import (
     survival_exact,
     survival_table,
 )
-from .optimality import bellman_gap, dominance_test, feasible_max, verify_argmax_grid
+from .optimality import bellman_gap, dominance_test, verify_argmax_grid
 from .ratfun import Poly, RationalFn
 from .simulate import (
-    ReplicateResult,
     SurvivalCurve,
     estimate_survival,
     sample_coupling_times,
-    simulate_coupling,
     validate_marginals,
 )
-from .states import PairConfig, WalkParams, hamming, partition, sample_uniform_state
+from .states import PairConfig, WalkParams, hamming, sample_uniform_state
 from .strategies import (
     RateSchedule,
     Regime,
     Strategy,
     build_q_matrix,
-    competitor_rates,
     lump_rates,
     optimal_rates,
     rates_for,
@@ -59,20 +56,16 @@ __all__ = [
     "WalkParams",
     "PairConfig",
     "hamming",
-    "partition",
     "sample_uniform_state",
     "Strategy",
     "Regime",
     "RateSchedule",
     "regime",
     "optimal_rates",
-    "competitor_rates",
     "rates_for",
     "build_q_matrix",
     "lump_rates",
-    "ReplicateResult",
     "SurvivalCurve",
-    "simulate_coupling",
     "sample_coupling_times",
     "estimate_survival",
     "validate_marginals",
@@ -99,7 +92,6 @@ __all__ = [
     "limit_tail",
     "dinfty_convergence",
     "mean_tau_stationary",
-    "feasible_max",
     "bellman_gap",
     "verify_argmax_grid",
     "dominance_test",

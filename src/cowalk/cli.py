@@ -77,6 +77,12 @@ class ExperimentConfig:
             raise ValueError("t-spacing must be linear or log")
         if self.t_points < 1:
             raise ValueError("t-points must be >= 1")
+        if self.t_values is not None and not self.t_values:
+            raise ValueError("t must list at least one time point")
+        if self.samples < 0:
+            raise ValueError("samples must be >= 0")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
         return self
 
     def t_grid(self) -> np.ndarray:
@@ -290,6 +296,7 @@ def _cmd_verify(cfg: ExperimentConfig):
                                  "violations": list(rep.violations),
                                  "max_deficit": rep.max_deficit}
     sign_table = argmax.sign_table
+    r_nonpositive = sign_table.r_certs != exact.SignCert.POSITIVE.value
     payload = {
         "d": cfg.d, "m_max": cfg.m_max, "eps": cfg.eps,
         "argmax": {"cells": statuses, "violations": argmax.n_violations,
@@ -300,9 +307,7 @@ def _cmd_verify(cfg: ExperimentConfig):
         "dominance": dominance,
         "sign_tables": {
             "undetermined_cells": len(sign_table.undetermined_cells()),
-            "r_nonpositive_rows": sorted({
-                int(sign_table.r_rows[i])
-                for i, j in zip(*np.nonzero(~np.isin(sign_table.r_certs, ["positive"])))}),
+            "r_nonpositive_rows": [int(i) + 1 for i in np.flatnonzero(r_nonpositive.any(axis=1))],
         },
     }
     _emit(cfg, "verify", payload)
@@ -316,19 +321,6 @@ def _cmd_validate_marginals(cfg: ExperimentConfig):
     payload = io.to_jsonable(report)
     payload["passed"] = report.passed
     _emit(cfg, "validate-marginals", payload)
-
-
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "exact": _cmd_exact,
-    "laplace": _cmd_laplace,
-    "mean-tau": _cmd_mean_tau,
-    "tv": _cmd_tv,
-    "cutoff": _cmd_cutoff,
-    "limit": _cmd_limit,
-    "verify": _cmd_verify,
-    "validate-marginals": _cmd_validate_marginals,
-}
 
 
 # every flag once: option strings and argparse keywords, each dest a field
@@ -359,20 +351,22 @@ _FLAGS = {
 }
 _GRID = "t t-start t-stop t-points t-spacing"
 
-# subcommand: (help, the flags its handler reads)
+# subcommand: (help, the flags its handler reads, handler)
 _COMMANDS = {
     "simulate": ("empirical survival curve of a coupling",
-                 f"d m strategy replicates format seed workers {_GRID}"),
-    "exact": ("certified tail probabilities of the optimum", f"d m mmax format eps {_GRID}"),
-    "laplace": ("exact transforms and identities", "d m"),
-    "mean-tau": ("exact expected coupling times and bounds", "d m n"),
-    "tv": ("exact total-variation distance from uniform", f"d n format {_GRID}"),
-    "cutoff": ("TV cutoff profile vs the normal asymptotic", "d n theta format"),
-    "limit": ("large-d limiting tail and convergence gaps", f"n d-list format eps {_GRID}"),
+                 f"d m strategy replicates format seed workers {_GRID}", _cmd_simulate),
+    "exact": ("certified tail probabilities of the optimum", f"d m mmax format eps {_GRID}",
+              _cmd_exact),
+    "laplace": ("exact transforms and identities", "d m", _cmd_laplace),
+    "mean-tau": ("exact expected coupling times and bounds", "d m n", _cmd_mean_tau),
+    "tv": ("exact total-variation distance from uniform", f"d n format {_GRID}", _cmd_tv),
+    "cutoff": ("TV cutoff profile vs the normal asymptotic", "d n theta format", _cmd_cutoff),
+    "limit": ("large-d limiting tail and convergence gaps", f"n d-list format eps {_GRID}",
+              _cmd_limit),
     "verify": ("optimality certification report",
-               f"d mmax replicates samples seed eps workers {_GRID}"),
+               f"d mmax replicates samples seed eps workers {_GRID}", _cmd_verify),
     "validate-marginals": ("chi-square marginal-law checks",
-                           "d n strategy horizon replicates seed"),
+                           "d n strategy horizon replicates seed", _cmd_validate_marginals),
 }
 
 # flags that read differently on one subcommand
@@ -390,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cowalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, names) in _COMMANDS.items():
+    for command, (help_text, names, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name in names.split() + ["config", "out"]:
             opts, kwargs = _VARIANTS.get((command, name), _FLAGS[name])
@@ -424,7 +418,7 @@ def main(argv=None) -> int:
         print(f"error: invalid configuration: {err}", file=sys.stderr)
         return 2
     try:
-        _HANDLERS[args.command](cfg)
+        _COMMANDS[args.command][2](cfg)
     except AssertionError as err:
         print(f"error: internal assertion failed: {err}", file=sys.stderr)
         return 3

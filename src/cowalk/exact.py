@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -70,9 +70,6 @@ class TailTable:
     uniformization_rate: int
     n_terms: int
     method: str = "uniformization"
-
-    def column(self, m: int) -> np.ndarray:
-        return self.values[m]
 
 
 def _poisson_weights(lam_t: np.ndarray, k_max: int) -> np.ndarray:
@@ -135,6 +132,8 @@ def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
     if eps <= 0:
         raise ValueError("eps must be positive")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t_grid.size == 0:
+        raise ValueError("t_grid must be nonempty")
     if (t_grid < 0).any():
         raise ValueError("t_grid must be nonnegative")
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
@@ -150,8 +149,6 @@ def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
         acc = out + y
         comp = (acc - out) - y
         out = acc
-    out[:, t_grid == 0.0] = 1.0
-    out[0, :] = 0.0
     np.clip(out, 0.0, 1.0, out=out)
     return TailTable(d=d, m_max=m_max, t_grid=t_grid, values=out, eps=eps,
                      uniformization_rate=chain.lam_int, n_terms=k_max)
@@ -161,7 +158,7 @@ def survival_exact(d: int, m: int, t_grid, eps: float = 1e-12) -> np.ndarray:
     """One tail column: P(tau > t | N_0 = m) on the grid, |err| <= eps."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return survival_table(d, max(m, 1), t_grid, eps).column(m)
+    return survival_table(d, max(m, 1), t_grid, eps).values[m]
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +438,11 @@ class RDiffTable:
     r_certs: np.ndarray
     diff_values: np.ndarray
     diff_certs: np.ndarray
-    r_rows: np.ndarray = field(default=None)
-    diff_rows: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "r_rows", np.arange(1, self.m_max + 1))
-        object.__setattr__(self, "diff_rows", np.arange(2, self.m_max + 1))
 
     def undetermined_cells(self):
-        cells = [("r", int(self.r_rows[i]), float(self.t_grid[j]))
+        cells = [("r", int(i) + 1, float(self.t_grid[j]))
                  for i, j in zip(*np.nonzero(self.r_certs == SignCert.UNDETERMINED.value))]
-        cells += [("diff", int(self.diff_rows[i]), float(self.t_grid[j]))
+        cells += [("diff", int(i) + 2, float(self.t_grid[j]))
                   for i, j in zip(*np.nonzero(self.diff_certs == SignCert.UNDETERMINED.value))]
         return cells
 

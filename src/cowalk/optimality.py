@@ -12,7 +12,6 @@ from the certified sign tables of the exact engine (``r_diff_table``).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,50 +28,14 @@ from .strategies import (
 )
 
 __all__ = [
-    "FeasibleMaxResult",
     "BellmanCell",
     "ArgmaxGridReport",
     "DominanceReport",
-    "feasible_max",
     "bellman_gap",
     "sample_feasible_schedules",
     "verify_argmax_grid",
     "dominance_test",
 ]
-
-
-@dataclass(frozen=True)
-class FeasibleMaxResult:
-    schedule: RateSchedule
-    objective: float
-    tie: bool
-
-
-def _objective(s: RateSchedule, r_m: float, r_m_minus_1: float) -> float:
-    return float(s.down2) * (r_m + r_m_minus_1) + float(s.down1) * r_m
-
-
-def feasible_max(d: int, m: int, r_m: float, r_m_minus_1: float) -> FeasibleMaxResult:
-    """Maximizer of the rate LP at level m given tail differences.
-
-    ``r_m`` is r(m,t) and ``r_m_minus_1`` is r(m-1,t) (zero for m = 1).
-    When the two budget-saturating vertices have equal objectives the
-    pair-capped vertex is returned and the result is flagged as a tie.
-    Negative r values (possible only as numerical noise) trigger no special
-    casing beyond the vertex comparison.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not (math.isfinite(r_m) and math.isfinite(r_m_minus_1)):
-        raise ValueError("tail differences must be finite")
-    cap = paired_schedule(m, d)
-    single = singles_schedule(m, d)
-    cap_obj = _objective(cap, r_m, r_m_minus_1)
-    single_obj = _objective(single, r_m, r_m_minus_1)
-    # the objectives differ by m (r_{m-1} - r_m) / (d-1)
-    if cap_obj >= single_obj:
-        return FeasibleMaxResult(schedule=cap, objective=cap_obj, tie=cap_obj == single_obj)
-    return FeasibleMaxResult(schedule=single, objective=single_obj, tie=False)
 
 
 def bellman_gap(d: int, m: int, t: float, schedule: RateSchedule,
@@ -123,11 +86,8 @@ class BellmanCell:
     d: int
     m: int
     t: float
-    r_m: float
-    r_m_minus_1: float
     status: str  # "match" | "tie" | "violation"
-    equals_optimal: bool  # returned maximizer == built-in rates
-    objective: float
+    equals_optimal: bool  # certified maximizer == built-in rates
 
 
 @dataclass(frozen=True)
@@ -165,7 +125,6 @@ def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> Argmax
     rates.
     """
     signs = r_diff_table(d, m_max, t_grid, eps)
-    r = signs.r_values
     cells = []
     for m in range(1, m_max + 1):
         opt = optimal_rates(m, d)
@@ -173,15 +132,12 @@ def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> Argmax
         decide = ([_FLIP.get(c, c) for c in signs.r_certs[0]] if m == 1
                   else signs.diff_certs[m - 2])
         for j, t in enumerate(signs.t_grid):
-            r_m = float(r[m - 1, j])
-            r_prev = float(r[m - 2, j]) if m >= 2 else 0.0
             nonnegative = signs.r_certs[m - 1, j] in (_POSITIVE, SignCert.ZERO.value)
             sign = decide[j] if nonnegative else None
             chosen = vertex.get(sign, vertex[_POSITIVE])  # a tie reports the paired vertex
             status = ("match" if chosen == opt else "violation") if sign in vertex else "tie"
-            cells.append(BellmanCell(d=d, m=m, t=float(t), r_m=r_m, r_m_minus_1=r_prev,
-                                     status=status, equals_optimal=chosen == opt,
-                                     objective=_objective(chosen, r_m, r_prev)))
+            cells.append(BellmanCell(d=d, m=m, t=float(t), status=status,
+                                     equals_optimal=chosen == opt))
     return ArgmaxGridReport(d=d, m_max=m_max, t_grid=signs.t_grid, eps=eps,
                             cells=tuple(cells), sign_table=signs)
 

@@ -28,11 +28,9 @@ from .states import WalkParams, hamming
 from .strategies import Strategy, death_chain, rate_table
 
 __all__ = [
-    "ReplicateResult",
     "SurvivalCurve",
     "ChiSquareResult",
     "MarginalReport",
-    "simulate_coupling",
     "sample_coupling_times",
     "estimate_survival",
     "validate_marginals",
@@ -40,15 +38,6 @@ __all__ = [
 
 _CHUNK = 1 << 15
 _BLOCK = 1 << 21  # replicate-steps of uniforms drawn and run at once
-
-
-@dataclass(frozen=True)
-class ReplicateResult:
-    """One sampled coupling: time to full agreement and jump count of N."""
-
-    tau: float
-    n_jumps: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -107,18 +96,6 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
     else:
         tau, njumps = zip(*map(run, chunks))
     return np.concatenate(tau), np.concatenate(njumps)
-
-
-def simulate_coupling(strategy: Strategy, params: WalkParams, x0, y0,
-                      seed: int, t_max: float = math.inf) -> ReplicateResult:
-    """Simulate one coupled run from (x0, y0) until the chains agree."""
-    m0 = hamming(x0, y0)
-    if len(np.asarray(x0)) != params.n:
-        raise ValueError("state length does not match params.n")
-    if m0 == 0:
-        return ReplicateResult(tau=0.0, n_jumps=0, seed=seed)
-    tau, nj = sample_coupling_times(strategy, params.d, m0, 1, seed, t_max)
-    return ReplicateResult(tau=float(tau[0]), n_jumps=int(nj[0]), seed=seed)
 
 
 def estimate_survival(strategy: Strategy, d: int, start, t_grid, replicates: int,

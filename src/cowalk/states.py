@@ -73,11 +73,6 @@ class PairConfig:
         return self.unmatched.shape[0]
 
 
-def partition(x, y) -> PairConfig:
-    """Split coordinates of (x, y) into unmatched and matched index sets."""
-    return PairConfig(x, y)
-
-
 def sample_uniform_state(params: WalkParams, seed) -> np.ndarray:
     """Draw a state with i.i.d. uniform coordinates, reproducibly from seed.
 

@@ -46,7 +46,6 @@ __all__ = [
     "paired_schedule",
     "singles_schedule",
     "optimal_rates",
-    "competitor_rates",
     "rates_for",
     "rate_table",
     "build_q_matrix",
@@ -233,13 +232,6 @@ def rates_for(strategy: Strategy, m: int, d: int) -> RateSchedule:
 def optimal_rates(m: int, d: int) -> RateSchedule:
     _check_level(m, d)
     return _schedule(*_numerators(Strategy.OPTIMAL, m, d), d)
-
-
-def competitor_rates(strategy: Strategy, m: int, d: int) -> RateSchedule:
-    """Lumped rates of a baseline strategy at level m (see ``death_chain``)."""
-    if Strategy(strategy) is Strategy.OPTIMAL:
-        raise ValueError("competitor_rates is for baselines; use optimal_rates")
-    return rates_for(strategy, m, d)
 
 
 def rate_table(strategy: Strategy, d: int, m_max: int):

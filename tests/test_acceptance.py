@@ -45,7 +45,7 @@ from cowalk import (
     validate_marginals,
     verify_argmax_grid,
 )
-from cowalk.optimality import feasible_max, sample_feasible_schedules
+from cowalk.optimality import sample_feasible_schedules
 from cowalk.ratfun import Poly, RationalFn
 from cowalk.states import WalkParams
 from cowalk.strategies import Regime

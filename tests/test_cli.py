@@ -341,3 +341,31 @@ def test_csv_out_file_equals_stdout(command, tmp_path, capsys):
     assert main([*argv, "--out", str(path)]) == 0
     assert path.read_bytes() == stdout
     assert b"\r" not in stdout
+
+
+@pytest.mark.parametrize("command, extra, code", [
+    ("verify", "--samples -1", 2), ("verify", "--samples 0", 0),
+    ("simulate", "--workers 0", 2), ("simulate", "--workers 1", 0),
+])
+def test_samples_and_workers_are_bounded_below(command, extra, code, capsys):
+    assert main([command, *BASE_ARGV[command].split(), *extra.split()]) == code
+    assert ("invalid configuration" in capsys.readouterr().err) == (code == 2)
+
+
+def test_config_file_workers_below_one_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 0}))
+    assert main(["simulate", *BASE_ARGV["simulate"].split(), "--config", str(cfg)]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "exact --d 3 --m 2 --t ,",
+    "tv --d 3 --n 2 --t ,",
+    "limit --n 5 --d-list 10,100 --t ,",
+])
+def test_empty_time_grid_is_refused(argv, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid configuration: t must list at least one time point" in captured.err

@@ -103,6 +103,8 @@ def test_invalid_args():
         survival_table(4, 5, [0.5], eps=0.0)
     with pytest.raises(ValueError):
         survival_table(4, 5, [-1.0])
+    with pytest.raises(ValueError, match="t_grid must be nonempty"):
+        survival_table(3, 2, [])
     with pytest.raises(ValueError):
         survival_exact(4, -1, [0.5])
 

@@ -7,67 +7,10 @@ from cowalk.exact import survival_table
 from cowalk.optimality import (
     bellman_gap,
     dominance_test,
-    feasible_max,
     sample_feasible_schedules,
     verify_argmax_grid,
 )
 from cowalk.strategies import RateSchedule, Strategy, optimal_rates
-
-
-def r_values(d, m, t, eps=1e-12):
-    v = survival_table(d, m, [t], eps).values[:, 0]
-    r_m = v[m] - v[m - 1]
-    r_prev = v[m - 1] - v[m - 2] if m >= 2 else 0.0
-    return float(r_m), float(r_prev)
-
-
-def test_feasible_max_picks_cap_vertex_for_d4():
-    for m in (2, 5, 9):
-        r_m, r_prev = r_values(4, m, 1.0)
-        res = feasible_max(4, m, r_m, r_prev)
-        assert res.schedule == optimal_rates(m, 4)
-        assert not res.tie
-        assert res.schedule.saturates_budget(m, 4)
-
-
-def test_feasible_max_picks_single_vertex_at_d2_odd():
-    for m in (3, 5, 7):
-        r_m, r_prev = r_values(2, m, 0.8)
-        res = feasible_max(2, m, r_m, r_prev)
-        assert res.schedule == optimal_rates(m, 2)
-        assert res.schedule.down2 == 0
-        assert res.schedule.down1 == Fraction(2 * m)
-
-
-def test_feasible_max_cap_vertex_at_d2_even():
-    r_m, r_prev = r_values(2, 6, 0.8)
-    res = feasible_max(2, 6, r_m, r_prev)
-    assert res.schedule == optimal_rates(6, 2)
-
-
-def test_feasible_max_degenerate_objective():
-    res = feasible_max(5, 4, 0.0, 0.0)
-    assert res.tie
-    assert res.schedule == optimal_rates(4, 5)
-    assert res.objective == 0.0
-
-
-def test_feasible_max_level_one():
-    res = feasible_max(7, 1, 0.3, 0.0)
-    assert res.schedule == optimal_rates(1, 7)
-
-
-def test_feasible_max_validation():
-    with pytest.raises(ValueError):
-        feasible_max(4, 0, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        feasible_max(4, 2, float("nan"), 0.0)
-
-
-def test_feasible_max_never_uses_up_moves():
-    for m in (1, 2, 6):
-        res = feasible_max(6, m, *r_values(6, max(m, 1), 1.5))
-        assert res.schedule.up1 == 0 and res.schedule.up2 == 0
 
 
 def test_bellman_gap_zero_for_optimal():

@@ -13,18 +13,16 @@ from cowalk.exact import expected_tau, survival_exact
 from cowalk.simulate import (
     estimate_survival,
     sample_coupling_times,
-    simulate_coupling,
     validate_marginals,
 )
-from cowalk.states import WalkParams
+from cowalk.states import WalkParams, hamming
 from cowalk.strategies import Strategy, death_chain
 
 
 def test_trivial_coupling_from_equal_states():
-    p = WalkParams(d=4, n=6)
     x = np.zeros(6, dtype=int)
-    res = simulate_coupling(Strategy.OPTIMAL, p, x, x, seed=1)
-    assert res.tau == 0.0 and res.n_jumps == 0
+    tau, nj = sample_coupling_times(Strategy.OPTIMAL, 4, hamming(x, x), 1, seed=1)
+    assert tau.tolist() == [0.0] and nj.tolist() == [0]
 
 
 def test_single_unmatched_is_exponential():
@@ -120,13 +118,11 @@ def test_worker_count_does_not_change_results():
 
 
 def test_simulate_coupling_censoring_sentinel():
-    p = WalkParams(d=4, n=5)
-    x = np.zeros(5, dtype=int)
-    y = np.array([1, 2, 3, 1, 2])
-    res = simulate_coupling(Strategy.OPTIMAL, p, x, y, seed=3, t_max=1e-9)
-    assert np.isinf(res.tau)
-    full = simulate_coupling(Strategy.OPTIMAL, p, x, y, seed=3)
-    assert np.isfinite(full.tau) and full.n_jumps >= 3
+    m0 = hamming(np.zeros(5, dtype=int), np.array([1, 2, 3, 1, 2]))
+    tau, _ = sample_coupling_times(Strategy.OPTIMAL, 4, m0, 1, seed=3, t_max=1e-9)
+    assert np.isinf(tau[0])
+    tau, nj = sample_coupling_times(Strategy.OPTIMAL, 4, m0, 1, seed=3)
+    assert np.isfinite(tau[0]) and nj[0] >= 3
 
 
 def test_censoring_consistency():

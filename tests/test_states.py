@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cowalk.states import PairConfig, WalkParams, as_state, hamming, partition, sample_uniform_state
+from cowalk.states import PairConfig, WalkParams, as_state, hamming, sample_uniform_state
 
 
 def brute_hamming(x, y):
@@ -63,12 +63,12 @@ def test_hamming_is_a_metric(data):
 
 def test_partition_trivial():
     x = np.zeros(6, dtype=int)
-    cfg = partition(x, x)
+    cfg = PairConfig(x, x)
     assert cfg.unmatched.size == 0
     assert list(cfg.matched) == list(range(6))
     y = x.copy()
     y[[1, 4]] = 1  # 0-based positions of the differing coordinates
-    cfg = partition(x, y)
+    cfg = PairConfig(x, y)
     assert list(cfg.unmatched) == [1, 4]
 
 
@@ -79,7 +79,7 @@ def test_partition_agrees_with_scan(data):
     pick = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     x = np.array(data.draw(pick))
     y = np.array(data.draw(pick))
-    cfg = partition(x, y)
+    cfg = PairConfig(x, y)
     assert sorted(list(cfg.unmatched) + list(cfg.matched)) == list(range(n))
     assert set(cfg.unmatched) == {i for i in range(n) if x[i] != y[i]}
     assert cfg.n_unmatched == hamming(x, y)

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cowalk.states import partition, sample_uniform_state, WalkParams
+from cowalk.states import PairConfig, sample_uniform_state, WalkParams
 from cowalk.strategies import (
     RateSchedule,
     Regime,
     Strategy,
     build_q_matrix,
-    competitor_rates,
     death_chain,
     lump_rates,
     optimal_rates,
@@ -83,24 +82,22 @@ def test_zero_level_all_zero():
 # --- competitor rates -------------------------------------------------------
 
 def test_competitor_rate_examples():
-    assert competitor_rates(Strategy.INDEPENDENT, 1, 2).down1 == 2
-    assert competitor_rates(Strategy.SYNCHRONOUS, 5, 7).total == 0
-    sched = competitor_rates(Strategy.PAIRWISE_CLASSIC, 2, 5)
+    assert rates_for(Strategy.INDEPENDENT, 1, 2).down1 == 2
+    assert rates_for(Strategy.SYNCHRONOUS, 5, 7).total == 0
+    sched = rates_for(Strategy.PAIRWISE_CLASSIC, 2, 5)
     assert sched.down2 == Fraction(2, 4) and sched.down1 == Fraction(2 * 3, 4)
-    with pytest.raises(ValueError):
-        competitor_rates(Strategy.OPTIMAL, 3, 3)
 
 
 def test_pairwise_coincides_with_optimal_at_d2():
     for m in range(1, 12):
-        assert competitor_rates(Strategy.PAIRWISE_CLASSIC, m, 2) == optimal_rates(m, 2)
+        assert rates_for(Strategy.PAIRWISE_CLASSIC, m, 2) == optimal_rates(m, 2)
 
 
 @given(st.integers(1, 40), st.integers(2, 12),
        st.sampled_from([Strategy.INDEPENDENT, Strategy.SYNCHRONOUS, Strategy.PAIRWISE_CLASSIC]))
 @settings(max_examples=200, deadline=None)
 def test_competitors_feasible(m, d, strat):
-    assert competitor_rates(strat, m, d).is_feasible(m, d)
+    assert rates_for(strat, m, d).is_feasible(m, d)
 
 
 def test_rate_table_matches_schedules():
@@ -153,7 +150,7 @@ def _doubly_stochastic(q):
 
 def test_q_identity_when_fully_matched():
     x = np.array([0, 1, 2])
-    cfg = partition(x, x)
+    cfg = PairConfig(x, x)
     q = build_q_matrix(Strategy.OPTIMAL, cfg, 4)
     assert (q == np.eye(12)).all()
 
@@ -162,7 +159,7 @@ def test_q_paired_entry_value():
     # two unmatched coordinates: the pairing entry carries weight 1/(N-1) = 1
     x = np.array([0, 0, 0])
     y = np.array([1, 2, 0])
-    cfg = partition(x, y)
+    cfg = PairConfig(x, y)
     q = build_q_matrix(Strategy.OPTIMAL, cfg, 4)
     row = 0 * 4 + int(y[0])   # (coordinate 0, Y-value) pairing row
     col = 1 * 4 + int(x[1])
@@ -178,14 +175,14 @@ def test_q_paired_entry_value():
     (Strategy.PAIRWISE_CLASSIC, 5, [0, 0, 1], [2, 3, 1]),
 ])
 def test_q_doubly_stochastic(strategy, d, x, y):
-    cfg = partition(np.array(x), np.array(y))
+    cfg = PairConfig(np.array(x), np.array(y))
     q = build_q_matrix(strategy, cfg, d)
     assert _doubly_stochastic(q)
     assert (q >= 0).all() and (q <= 1 + 1e-15).all()
 
 
 def test_q_errors():
-    cfg = partition(np.array([0, 0]), np.array([1, 0]))
+    cfg = PairConfig(np.array([0, 0]), np.array([1, 0]))
     with pytest.raises(ValueError):
         build_q_matrix(Strategy.PAIRWISE_CLASSIC, cfg, 4)  # odd unmatched count
     with pytest.raises(ValueError):
@@ -197,7 +194,7 @@ def test_lump_rates_of_optimal_matches_schedule():
     for d, n in [(2, 6), (3, 5), (4, 5), (7, 6)]:
         x = rng.integers(0, d, size=n)
         y = rng.integers(0, d, size=n)
-        cfg = partition(x, y)
+        cfg = PairConfig(x, y)
         m = cfg.n_unmatched
         if m == 0:
             continue
@@ -212,11 +209,11 @@ def test_lump_rates_of_pairwise_matches_schedule():
     x = np.array([0, 0, 1, 4])
     y = np.array([2, 3, 1, 0])   # unmatched count 3... make it even
     y[3] = 4
-    cfg = partition(x, y)
+    cfg = PairConfig(x, y)
     assert cfg.n_unmatched == 2
     q = build_q_matrix(Strategy.PAIRWISE_CLASSIC, cfg, 5)
     lumped = lump_rates(q, cfg, 5)
-    expected = competitor_rates(Strategy.PAIRWISE_CLASSIC, 2, 5)
+    expected = rates_for(Strategy.PAIRWISE_CLASSIC, 2, 5)
     assert lumped.down2 == pytest.approx(float(expected.down2), abs=1e-12)
     assert lumped.down1 == pytest.approx(float(expected.down1), abs=1e-12)
 
@@ -228,7 +225,7 @@ def test_lump_rates_identity_matrix_oracle():
     d, n = 4, 3
     x = np.array([0, 0, 0])
     y = np.array([1, 2, 0])
-    cfg = partition(x, y)
+    cfg = PairConfig(x, y)
     q = np.eye(n * d)
     lumped = lump_rates(q, cfg, d)
     m = cfg.n_unmatched
@@ -245,7 +242,7 @@ def test_lump_rates_budget_bound_random_doubly_stochastic():
     d, n = 3, 4
     x = rng.integers(0, d, size=n)
     y = rng.integers(0, d, size=n)
-    cfg = partition(x, y)
+    cfg = PairConfig(x, y)
     m = cfg.n_unmatched
     for _ in range(20):
         # random doubly stochastic by Sinkhorn iteration
@@ -264,7 +261,7 @@ def test_marginal_rate_contract():
     d = 5
     x = np.array([0, 1, 2, 3])
     y = np.array([4, 3, 2, 1])
-    cfg = partition(x, y)
+    cfg = PairConfig(x, y)
     for strategy in (Strategy.OPTIMAL, Strategy.SYNCHRONOUS):
         q = build_q_matrix(strategy, cfg, d)
         for i in range(4):
