@@ -79,6 +79,10 @@ class ExperimentConfig:
             raise ValueError("t-points must be >= 1")
         if self.t_values is not None and not self.t_values:
             raise ValueError("t must list at least one time point")
+        if self.theta is not None and not self.theta:
+            raise ValueError("theta must list at least one offset")
+        if self.d_list is not None and not self.d_list:
+            raise ValueError("d-list must list at least one d")
         if self.samples < 0:
             raise ValueError("samples must be >= 0")
         if self.workers is not None and self.workers < 1:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .ratfun import RationalFn
 from .strategies import DeathChain, Strategy, death_chain
@@ -73,15 +72,26 @@ class TailTable:
 
 
 def _poisson_weights(lam_t: np.ndarray, k_max: int) -> np.ndarray:
-    """Matrix w[k, j] of Poisson(lam_t[j]) probabilities, k = 0..k_max."""
-    k = np.arange(k_max + 1)
-    w = np.zeros((k_max + 1, len(lam_t)))
-    pos = lam_t > 0
-    if pos.any():
-        lt = lam_t[pos]
-        logw = -lt[None, :] + k[:, None] * np.log(lt[None, :]) - gammaln(k + 1)[:, None]
-        w[:, pos] = np.exp(logw)
-    w[0, ~pos] = 1.0
+    """Matrix w[k, j] of Poisson(lam_t[j]) probabilities, k = 0..k_max,
+    normalised to sum to one over 0..k_max.
+
+    Each column runs the ratio recurrence w[k+1]/w[k] = lam_t/(k+1) outward
+    from its mode (Fox & Glynn, CACM 1988) as a cumulative product, so a
+    weight |k - mode| steps out is off by about 2|k - mode| 2^-53
+    relatively; no large logarithms cancel.  Normalising over the
+    truncated support scales every weight by 1/(1 - tau), tau the Poisson
+    mass beyond k_max.  A series sum_k w_k a_k with a_k in [0, 1] then
+    differs from the untruncated one by a head excess in [0, tau] minus a
+    tail in [0, tau], so by at most tau: the truncation share eps/2 that
+    ``_truncation_order`` certifies covers both.
+    """
+    k = np.arange(k_max + 1.0)[:, None]
+    mode = np.floor(lam_t)
+    up = np.cumprod(np.where(k > mode, lam_t / np.maximum(k, 1.0), 1.0), axis=0)
+    down = np.where(k < mode, (k + 1.0) / np.maximum(lam_t, 1.0), 1.0)
+    w = np.cumprod(down[::-1], axis=0)[::-1]
+    w *= up
+    w /= w.sum(axis=0)
     return w
 
 
@@ -127,13 +137,21 @@ def _steps(stay, p1, p2):
         s = nxt
 
 
-def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
-    """Tail probabilities P(tau > t | N_0 = m) for m = 0..m_max, |err| <= eps."""
+def _tail_sums(d: int, m_max: int, t_grid, eps: float, start=None):
+    """The uniformization series sum_k w_k(t) a_k of the optimal death
+    chain on levels 0..m_max, Kahan-summed and clipped to [0, 1], with
+    |err| <= eps.  a_k is the survival vector s_k of ``_steps`` (one row
+    per level) or, given a start law, the scalar start @ s_k (one row):
+    projecting before the Poisson sum costs O(m_max + T) per step, not
+    O(m_max T).  Returns (t_grid, values, chain, k_max).
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
+    if not np.isfinite(t_grid).all():
+        raise ValueError("t_grid must be finite")
     if (t_grid < 0).any():
         raise ValueError("t_grid must be nonnegative")
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
@@ -142,15 +160,21 @@ def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
     w = _poisson_weights(lam * t_grid, k_max)
 
     p1, p2 = chain.down1 / lam, chain.down2 / lam
-    out = np.zeros((m_max + 1, len(t_grid)))
+    out = np.zeros((m_max + 1, len(t_grid)) if start is None else len(t_grid))
     comp = np.zeros_like(out)  # Kahan compensation
     for k, s in zip(range(k_max + 1), _steps(1.0 - p1 - p2, p1, p2)):
-        y = s[:, None] * w[k] - comp
+        y = np.multiply.outer(s if start is None else start @ s, w[k]) - comp
         acc = out + y
         comp = (acc - out) - y
         out = acc
     np.clip(out, 0.0, 1.0, out=out)
-    return TailTable(d=d, m_max=m_max, t_grid=t_grid, values=out, eps=eps,
+    return t_grid, out, chain, k_max
+
+
+def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
+    """Tail probabilities P(tau > t | N_0 = m) for m = 0..m_max, |err| <= eps."""
+    t_grid, values, chain, k_max = _tail_sums(d, m_max, t_grid, eps)
+    return TailTable(d=d, m_max=m_max, t_grid=t_grid, values=values, eps=eps,
                      uniformization_rate=chain.lam_int, n_terms=k_max)
 
 
@@ -413,11 +437,14 @@ def _certify_exact(chain: DeathChain, rows: np.ndarray, cols: np.ndarray, t_grid
         val[live] += wk * term
         mag[live] += wk * np.abs(term)
         scale *= dd
-    # sound while heads < _MAX_HEAD: the weights are off by at most
-    # k(ln k + 1)2^-53 relatively and each quotient, product and sum by
-    # 2^-53, below 1e-10 * mag together; an underflow adds at most 2^-1074
-    # (5e-324) to each of the heads + 1 terms
-    slack = 1e-10 * mag + 5e-324 * (heads + 1)
+    # sound while heads < _MAX_HEAD: a weight is off by at most
+    # (2|k - mode| + len(w))2^-53 relatively (recurrence, then the column
+    # sum that normalises it) plus the Poisson mass beyond len(w) - 1 >=
+    # 3 lam t + 40 (below 1e-35), and each quotient, product and sum by
+    # 2^-53, below 1e-10 * mag together; a weight past the float range
+    # stays below 2^-1022, so underflow adds under 2.3e-308 to each of the
+    # heads + 1 terms
+    slack = 1e-10 * mag + 2.3e-308 * (heads + 1)
     return val - slack - tail, val + slack + tail
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import betainc, gammaln, ndtr
+from scipy.special import betainc, ndtr
 
-from .exact import _mean_levels, expected_tau_float, survival_table
+from .exact import _mean_levels, _tail_sums, expected_tau_float
 from .simulate import SurvivalCurve
 
 __all__ = [
@@ -121,15 +121,19 @@ def cutoff_profile(d: int, n: int, theta_list) -> list[CutoffPoint]:
 
 
 def _binomial_weights(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) probabilities, normalised to sum to one: the log
-    weights (differences of large gammaln values, off by up to ~1e-9
-    absolute at n ~ 1e6) are shifted by their maximum before exponentiating,
-    and the normalisation divides out their common error."""
-    k = np.arange(n + 1)
-    w = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-         + k * math.log(p) + (n - k) * math.log1p(-p))
-    w -= w.max()
-    np.exp(w, out=w)
+    """Binomial(n, p) probabilities, normalised to sum to one.  The ratio
+    recurrence w[k+1]/w[k] = (n-k)/(k+1) * p/(1-p) runs outward from the
+    mode as a cumulative product, so a weight |k - mode| steps out is off
+    by a few |k - mode| 2^-53 relatively; no large logarithms cancel."""
+    k = np.arange(n + 1.0)
+    mode = min(n, math.floor((n + 1) * p))
+    odds = p / (1.0 - p)
+    up = np.ones(n + 1)
+    up[mode + 1:] = (n - k[mode:-1]) / k[mode + 1:] * odds
+    down = np.ones(n + 1)
+    down[:mode] = (k[:mode] + 1.0) / (n - k[:mode]) / odds
+    w = np.cumprod(down[::-1])[::-1]
+    w *= np.cumprod(up)
     w /= w.sum()
     return w
 
@@ -138,13 +142,15 @@ def survival_from_stationary(d: int, n: int, t_grid, eps: float = 1e-12) -> Surv
     """Exact tail of the optimal coupling time, X_0 = 0 and Y_0 uniform.
 
     The initial unmatched count is Binomial(n, 1 - 1/d); the tail is the
-    corresponding mixture of the exact per-level tails.
+    corresponding mixture of the exact per-level tails, |err| <= eps.  The
+    start law is applied to each uniformization step's survival vector
+    before the Poisson sum, so the cost is O(n k_max + k_max T) for k_max
+    terms and T grid points, with no per-level table.
     """
-    table = survival_table(d, n, t_grid, eps)
-    value = _binomial_weights(n, 1.0 - 1.0 / d) @ table.values
-    np.clip(value, 0.0, 1.0, out=value)
-    zeros = np.zeros_like(table.t_grid)
-    return SurvivalCurve(t_grid=table.t_grid, value=value, half_width_95=zeros,
+    start = _binomial_weights(n, 1.0 - 1.0 / d)
+    t_grid, value, _, _ = _tail_sums(d, n, t_grid, eps, start=start)
+    zeros = np.zeros_like(t_grid)
+    return SurvivalCurve(t_grid=t_grid, value=value, half_width_95=zeros,
                          half_width_3sigma=zeros, replicates=0, kind="exact", eps=eps)
 
 

@@ -369,3 +369,34 @@ def test_empty_time_grid_is_refused(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid configuration: t must list at least one time point" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("cutoff --d 3 --n 10 --theta ,", "theta must list at least one offset"),
+    ("limit --n 5 --d-list , --t 1", "d-list must list at least one d"),
+])
+def test_empty_theta_and_d_list_are_refused(argv, message, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid configuration: {message}" in captured.err
+
+
+@pytest.mark.parametrize("command, values, message", [
+    ("cutoff", {"d": 3, "n": 10, "theta": []}, "theta must list at least one offset"),
+    ("limit", {"n": 5, "d_list": [], "t_values": [1.0]}, "d-list must list at least one d"),
+])
+def test_config_file_empty_theta_and_d_list_are_refused(command, values, message, tmp_path,
+                                                        capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"invalid configuration: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["inf", "nan", "1,inf"])
+def test_non_finite_time_is_refused(t, capsys):
+    assert main(["exact", "--d", "3", "--mmax", "3", "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t_grid must be finite" in captured.err

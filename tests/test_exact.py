@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import time
 from fractions import Fraction
 from math import gcd
@@ -6,7 +7,9 @@ from math import gcd
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
+from cowalk import exact
 from cowalk.exact import (
     SignCert,
     _certify_exact,
@@ -474,7 +477,73 @@ def test_tail_and_difference_floats_are_pinned():
         table = r_diff_table(d, m_max, grid)
         digest.update(table.r_values.tobytes() + table.diff_values.tobytes())
     assert digest.hexdigest() == (
-        "ab45cd02b1ab7427493fff1e21e264dc6f4831c4ebf20686424c42d03a3d6644")
+        "0c89f43c2c9060a7ed6b7d30d4b7599deaafc034b011b34c4494a828af261341")
+
+
+def _reference_tails(d, m_max, t_grid):
+    """v(m, t) as integer numerators over 2^256, within about 1e-34:
+    Poisson weights from mpmath at 60 digits, uniformization steps on
+    128-bit fixed-point integers (each step's floor costs at most 2^-128)."""
+    mpmath = pytest.importorskip("mpmath")
+    chain = death_chain(Strategy.OPTIMAL, d, m_max)
+    lam, one = int(chain.lam_int), 1 << 128
+    dd = (d - 1) * lam
+    c1, c2 = [int(c) for c in chain.c1], [int(c) for c in chain.c2]
+    k_max = int(lam * max(t_grid) + 20 * (lam * max(t_grid)) ** 0.5 + 100)
+    weights = []
+    with mpmath.workdps(60):
+        for t in t_grid:
+            lt = lam * mpmath.mpf(float(t))
+            w, total, col = mpmath.exp(-lt), mpmath.mpf(0), []
+            for k in range(k_max + 1):
+                w = w * lt / k if k else w
+                total += w
+                col.append(int(w * one))
+            assert 1 - total < mpmath.mpf(10) ** -35
+            weights.append(col)
+    s, steps = [0] + [one] * m_max, []
+    for _ in range(k_max + 1):
+        steps.append(s)
+        s = [0] + [((dd - c1[m] - c2[m]) * s[m] + c1[m] * s[m - 1]
+                    + (c2[m] * s[m - 2] if m >= 2 else 0)) // dd for m in range(1, m_max + 1)]
+    levels = list(zip(*steps))
+    return [[sum(map(operator.mul, levels[m], col)) for col in weights]
+            for m in range(m_max + 1)], one * one
+
+
+def _tail_and_difference_errors(values, ref, den):
+    """Max abs errors of the tails, r(m, t) and r(m-1, t) - r(m, t)."""
+    r = values[1:] - values[:-1]
+    ref_r = [[a - b for a, b in zip(hi, lo)] for hi, lo in zip(ref[1:], ref[:-1])]
+    ref_diff = [[a - b for a, b in zip(hi, lo)] for hi, lo in zip(ref_r[:-1], ref_r[1:])]
+    return tuple(float(np.abs(x - np.array([[v / den for v in row] for row in exact])).max())
+                 for x, exact in ((values, ref), (r, ref_r), (r[:-1] - r[1:], ref_diff)))
+
+
+@pytest.mark.parametrize("d, m_max, grid", [
+    (2, 12, np.linspace(0, 12, 50)), (5, 30, np.array([0, 0.5, 1, 2.0])),
+    *[(d, m_max, np.geomspace(0.01, 10, 20))
+      for d, m_max in [(2, 30), (3, 30), (4, 30), (5, 30), (10, 30), (4, 60)]],
+])
+def test_pinned_floats_are_no_further_from_a_reference_than_log_space_weights(
+        d, m_max, grid, monkeypatch):
+    # the configurations of test_tail_and_difference_floats_are_pinned: the
+    # ratio-recurrence weights that set its digest are at least as close to
+    # a 34-digit reference as the log-space weights they replaced
+    ref, den = _reference_tails(d, m_max, grid)
+    new = _tail_and_difference_errors(survival_table(d, m_max, grid).values, ref, den)
+
+    def log_space_weights(lam_t, k_max):
+        k = np.arange(k_max + 1)[:, None]
+        lt = np.where(lam_t > 0, lam_t, 1.0)
+        w = np.exp(-lt + k * np.log(lt) - gammaln(k + 1))
+        w[:, lam_t == 0] = k == 0
+        return w
+
+    monkeypatch.setattr(exact, "_poisson_weights", log_space_weights)
+    old = _tail_and_difference_errors(survival_table(d, m_max, grid).values, ref, den)
+    assert all(a <= b for a, b in zip(new, old)), (new, old)
+    assert max(new) <= 2e-15
 
 
 def test_certificate_beyond_its_rounding_bound_is_refused():

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import ndtr
 
-from cowalk.exact import expected_tau, expected_tau_float
+from cowalk.exact import expected_tau, expected_tau_float, r_diff_table, survival_table
 from cowalk.tvcutoff import (
     coordinate_law,
     cutoff_profile,
@@ -190,7 +190,56 @@ def test_survival_from_stationary_large_n_against_expm_multiply():
                     + k * math.log(1 - 1 / d) + (n - k) * math.log(1 / d) for k in m])
     laws = expm_multiply(q_t, start, start=0.0, stop=12.0, num=13, endpoint=True)
     ref = 1.0 - laws[:, 0]
-    assert np.abs(curve.value - ref).max() <= 1e-10
+    assert np.abs(curve.value - ref).max() <= 1e-12
+
+
+def test_survival_from_stationary_meets_eps_at_n700():
+    # lambda * t reaches 8400: log-space Poisson weights were 3.7e-12 off
+    # here; the reference start law is a ratio recurrence from the mode
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import expm_multiply
+
+    from cowalk.strategies import Strategy, death_chain
+
+    d, n = 5, 700
+    grid = np.linspace(0.0, 12.0, 50)
+    gen = death_chain(Strategy.OPTIMAL, d, n)
+    q_t = diags([-gen.exit_rate, gen.down1[1:], gen.down2[2:]], [0, 1, 2]).tocsc()
+    p = 1 - 1 / d
+    mode = int((n + 1) * p)
+    start = np.zeros(n + 1)
+    start[mode] = 1.0
+    for m in range(mode, n):
+        start[m + 1] = start[m] * (n - m) / (m + 1) * p / (1 - p)
+    for m in range(mode, 0, -1):
+        start[m - 1] = start[m] * m / (n - m + 1) * (1 - p) / p
+    start /= math.fsum(start)
+    laws = expm_multiply(q_t, start, start=0.0, stop=12.0, num=50, endpoint=True)
+    ref = np.array([math.fsum(law[1:]) for law in laws])
+    assert np.abs(survival_from_stationary(d, n, grid).value - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_survival_from_stationary_is_the_binomial_mixture_of_level_tails(d, n):
+    # t = 0, a duplicate point and an unsorted order
+    grid = np.array([2.0, 0.0, 0.3, 2.0, 7.5, 1e-3])
+    eps = 1e-12
+    start = np.array([math.comb(n, m) * (d - 1) ** m / d ** n for m in range(n + 1)])
+    mixture = start @ survival_table(d, n, grid, eps).values
+    curve = survival_from_stationary(d, n, grid, eps)
+    assert np.array_equal(curve.t_grid, grid)
+    assert np.abs(curve.value - mixture).max() <= 2 * eps
+    assert curve.value[0] == curve.value[3]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_times_are_refused(bad):
+    grid = [0.5, bad]
+    for call in (lambda: survival_table(3, 3, grid), lambda: r_diff_table(3, 3, grid),
+                 lambda: survival_from_stationary(3, 3, grid)):
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            call()
 
 
 def test_coupling_inequality_on_grid():
