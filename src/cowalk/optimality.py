@@ -19,13 +19,8 @@ import numpy as np
 
 from .exact import RDiffTable, SignCert, r_diff_table, survival_exact, survival_table
 from .simulate import SurvivalCurve, estimate_survival
-from .strategies import (
-    RateSchedule,
-    Strategy,
-    optimal_rates,
-    paired_schedule,
-    singles_schedule,
-)
+from .strategies import (RateSchedule, Strategy, _check_level, _numerators, optimal_rates,
+                         paired_schedule, singles_schedule)
 
 __all__ = [
     "BellmanCell",
@@ -46,39 +41,52 @@ def bellman_gap(d: int, m: int, t: float, schedule: RateSchedule,
     optimal rates; the optimal strategy's time derivative cancels its own
     generator term, so a nonpositive gap (within numerical slack) certifies
     that ``schedule`` couples no faster.  ``tails`` may supply precomputed
-    v(0..m+2, t) to avoid recomputation.
+    v(0..m+2, t), at least m + 3 entries, to avoid recomputation.
+
+    Bitwise contract: v(level <= 0) = 0.0 whatever ``tails[0]`` holds, the
+    optimal rates are the floats c/(d-1) of their integer numerators, and
+    both sums add the s = -2, -1, +1, +2 terms in order, zero rates included.
     """
     if not schedule.is_feasible(m, d):
         raise ValueError("schedule outside the feasible rate set")
     if tails is None:
         tails = survival_table(d, m + 2, [t], eps).values[:, 0]
-    v = lambda level: 0.0 if level <= 0 else float(tails[level])
-    base = v(m)
-
-    def generator(s: RateSchedule) -> float:
-        return (float(s.down2) * (v(m - 2) - base)
-                + float(s.down1) * (v(m - 1) - base)
-                + float(s.up1) * (v(m + 1) - base)
-                + float(s.up2) * (v(m + 2) - base))
-
+    if len(tails) < m + 3:
+        raise ValueError(f"tails must hold v(0..m+2, t): at least {m + 3} entries, "
+                         f"got {len(tails)}")
+    _check_level(m, d)
+    row = np.asarray(tails, dtype=float)[max(m - 2, 1):m + 3].tolist()
+    v = [0.0] * (5 - len(row)) + row  # v(m-2..m+2)
+    dm2, dm1, dp1, dp2 = v[0] - v[2], v[1] - v[2], v[3] - v[2], v[4] - v[2]
+    mine = (float(schedule.down2) * dm2 + float(schedule.down1) * dm1
+            + float(schedule.up1) * dp1 + float(schedule.up2) * dp2)
+    c1, c2 = _numerators(Strategy.OPTIMAL, m, d)
+    best = c2 / (d - 1) * dm2 + c1 / (d - 1) * dm1 + 0.0 * dp1 + 0.0 * dp2
     # maximizing the coupling rate = maximizing -A v, so compare negatives
-    return (-generator(schedule)) - (-generator(optimal_rates(m, d)))
+    return (-mine) - (-best)
 
 
 def sample_feasible_schedules(d: int, m: int, count: int, seed: int) -> list[RateSchedule]:
     """The four vertices of the down-rate polytope, then ``count`` random
-    points of it by rejection from its bounding box."""
+    points of it by rejection from its bounding box.
+
+    Bitwise contract: the uniforms are drawn in blocks as box * ``rng.random``,
+    which is what a scalar ``rng.uniform(0, box)`` returns, and the pairs are
+    accepted in draw order, so the schedules are those of a loop drawing
+    ``uniform(0, box1)`` then ``uniform(0, box2)`` per pair.
+    """
     rng = np.random.default_rng(seed)
     out = [RateSchedule(), paired_schedule(m, d), singles_schedule(m, d),
            RateSchedule(down2=Fraction(m, d - 1))]
     box1 = m * d / (d - 1)
     box2 = m / (d - 1)
-    while len(out) < count + 4:
-        lam1 = rng.uniform(0, box1)
-        lam2 = rng.uniform(0, box2)
-        if (d - 1) * (lam1 + 2 * lam2) <= m * d:
-            out.append(RateSchedule(down2=lam2, down1=lam1))
-    return out
+    pairs = []
+    while len(pairs) < count:
+        # accept rate 1 - 1/d >= 1/2; blocks of <= 256 pairs bound the scratch memory
+        block = rng.random((min(2 * (count - len(pairs)) + 8, 256), 2)) * (box1, box2)
+        pairs += [(lam1, lam2) for lam1, lam2 in block.tolist()
+                  if (d - 1) * (lam1 + 2 * lam2) <= m * d]
+    return out + [RateSchedule(down2=lam2, down1=lam1) for lam1, lam2 in pairs[:count]]
 
 
 @dataclass(frozen=True)

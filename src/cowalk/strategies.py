@@ -76,16 +76,10 @@ class RateSchedule:
     ``lump_rates`` produces float-valued schedules from a float Q matrix.
     """
 
-    down2: Fraction | float = Fraction(0)
-    down1: Fraction | float = Fraction(0)
-    up1: Fraction | float = Fraction(0)
-    up2: Fraction | float = Fraction(0)
-
-    def rate(self, s: int):
-        try:
-            return {-2: self.down2, -1: self.down1, 1: self.up1, 2: self.up2, 0: 0}[s]
-        except KeyError:
-            raise ValueError(f"jump size must be in -2..2, got {s}") from None
+    down2: Fraction | float = 0
+    down1: Fraction | float = 0
+    up1: Fraction | float = 0
+    up2: Fraction | float = 0
 
     @property
     def total(self):
@@ -94,12 +88,9 @@ class RateSchedule:
     def is_feasible(self, m: int, d: int) -> bool:
         """Membership in the constraint set: nonnegative rates with
         (d-1)*(lam(-1) + 2*lam(-2)) <= m*d and (d-1)*lam(-2) <= m."""
-        if any(r < 0 for r in (self.down2, self.down1, self.up1, self.up2)):
+        if self.down2 < 0 or self.down1 < 0 or self.up1 < 0 or self.up2 < 0:
             return False
         return (d - 1) * (self.down1 + 2 * self.down2) <= m * d and (d - 1) * self.down2 <= m
-
-    def saturates_budget(self, m: int, d: int) -> bool:
-        return (d - 1) * (self.down1 + 2 * self.down2) == m * d
 
 
 def _check_level(m: int, d: int) -> None:

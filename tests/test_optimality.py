@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,76 @@ def test_bellman_gap_strictly_negative_for_up_mass():
 def test_bellman_gap_rejects_infeasible():
     with pytest.raises(ValueError):
         bellman_gap(4, 2, 1.0, RateSchedule(down1=Fraction(100)))
+
+
+PIN_GRID = np.array([0.01, 0.037, 0.2, 0.55, 1.3, 2.9, 6.1, 10.0])
+
+
+def test_bellman_gaps_are_pinned():
+    # the float bits of every gap of a loop shaped like the benchmark's
+    # argmax op, and the float reprs of the schedules it samples
+    gap_digest, sched_digest = hashlib.sha256(), hashlib.sha256()
+    for d in (2, 3, 4, 10):
+        for m in range(1, 11):
+            tails = survival_table(d, m + 2, PIN_GRID, 1e-12).values
+            for j, t in enumerate(PIN_GRID):
+                scheds = sample_feasible_schedules(d, m, 50, seed=7919 * m + 31 * d + j)
+                sched_digest.update(";".join(
+                    ",".join(repr(float(r)) for r in (s.down2, s.down1, s.up1, s.up2))
+                    for s in scheds).encode())
+                gaps = [bellman_gap(d, m, float(t), s, 1e-12, tails=tails[:, j])
+                        for s in scheds]
+                gap_digest.update(np.asarray(gaps, dtype="<f8").tobytes())
+    assert gap_digest.hexdigest() == (
+        "2432563517b32c0c0a5f896c099e46b3b7de2d1bf40a27d22e77a03ec63adf74")
+    assert sched_digest.hexdigest() == (
+        "e981e76273820485a290b8d917679fc8ff7a82ff892996479f459e138ef3ea5d")
+
+
+def _scalar_samples(d, m, count, seed):
+    """The rejection loop with one scalar ``uniform`` draw per rate."""
+    rng = np.random.default_rng(seed)
+    box1, box2 = m * d / (d - 1), m / (d - 1)
+    out = []
+    while len(out) < count:
+        lam1 = rng.uniform(0, box1)
+        lam2 = rng.uniform(0, box2)
+        if (d - 1) * (lam1 + 2 * lam2) <= m * d:
+            out.append((lam2, lam1))
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 1, 50, 200])
+@pytest.mark.parametrize("d", [2, 3, 10])
+@pytest.mark.parametrize("m", [1, 7, 40])
+def test_block_sampler_equals_scalar_draws(count, d, m):
+    for seed in (0, 5, 7919 * m + d):
+        scheds = sample_feasible_schedules(d, m, count, seed)
+        assert len(scheds) == count + 4
+        ref = _scalar_samples(d, m, count, seed)
+        for s, (lam2, lam1) in zip(scheds[4:], ref):
+            assert type(s.down2) is float and type(s.down1) is float
+            assert s.down2 == lam2 and s.down1 == lam1
+            assert s.up1 == 0 and s.up2 == 0
+
+
+def test_bellman_gap_refuses_short_tails():
+    tails = survival_table(4, 5, [1.0], 1e-12).values[:, 0]
+    with pytest.raises(ValueError, match="at least 7"):
+        bellman_gap(4, 4, 1.0, optimal_rates(4, 4), tails=tails[:6])
+    assert bellman_gap(4, 3, 1.0, optimal_rates(3, 4), tails=tails) == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_bellman_gap_reads_no_tail_at_level_zero(m):
+    # v(level <= 0) = 0 whatever tails[0] holds
+    d, t = 3, 0.7
+    tails = survival_table(d, m + 2, [t], 1e-12).values[:, 0].copy()
+    for sched in sample_feasible_schedules(d, m, 10, seed=m):
+        tails[0] = 0.0
+        zero = bellman_gap(d, m, t, sched, tails=tails)
+        tails[0] = 0.25
+        assert bellman_gap(d, m, t, sched, tails=tails) == zero
 
 
 def test_sampled_schedules_are_feasible():
