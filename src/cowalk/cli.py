@@ -56,7 +56,6 @@ class ExperimentConfig:
     t_spacing: str = "linear"
     theta: list[float] | None = None
     d_list: list[int] | None = None
-    samples: int = 50
 
     def validate(self):
         if self.d is not None and self.d < 2:
@@ -69,6 +68,8 @@ class ExperimentConfig:
             raise ValueError("mmax must be >= 1")
         if self.replicates < 100:
             raise ValueError("replicates must be >= 100")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if not (0.0 < self.eps <= 1e-2):
             raise ValueError("eps must lie in (0, 1e-2]")
         if self.fmt not in ("csv", "json"):
@@ -83,8 +84,6 @@ class ExperimentConfig:
             raise ValueError("theta must list at least one offset")
         if self.d_list is not None and not self.d_list:
             raise ValueError("d-list must list at least one d")
-        if self.samples < 0:
-            raise ValueError("samples must be >= 0")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
         return self
@@ -282,14 +281,13 @@ def _cmd_verify(cfg: ExperimentConfig):
     statuses = {}
     for cell in argmax.cells:
         statuses[f"m={cell.m},t={cell.t:g}"] = cell.status
-    rng_gaps = []
+    tails = exact.survival_table(cfg.d, cfg.m_max + 2, grid, cfg.eps).values
+    gaps = []
     for m in range(1, cfg.m_max + 1):
-        tails = exact.survival_table(cfg.d, m + 2, grid, cfg.eps).values
+        vertices = optimality._lp_vertices(m, cfg.d)
         for j, t in enumerate(grid):
-            for sched in optimality.sample_feasible_schedules(
-                    cfg.d, m, cfg.samples, seed=cfg.seed + 7919 * m + j):
-                rng_gaps.append(optimality.bellman_gap(
-                    cfg.d, m, float(t), sched, tails=tails[:, j]))
+            gaps += [optimality.bellman_gap(cfg.d, m, float(t), v, tails=tails[:, j])
+                     for v in vertices]
     dominance = {}
     m0 = min(max(2, cfg.m_max // 2), cfg.m_max)
     for comp in (Strategy.INDEPENDENT, Strategy.SYNCHRONOUS, Strategy.PAIRWISE_CLASSIC):
@@ -306,8 +304,8 @@ def _cmd_verify(cfg: ExperimentConfig):
         "argmax": {"cells": statuses, "violations": argmax.n_violations,
                    "ties": argmax.n_ties,
                    "all_equal_optimal": bool(all(c.equals_optimal for c in argmax.cells))},
-        "bellman": {"sampled": len(rng_gaps), "max_gap": max(rng_gaps),
-                    "all_nonpositive_within_slack": bool(max(rng_gaps) <= 4 * cfg.eps * cfg.m_max)},
+        "bellman": {"vertices": len(gaps), "max_gap": max(gaps),
+                    "all_nonpositive_within_slack": bool(max(gaps) <= 4 * cfg.eps * cfg.m_max)},
         "dominance": dominance,
         "sign_tables": {
             "undetermined_cells": len(sign_table.undetermined_cells()),
@@ -343,7 +341,6 @@ _FLAGS = {
     "strategy": (["--strategy"], {"choices": _STRATEGY_NAMES}),
     "replicates": (["--replicates", "-R"], {"type": int}),
     "horizon": (["--horizon", "-T"], {"type": float}),
-    "samples": (["--samples"], {"type": int, "help": "random feasible rate schedules per cell"}),
     "theta": (["--theta"], {"type": float_list, "help": "comma-separated offsets"}),
     "d-list": (["--d-list"], {"type": int_list, "help": "comma-separated increasing d values"}),
     "t": (["--t"], {"dest": "t_values", "type": float_list,
@@ -368,7 +365,7 @@ _COMMANDS = {
     "limit": ("large-d limiting tail and convergence gaps", f"n d-list format eps {_GRID}",
               _cmd_limit),
     "verify": ("optimality certification report",
-               f"d mmax replicates samples seed eps workers {_GRID}", _cmd_verify),
+               f"d mmax replicates seed eps workers {_GRID}", _cmd_verify),
     "validate-marginals": ("chi-square marginal-law checks",
                            "d n strategy horizon replicates seed", _cmd_validate_marginals),
 }

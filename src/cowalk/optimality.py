@@ -66,6 +66,14 @@ def bellman_gap(d: int, m: int, t: float, schedule: RateSchedule,
     return (-mine) - (-best)
 
 
+def _lp_vertices(m: int, d: int) -> list[RateSchedule]:
+    """The four vertices of the down-rate polytope: no move, paired,
+    singles, and the double-match cap alone.  A linear objective peaks at
+    one of them, so they are the only schedules a Bellman check needs."""
+    return [RateSchedule(), paired_schedule(m, d), singles_schedule(m, d),
+            RateSchedule(down2=Fraction(m, d - 1))]
+
+
 def sample_feasible_schedules(d: int, m: int, count: int, seed: int) -> list[RateSchedule]:
     """The four vertices of the down-rate polytope, then ``count`` random
     points of it by rejection from its bounding box.
@@ -76,8 +84,7 @@ def sample_feasible_schedules(d: int, m: int, count: int, seed: int) -> list[Rat
     ``uniform(0, box1)`` then ``uniform(0, box2)`` per pair.
     """
     rng = np.random.default_rng(seed)
-    out = [RateSchedule(), paired_schedule(m, d), singles_schedule(m, d),
-           RateSchedule(down2=Fraction(m, d - 1))]
+    out = _lp_vertices(m, d)
     box1 = m * d / (d - 1)
     box2 = m / (d - 1)
     pairs = []

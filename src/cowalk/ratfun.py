@@ -5,10 +5,12 @@ of the tail and its level differences are ratios of integer-coefficient
 polynomials in the transform variable, so identities between them can be
 decided exactly.
 
-Canonical form of a rational function: numerator and denominator are
-coprime, jointly content-free integer-coefficient polynomials, and the
-denominator's leading coefficient is positive.  Equality of canonical forms
-is plain coefficient equality.
+Equality is equality of values: f == g when f.num * g.den == g.num * f.den,
+decided by cross-multiplication.  Arithmetic results are not reduced, so
+equal values may hold different num/den, and a ``RationalFn`` is unhashable.
+The canonical values are the transforms built by ``_from_coprime``: coprime,
+jointly content-free integer-coefficient numerator and denominator, with a
+positive leading denominator coefficient.
 """
 from __future__ import annotations
 
@@ -89,25 +91,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.coeffs[-1]
-        dn = len(other.coeffs)
-        while len(rem) >= dn and any(rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            shift = len(rem) - dn
-            factor = rem[-1] / dlead
-            quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return Poly(quo), Poly(rem)
-
     def __call__(self, value):
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -117,42 +100,12 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
-
     def __repr__(self):
         return f"Poly({format_poly(self)})"
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, divmod(a, b)[1].monic()
-    return a.monic() if not a.is_zero else a
-
-
-def _integerize(*polys):
-    """Scale several polynomials by one positive rational so all coefficients
-    become integers with overall content 1.  Returns lists of ints."""
-    denom_lcm = 1
-    for p in polys:
-        for c in p.coeffs:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [[int(c * denom_lcm) for c in p.coeffs] for p in polys]
-    content = 0
-    for row in ints:
-        for v in row:
-            content = gcd(content, v)
-    if content > 1:
-        ints = [[v // content for v in row] for row in ints]
-    return ints
-
-
 class RationalFn:
-    """Ratio of integer-coefficient polynomials, kept in canonical form."""
+    """Ratio of polynomials, stored as given; the zero function is 0/1."""
 
     __slots__ = ("num", "den")
 
@@ -163,19 +116,7 @@ class RationalFn:
             den = Poly([den]) if isinstance(den, (int, Fraction)) else Poly(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            self.num, self.den = Poly(), Poly([1])
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = divmod(num, g)[0]
-            den = divmod(den, g)[0]
-        ni, di = _integerize(num, den)
-        if di[-1] < 0:
-            ni = [-v for v in ni]
-            di = [-v for v in di]
-        self.num = Poly(ni)
-        self.den = Poly(di)
+        self.num, self.den = num, (Poly([1]) if num.is_zero else den)
 
     @classmethod
     def _from_coprime(cls, num, den) -> "RationalFn":
@@ -206,10 +147,9 @@ class RationalFn:
             other = RationalFn(Poly([other]))
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    __hash__ = None  # equal values need not share num/den
 
     def __add__(self, other):
         other = _coerce(other)
@@ -247,12 +187,6 @@ class RationalFn:
         if den == 0:
             raise ZeroDivisionError(f"pole at {value}")
         return self.num(value) / den
-
-    def derivative(self) -> "RationalFn":
-        return RationalFn(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
 
     def __repr__(self):
         return f"RationalFn({self})"

@@ -223,8 +223,8 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
     strategy = Strategy(strategy)
     if strategy is Strategy.PAIRWISE_CLASSIC:
         raise ValueError(f"{strategy.value} has no full-coordinate realization")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     d, n = params.d, params.n

@@ -81,10 +81,6 @@ class RateSchedule:
     up1: Fraction | float = 0
     up2: Fraction | float = 0
 
-    @property
-    def total(self):
-        return self.down2 + self.down1 + self.up1 + self.up2
-
     def is_feasible(self, m: int, d: int) -> bool:
         """Membership in the constraint set: nonnegative rates with
         (d-1)*(lam(-1) + 2*lam(-2)) <= m*d and (d-1)*lam(-2) <= m."""

@@ -207,7 +207,7 @@ def test_limit_cli(capsys):
 def test_verify_cli(tmp_path):
     path = tmp_path / "verify.json"
     assert run_cli("verify", "--d", "4", "--mmax", "6", "--t", "0.5,1.0,2.0",
-                   "--replicates", "2000", "--samples", "10", "--seed", "3",
+                   "--replicates", "2000", "--seed", "3",
                    "--out", str(path)) == 0
     payload = json.loads(path.read_text())
     assert payload["argmax"]["violations"] == 0
@@ -232,19 +232,19 @@ def test_verify_builds_one_sign_table(monkeypatch, capsys):
     monkeypatch.setattr(exact, "r_diff_table", sign_table)
     monkeypatch.setattr(optimality, "r_diff_table", sign_table, raising=False)
     assert run_cli("verify", "--d", "4", "--mmax", "5", "--t", "0.5,1",
-                   "--replicates", "100", "--samples", "2") == 0
-    # one sign table over one tail table; then the Bellman loop's tables at
-    # levels m + 2 and the three dominance tests' exact tails
+                   "--replicates", "100") == 0
+    # one sign table over one tail table; then one table at m_max + 2 for the
+    # Bellman vertices and the three dominance tests' exact tails
     assert calls[:2] == [("signs", 5), ("tails", 5)]
     assert [name for name, _ in calls].count("signs") == 1
-    assert [level for name, level in calls[2:]] == [3, 4, 5, 6, 7, 2, 2, 2]
+    assert [level for name, level in calls[1:]] == [5, 7, 2, 2, 2]
 
 
 def test_readme_verify_report_is_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("verify", "--d", "4", "--mmax", "10", "--out", "report.json") == 0
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == (
-        "b16eaf2aaeee2705eb53c8958b4718612808a2dabdb7ede59efc378329d07a9f")
+        "fc77bf4d37e9f8d7a3bacd9f9980810dc67d8b1cf77ad5324e098882f498f940")
 
 
 def test_validate_marginals_cli(capsys):
@@ -276,7 +276,7 @@ def test_config_file_key_of_a_flag_the_command_lacks_is_refused(tmp_path, capsys
 
 def test_verify_refuses_a_certificate_beyond_its_rounding_bound(capsys):
     assert run_cli("verify", "--d", "4", "--mmax", "2", "--t", "10000",
-                   "--replicates", "100", "--samples", "1") == 2
+                   "--replicates", "100") == 2
     assert "terms" in capsys.readouterr().err
 
 
@@ -308,7 +308,7 @@ BASE_ARGV = {
     "tv": "--d 3 --n 1 --t 0",
     "cutoff": "--d 3 --n 10 --theta 0",
     "limit": "--n 2 --t 1",
-    "verify": "--d 3 --mmax 2 --t 1 --replicates 100 --samples 1",
+    "verify": "--d 3 --mmax 2 --t 1 --replicates 100",
     "validate-marginals": "--d 2 --n 2 --strategy synchronous -T 1 -R 100",
 }
 FLAG_VALUES = {"--seed": "1", "--eps": "1e-9", "--workers": "1", "--format": "json"}
@@ -344,12 +344,36 @@ def test_csv_out_file_equals_stdout(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, extra, code", [
-    ("verify", "--samples -1", 2), ("verify", "--samples 0", 0),
     ("simulate", "--workers 0", 2), ("simulate", "--workers 1", 0),
 ])
 def test_samples_and_workers_are_bounded_below(command, extra, code, capsys):
     assert main([command, *BASE_ARGV[command].split(), *extra.split()]) == code
     assert ("invalid configuration" in capsys.readouterr().err) == (code == 2)
+
+
+def test_samples_flag_and_config_key_are_refused(tmp_path, capsys):
+    argv = ["verify", *BASE_ARGV["verify"].split()]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--samples", "10"])
+    assert err.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 10}))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert "does not take: ['samples']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_non_finite_horizon_is_refused(horizon, tmp_path, capsys):
+    argv = "validate-marginals --d 2 --n 2 --strategy synchronous -R 100".split()
+    message = "invalid configuration: horizon must be positive and finite"
+    assert main([*argv, "-T", horizon]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": float(horizon)}))  # written as NaN / Infinity
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_workers_below_one_is_refused(tmp_path, capsys):

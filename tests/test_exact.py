@@ -24,7 +24,7 @@ from cowalk.exact import (
     survival_exact,
     survival_table,
 )
-from cowalk.ratfun import Poly, RationalFn, poly_gcd
+from cowalk.ratfun import Poly, RationalFn
 from cowalk.strategies import DeathChain, Regime, Strategy, death_chain, regime
 
 
@@ -198,7 +198,13 @@ def test_deep_transforms_match_scalar_recursion(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 10])
 def test_transforms_canonical(d):
     # coprime, jointly content-free integer coefficients, positive leading
-    # denominator coefficient: the form generic arithmetic would produce
+    # denominator coefficient.  The denominator is a product of factors
+    # s_j + q*a of D_m, so the numerator being nonzero at each root -s_j/q
+    # of the denominator shows coprimality
+    from cowalk.exact import _ipoly_div_linear, _transform_levels
+
+    levels = _transform_levels(d, 30)
+    q = levels.q
     for m in range(1, 31):
         for f in (laplace_V(d, m), laplace_R(d, m)):
             if f.is_zero:
@@ -211,7 +217,14 @@ def test_transforms_canonical(d):
                 content = gcd(content, int(c))
             assert content == 1, (d, m)
             assert f.den.coeffs[-1] > 0
-            assert poly_gcd(f.num, f.den).degree == 0, (d, m)
+            rest = [int(c) for c in f.den.coeffs]
+            for s in set(levels.s[1:m + 1]):
+                a, b = s // gcd(s, q), q // gcd(s, q)
+                while len(rest) > 1 and (quo := _ipoly_div_linear(rest, a, b)):
+                    rest = quo
+                if f.den(Fraction(-s, q)) == 0:
+                    assert f.num(Fraction(-s, q)) != 0, (d, m, s)
+            assert len(rest) == 1, (d, m)
 
 
 def test_zero_transform_rows():
@@ -382,6 +395,15 @@ def test_mean_sandwich(d):
 def test_total_monotone_R1():
     rep = check_total_monotone(laplace_R(5, 1), 8, [0, Fraction(1, 2), 1, 2, 5])
     assert rep.passed
+
+
+def test_total_monotone_closed_forms():
+    # (-1)^k d^k/da^k 1/(1+a) = k!/(1+a)^(k+1) > 0 at every order, while
+    # a/(1+a) = 1 - 1/(1+a) has (-1)^k f^(k) = -k!/(1+a)^(k+1) < 0 for k >= 1
+    grid = [0, Fraction(1, 2), 1, 3]
+    assert check_total_monotone(RationalFn(Poly([1]), Poly([1, 1])), 10, grid).passed
+    rep = check_total_monotone(RationalFn(Poly([0, 1]), Poly([1, 1])), 10, grid)
+    assert rep.failures == tuple((k, Fraction(a)) for k in range(1, 11) for a in grid)
 
 
 def test_total_monotone_rejects_negative_constant():

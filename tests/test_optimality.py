@@ -6,6 +6,7 @@ import pytest
 
 from cowalk.exact import survival_table
 from cowalk.optimality import (
+    _lp_vertices,
     bellman_gap,
     dominance_test,
     sample_feasible_schedules,
@@ -110,6 +111,20 @@ def test_bellman_gap_reads_no_tail_at_level_zero(m):
         zero = bellman_gap(d, m, t, sched, tails=tails)
         tails[0] = 0.25
         assert bellman_gap(d, m, t, sched, tails=tails) == zero
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 10])
+def test_vertices_bound_every_sampled_gap(d):
+    # the gap is linear in the rates, so random interior schedules add nothing
+    grid = [0.05, 0.7, 3.0]
+    tails = survival_table(d, 11, grid, 1e-12).values
+    for m in (1, 2, 5, 9):
+        for j, t in enumerate(grid):
+            vertex_max = max(bellman_gap(d, m, t, v, tails=tails[:, j])
+                             for v in _lp_vertices(m, d))
+            sampled = sample_feasible_schedules(d, m, 200, seed=31 * m + j)[4:]
+            sampled_max = max(bellman_gap(d, m, t, s, tails=tails[:, j]) for s in sampled)
+            assert sampled_max <= vertex_max + 1e-15, (d, m, t)
 
 
 def test_sampled_schedules_are_feasible():

@@ -179,6 +179,12 @@ def test_independent_unmatched_moves_alone():
     assert not report.all_moves_joint
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0])
+def test_marginal_validation_rejects_non_finite_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        validate_marginals(Strategy.SYNCHRONOUS, WalkParams(d=2, n=4), horizon, 500, 1)
+
+
 def test_marginal_validation_rejects_pairwise():
     with pytest.raises(ValueError):
         validate_marginals(Strategy.PAIRWISE_CLASSIC, WalkParams(d=2, n=4), 5.0, 500, 1)

@@ -76,14 +76,16 @@ def test_optimal_rates_feasible_and_saturating(m, d):
 
 
 def test_zero_level_all_zero():
-    assert optimal_rates(0, 5).total == 0
+    sched = optimal_rates(0, 5)
+    assert sched.down2 + sched.down1 + sched.up1 + sched.up2 == 0
 
 
 # --- competitor rates -------------------------------------------------------
 
 def test_competitor_rate_examples():
     assert rates_for(Strategy.INDEPENDENT, 1, 2).down1 == 2
-    assert rates_for(Strategy.SYNCHRONOUS, 5, 7).total == 0
+    sched = rates_for(Strategy.SYNCHRONOUS, 5, 7)
+    assert sched.down2 + sched.down1 + sched.up1 + sched.up2 == 0
     sched = rates_for(Strategy.PAIRWISE_CLASSIC, 2, 5)
     assert sched.down2 == Fraction(2, 4) and sched.down1 == Fraction(2 * 3, 4)
 
@@ -104,8 +106,9 @@ def test_rate_table_matches_schedules():
     total, p2 = rate_table(Strategy.OPTIMAL, 4, 6)
     for m in range(1, 7):
         sched = optimal_rates(m, 4)
-        assert total[m] == pytest.approx(float(sched.total), abs=1e-15)
-        assert p2[m] == pytest.approx(float(sched.down2 / sched.total), abs=1e-15)
+        rate = sched.down2 + sched.down1 + sched.up1 + sched.up2
+        assert total[m] == pytest.approx(float(rate), abs=1e-15)
+        assert p2[m] == pytest.approx(float(sched.down2 / rate), abs=1e-15)
 
 
 def _level_numerators(strategy, m, d):
@@ -138,8 +141,9 @@ def test_rate_table_is_correctly_rounded(strategy):
         total, p2 = rate_table(strategy, d, 200)
         for m in range(201):
             sched = rates_for(strategy, m, d)
-            assert total[m] == float(sched.total)
-            assert p2[m] == (float(sched.down2 / sched.total) if sched.total else 0.0)
+            rate = sched.down2 + sched.down1 + sched.up1 + sched.up2
+            assert total[m] == float(rate)
+            assert p2[m] == (float(sched.down2 / rate) if rate else 0.0)
 
 
 # --- control matrices -------------------------------------------------------
