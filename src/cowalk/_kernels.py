@@ -28,29 +28,28 @@ def lumped_batch(total, p2, m0, t_max, u_exp, u_jump):
     uniforms.  Replicate r consumes row r positionally, one column per jump.
     tau is +inf when the chain cannot move or absorption exceeds t_max.
 
-    The state is (m, t, n_jumps) alone: a replicate is live while m > 0 and
-    t is finite (a stuck or censored one has t = inf, an absorbed one m = 0),
-    and a live replicate has moved at every earlier step.
+    The state is (m, t, n_jumps) alone, and every replicate steps down while
+    m > 0 with no branch: copies with rate[0] = inf (an absorbed run adds
+    u / inf == 0.0 to t) and p2[:2] = 0 (m stays >= 0) make that exact.  A
+    run counts while t <= cap = min(t_max, DBL_MAX); a rate-0 level (t = inf,
+    or nan from 0/0) and a late absorption fail that test for good.
     """
-    total = np.asarray(total)
-    p2 = np.asarray(p2)
+    rate, p2 = np.array(total, dtype=float), np.array(p2, dtype=float)
+    rate[0], p2[:2] = np.inf, 0.0
+    cap = min(t_max, np.finfo(float).max)
     m = np.full(u_exp.shape[0], m0, dtype=np.int64)
-    t = np.zeros(u_exp.shape[0])
-    njumps = np.zeros(u_exp.shape[0], dtype=np.int64)
-    for step in range(m0):
-        live = (m > 0) & (t < np.inf)
-        if not live.any():
-            break
-        rate = total[m]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_next = np.where(rate > 0.0, t + u_exp[:, step] / rate, np.inf)
-        t_next[t_next > t_max] = np.inf
-        t = np.where(live, t_next, t)
-        move = live & (t < np.inf)
-        m -= move * np.where(u_jump[:, step] < p2[m], 2, 1)
-        np.maximum(m, 0, out=m)
-        njumps += move
-    return t, njumps
+    t, njumps = np.zeros(m.shape), np.zeros(m.shape, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(m0):
+            live = m > 0
+            t += u_exp[:, step] / rate[m]
+            moved = live & (t <= cap)
+            if not moved.any():  # every run is absorbed, stuck or censored
+                break
+            njumps += moved
+            m -= u_jump[:, step] < p2[m]  # the jump size is drawn at the pre-step m
+            m -= live
+    return np.where(t <= cap, t, np.inf), njumps
 
 
 # ---------------------------------------------------------------------------

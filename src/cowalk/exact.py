@@ -137,6 +137,18 @@ def _steps(stay, p1, p2):
         s = nxt
 
 
+def _time_grid(t_grid) -> np.ndarray:
+    """t_grid as a 1-d float array, refused unless nonempty, finite and >= 0."""
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t_grid.size == 0:
+        raise ValueError("t_grid must be nonempty")
+    if not np.isfinite(t_grid).all():
+        raise ValueError("t_grid must be finite")
+    if (t_grid < 0).any():
+        raise ValueError("t_grid must be nonnegative")
+    return t_grid
+
+
 def _tail_sums(d: int, m_max: int, t_grid, eps: float, start=None):
     """The uniformization series sum_k w_k(t) a_k of the optimal death
     chain on levels 0..m_max, Kahan-summed and clipped to [0, 1], with
@@ -147,13 +159,7 @@ def _tail_sums(d: int, m_max: int, t_grid, eps: float, start=None):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t_grid.size == 0:
-        raise ValueError("t_grid must be nonempty")
-    if not np.isfinite(t_grid).all():
-        raise ValueError("t_grid must be finite")
-    if (t_grid < 0).any():
-        raise ValueError("t_grid must be nonnegative")
+    t_grid = _time_grid(t_grid)
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
     lam = float(chain.lam_int)
     k_max = _truncation_order(lam * t_grid.max(), eps)

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import chdtrc, gammaln, pdtr, pdtrik, xlogy
 
 from . import _kernels
+from .exact import _time_grid
 from .states import WalkParams, hamming
 from .strategies import Strategy, death_chain, rate_table
 
@@ -37,7 +38,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15
-_BLOCK = 1 << 21  # replicate-steps of uniforms drawn and run at once
+_BLOCK = 1 << 21  # uniforms drawn and run at once by the event kernel
+_LUMPED_BLOCK = 1 << 17  # replicate-steps per lumped sub-block: fits in cache
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ def _chunk_bounds(replicates: int, m0: int):
 def _run_lumped_chunk(seed, index, lo, hi, total, p2, m0, t_max):
     # sub-blocks draw the chunk's stream in order, so they change no value
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
-    rows = max(1, _BLOCK // max(m0, 1))
+    rows = max(1, _LUMPED_BLOCK // max(m0, 1))
     parts = []
     for start in range(lo, hi, rows):
         u = rng.random((min(rows, hi - start), m0, 2))
@@ -81,8 +83,10 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
         raise ValueError("m0 must be >= 0")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if t_max <= 0:
+    if not t_max > 0:  # also refuses nan
         raise ValueError("t_max must be positive")
+    if n_workers is not None and n_workers < 1:
+        raise ValueError("n_workers must be >= 1")
     total, p2 = rate_table(Strategy(strategy), d, max(m0, 1))
     bounds = _chunk_bounds(replicates, m0)
 
@@ -106,16 +110,10 @@ def estimate_survival(strategy: Strategy, d: int, start, t_grid, replicates: int
     (x0, y0).  Runs not absorbed by max(t_grid) are censored, which still
     gives unbiased pointwise estimates on the grid.
     """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t_grid.size == 0:
-        raise ValueError("empty time grid")
+    t_grid = _time_grid(t_grid)
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
-    if isinstance(start, (int, np.integer)):
-        m0 = int(start)
-    else:
-        x0, y0 = start
-        m0 = hamming(x0, y0)
+    m0 = int(start) if isinstance(start, (int, np.integer)) else hamming(*start)
     t_max = float(t_grid.max())
     tau, _ = sample_coupling_times(strategy, d, m0, replicates, seed,
                                    t_max=np.inf if t_max == 0 else t_max * (1 + 1e-12),
@@ -259,12 +257,7 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
         _uniform_chisq(xinc[1:], "x_increments_uniform"),
         _uniform_chisq(yinc[1:], "y_increments_uniform"),
     ]
-    k = len(tests)
-    tests = tuple(
-        ChiSquareResult(t.name, t.statistic, t.dof, t.p_value,
-                        min(1.0, t.p_value * k))
-        for t in tests
-    )
+    tests = tuple(replace(t, p_bonferroni=min(1.0, t.p_value * len(tests))) for t in tests)
     return MarginalReport(
         strategy=strategy.value, d=d, n=n, horizon=horizon, replicates=replicates,
         tests=tests,

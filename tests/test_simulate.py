@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cowalk import _kernels
+from cowalk import _kernels, simulate
 from cowalk.exact import expected_tau, survival_exact
+from cowalk.optimality import dominance_test
 from cowalk.simulate import (
     estimate_survival,
     sample_coupling_times,
@@ -151,6 +154,37 @@ def test_input_validation():
         sample_coupling_times(Strategy.OPTIMAL, 3, 2, 100, seed=0, t_max=0.0)
 
 
+def test_nan_t_max_is_refused():
+    # nan <= 0 is False, so a plain sign test would let it run uncensored
+    with pytest.raises(ValueError, match="t_max must be positive"):
+        sample_coupling_times(Strategy.OPTIMAL, 3, 2, 100, seed=0, t_max=float("nan"))
+
+
+@pytest.mark.parametrize("grid,rule", [
+    ([1.0, np.nan], "finite"), ([1.0, np.inf], "finite"),
+    ([-1.0, -2.0], "nonnegative"), ([0.5, -0.1], "nonnegative"), ([], "nonempty"),
+])
+def test_estimate_survival_refuses_bad_grids(grid, rule):
+    with pytest.raises(ValueError, match=f"t_grid must be {rule}"):
+        estimate_survival("optimal", 4, 5, grid, 100, 1)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_is_refused(workers):
+    with pytest.raises(ValueError, match="n_workers must be >= 1"):
+        sample_coupling_times("optimal", 4, 5, 100, seed=1, n_workers=workers)
+    with pytest.raises(ValueError, match="n_workers must be >= 1"):
+        estimate_survival("optimal", 4, 5, [1.0], 100, 1, n_workers=workers)
+    with pytest.raises(ValueError, match="n_workers must be >= 1"):
+        dominance_test(4, 5, "independent", [1.0], 100, 1, n_workers=workers)
+
+
+def test_no_worker_count_means_one():
+    tau0, nj0 = sample_coupling_times("optimal", 4, 5, 1000, seed=2, n_workers=None)
+    tau1, nj1 = sample_coupling_times("optimal", 4, 5, 1000, seed=2, n_workers=1)
+    assert tau0.tobytes() == tau1.tobytes() and np.array_equal(nj0, nj1)
+
+
 # --- marginal validation ----------------------------------------------------
 
 @pytest.mark.parametrize("strategy", ["optimal", "independent", "synchronous"])
@@ -266,6 +300,66 @@ def test_lumped_kernel_matches_scalar_loop_on_random_chains():
         ref_tau, ref_nj = _lumped_reference(total, p2, m0, t_max, u_exp, u_jump)
         assert tau.tobytes() == ref_tau.tobytes()
         assert np.array_equal(nj, ref_nj)
+
+
+@st.composite
+def _lumped_cases(draw):
+    """(total, p2, m0, t_max, u_exp, u_jump) with rate-0 levels, zero
+    holding deviates, sure -2 jumps and, for t_max = None, a cap equal to
+    the first absorption time of the uncensored run."""
+    m0 = draw(st.integers(1, 8))
+    reps = draw(st.integers(1, 6))
+    rates = st.one_of(st.just(0.0), st.floats(0.25, 4.0))
+    total = draw(st.lists(rates, min_size=m0 + 1, max_size=m0 + 1))
+    p2 = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                       min_size=m0 + 1, max_size=m0 + 1))
+    exp_draws = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+    u_exp = draw(st.lists(st.lists(exp_draws, min_size=m0, max_size=m0),
+                          min_size=reps, max_size=reps))
+    u_jump = draw(st.lists(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                    min_size=m0, max_size=m0),
+                           min_size=reps, max_size=reps))
+    t_max = draw(st.one_of(st.just(np.inf), st.just(None), st.floats(0.1, 10.0)))
+    return total, p2, m0, t_max, u_exp, u_jump
+
+
+@given(_lumped_cases())
+@settings(max_examples=300, deadline=None)
+# rate-0 level reached with u_exp = 0.0 (the 0/0 path)
+@example(([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], 2, np.inf, [[0.5, 0.0]], [[0.9, 0.9]]))
+# a -2 jump drawn at level 1 ends at 0
+@example(([0.0, 1.0, 1.0], [0.0, 1.0, 0.0], 2, np.inf, [[0.5, 0.5]], [[0.5, 0.5]]))
+# absorption exactly at a finite t_max
+@example(([0.0, 2.0, 1.0, 3.0], [0.0, 0.5, 0.5, 0.5], 3, None,
+          [[0.5, 1.0, 0.25], [1.0, 0.5, 2.0]], [[0.9, 0.1, 0.9], [0.1, 0.9, 0.9]]))
+# every level stuck, like the synchronous coupling
+@example(([0.0] * 4, [0.0] * 4, 3, np.inf, [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
+          [[0.5] * 3] * 2))
+def test_lumped_kernel_matches_scalar_loop_property(case):
+    total, p2, m0, t_max, u_exp, u_jump = case
+    u_exp, u_jump = np.array(u_exp, dtype=float), np.array(u_jump, dtype=float)
+    if t_max is None:
+        free, _ = _lumped_reference(total, p2, m0, np.inf, u_exp, u_jump)
+        t_max = float(free[np.isfinite(free)][0]) if np.isfinite(free).any() else np.inf
+    tau, nj = _kernels.lumped_batch(total, p2, m0, t_max, u_exp, u_jump)
+    if case[3] is None:
+        assert t_max == np.inf or t_max in tau  # absorbed at t_max itself: not censored
+    ref_tau, ref_nj = _lumped_reference(total, p2, m0, t_max, u_exp, u_jump)
+    assert tau.tobytes() == ref_tau.tobytes()
+    assert np.array_equal(nj, ref_nj)
+
+
+@pytest.mark.parametrize("block", [1, 7, simulate._LUMPED_BLOCK])
+def test_lumped_sub_block_size_changes_no_value(monkeypatch, block):
+    # sub-blocks draw the chunk's stream in order: 1 and 7 replicate-steps
+    # give one and two rows at m0 = 3, and an uneven last block
+    want = sample_coupling_times("independent", 4, 3, 1001, seed=5, t_max=1.5)
+    monkeypatch.setattr(simulate, "_LUMPED_BLOCK", block)
+    got = sample_coupling_times("independent", 4, 3, 1001, seed=5, t_max=1.5)
+    assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
+    assert np.isinf(got[0]).any() and np.isfinite(got[0]).any()
+    tau, nj = sample_coupling_times("optimal", 4, 7, 4000, seed=99)
+    assert float(tau.sum()).hex() == "0x1.c29de63786368p+12" and int(nj.sum()) == 21818
 
 
 # --- golden seeded outputs ----------------------------------------------------
