@@ -52,6 +52,8 @@ __all__ = [
     "r_diff_table",
 ]
 
+_BLOCK = 1 << 21  # most Poisson weights in one column block of ``_tail_sums``
+
 
 # ---------------------------------------------------------------------------
 # uniformization
@@ -113,6 +115,8 @@ def _truncation_order(lam_t_max: float, eps: float) -> int:
     The bound is ``_poisson_tail_upper``, a ratio bound on the tail itself:
     1 - sum(weights) would cancel to rounding noise once lam_t is large.
     """
+    if not 0 < eps < math.inf:  # the eps rule of both series, before their work
+        raise ValueError("eps must be positive and finite")
     k_max = max(20, int(lam_t_max + 12 * math.sqrt(lam_t_max + 1) + 20))
     while _poisson_tail_upper(lam_t_max, k_max) > eps / 2:
         k_max = int(k_max * 1.3) + 16
@@ -137,6 +141,16 @@ def _steps(stay, p1, p2):
         s = nxt
 
 
+def _push(stay, p1, p2, law):
+    """Yield law and its pushes by 1, 2, ... steps of ``_steps``' chain; not to be modified."""
+    while True:
+        yield law
+        nxt = stay * law
+        nxt[:-1] += p1[1:] * law[1:]
+        nxt[:-2] += p2[2:] * law[2:]
+        law = nxt
+
+
 def _time_grid(t_grid) -> np.ndarray:
     """t_grid as a 1-d float array, refused unless nonempty, finite and >= 0."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -149,32 +163,58 @@ def _time_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
-def _tail_sums(d: int, m_max: int, t_grid, eps: float, start=None):
-    """The uniformization series sum_k w_k(t) a_k of the optimal death
-    chain on levels 0..m_max, Kahan-summed and clipped to [0, 1], with
-    |err| <= eps.  a_k is the survival vector s_k of ``_steps`` (one row
-    per level) or, given a start law, the scalar start @ s_k (one row):
-    projecting before the Poisson sum costs O(m_max + T) per step, not
-    O(m_max T).  Returns (t_grid, values, chain, k_max).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def _tail_sums(d: int, m_max: int, t_grid, eps: float):
+    """(t_grid, values, chain, k_max): sum_k w_k(t) s_k over the survival
+    vectors of ``_steps``, |err| <= eps, in grid blocks of 2 or more columns
+    (numpy normalises each by the same sequential sum, so no bit changes)."""
     t_grid = _time_grid(t_grid)
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
     lam = float(chain.lam_int)
     k_max = _truncation_order(lam * t_grid.max(), eps)
-    w = _poisson_weights(lam * t_grid, k_max)
-
     p1, p2 = chain.down1 / lam, chain.down2 / lam
-    out = np.zeros((m_max + 1, len(t_grid)) if start is None else len(t_grid))
-    comp = np.zeros_like(out)  # Kahan compensation
-    for k, s in zip(range(k_max + 1), _steps(1.0 - p1 - p2, p1, p2)):
-        y = np.multiply.outer(s if start is None else start @ s, w[k]) - comp
-        acc = out + y
-        comp = (acc - out) - y
-        out = acc
-    np.clip(out, 0.0, 1.0, out=out)
-    return t_grid, out, chain, k_max
+    blocks = []
+    for times in np.array_split(t_grid, -(-len(t_grid) // max(4, _BLOCK // (k_max + 1)))):
+        w = _poisson_weights(lam * times, k_max)
+        out = comp = np.zeros((m_max + 1, len(times)))  # comp: Kahan compensation
+        for k, s in zip(range(k_max + 1), _steps(1.0 - p1 - p2, p1, p2)):
+            y = np.multiply.outer(s, w[k]) - comp
+            acc = out + y
+            comp = (acc - out) - y
+            out = acc
+        blocks.append(out)
+    return t_grid, np.clip(np.hstack(blocks), 0.0, 1.0), chain, k_max
+
+
+def _start_law_tail(d: int, start: np.ndarray, t_grid, eps: float):
+    """(t_grid, P(N_t > 0)) of the optimal chain from N_0 ~ start by adaptive
+    uniformization (van Moorsel & Sanders 1994).  Per segment: drop top levels
+    (eps/64 in all), ``_push`` at the rate Lam of the rest up to max(ln 2,
+    256/Lam), sum one Poisson series.  Steps are L1 non-expansive, so errors add."""
+    t_grid = _time_grid(t_grid)
+    times, at = np.unique(t_grid, return_inverse=True)
+    values = np.zeros(len(times))  # 0 once no live level is kept
+    law, t0, j, trunc, drop = start, 0.0, 0, eps, eps / 64
+    while j < len(times) and len(law) > 1:
+        top = len(law) - 1 - int(np.searchsorted(np.cumsum(law[:0:-1]), drop / 2, "right"))
+        drop -= law[top + 1:].sum()
+        chain = death_chain(Strategy.OPTIMAL, d, top)
+        lam = float(chain.lam_int)
+        t1 = t0 + max(math.log(2), 256 / lam)
+        j1 = int(np.searchsorted(times, t1, "right"))
+        t1 = times[j1 - 1] if j1 > j else t1  # no point in reach: end between points
+        trunc, share = (0.0, trunc) if j1 == len(times) else (trunc / 2, trunc / 2)
+        w = _poisson_weights(lam * (np.append(times[j:j1], t1) - t0),
+                             _truncation_order(lam * (t1 - t0), share))
+        p1, p2 = chain.down1 / lam, chain.down2 / lam
+        out, comp, end = np.zeros(j1 - j), np.zeros(j1 - j), np.zeros(len(p1))
+        for wk, pk in zip(w, _push(1.0 - p1 - p2, p1, p2, law[:len(p1)])):
+            y = pk[1:].sum() * wk[:-1] - comp
+            acc = out + y
+            comp = (acc - out) - y
+            out = acc
+            end += wk[-1] * pk
+        values[j:j1], law, t0, j = out, end, t1, j1
+    return t_grid, np.clip(values, 0.0, 1.0)[at]
 
 
 def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:

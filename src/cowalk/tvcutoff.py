@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import betainc, ndtr
 
-from .exact import _mean_levels, _tail_sums, expected_tau_float
+from .exact import _mean_levels, _start_law_tail, expected_tau_float
 from .simulate import SurvivalCurve
 
 __all__ = [
@@ -51,7 +51,7 @@ class CoordinateLaw:
 
 def coordinate_law(d: int, t: float) -> CoordinateLaw:
     """Spectral solution of the rate-1 walk on K_d (relaxation rate d/(d-1))."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be >= 0")
     a = 1.0 / d + (1.0 - 1.0 / d) * math.exp(-d * t / (d - 1))
     return CoordinateLaw(d=d, t=t, a=a, b=(1.0 - a) / (d - 1))
@@ -141,14 +141,12 @@ def _binomial_weights(n: int, p: float) -> np.ndarray:
 def survival_from_stationary(d: int, n: int, t_grid, eps: float = 1e-12) -> SurvivalCurve:
     """Exact tail of the optimal coupling time, X_0 = 0 and Y_0 uniform.
 
-    The initial unmatched count is Binomial(n, 1 - 1/d); the tail is the
-    corresponding mixture of the exact per-level tails, |err| <= eps.  The
-    start law is applied to each uniformization step's survival vector
-    before the Poisson sum, so the cost is O(n k_max + k_max T) for k_max
-    terms and T grid points, with no per-level table.
+    The initial unmatched count is Binomial(n, 1 - 1/d); its law is pushed
+    forward by adaptive uniformization (``exact._start_law_tail``), |err| <= eps.
     """
-    start = _binomial_weights(n, 1.0 - 1.0 / d)
-    t_grid, value, _, _ = _tail_sums(d, n, t_grid, eps, start=start)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    t_grid, value = _start_law_tail(d, _binomial_weights(n, 1.0 - 1.0 / d), t_grid, eps)
     zeros = np.zeros_like(t_grid)
     return SurvivalCurve(t_grid=t_grid, value=value, half_width_95=zeros,
                          half_width_3sigma=zeros, replicates=0, kind="exact", eps=eps)
@@ -157,8 +155,10 @@ def survival_from_stationary(d: int, n: int, t_grid, eps: float = 1e-12) -> Surv
 def limit_tail(n: int, t):
     """d -> infinity limit: both the TV distance and the optimal-coupling
     tail converge to 1 - (1 - e^{-t})^n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     t = np.asarray(t, dtype=float)
-    if (t < 0).any():
+    if not (t >= 0).all():
         raise ValueError("t must be >= 0")
     out = 1.0 - (-np.expm1(-t)) ** n
     return float(out) if out.ndim == 0 else out

@@ -502,6 +502,26 @@ def test_tail_and_difference_floats_are_pinned():
         "0c89f43c2c9060a7ed6b7d30d4b7599deaafc034b011b34c4494a828af261341")
 
 
+@pytest.mark.parametrize("block", [1, 2000, 5000])
+def test_tail_column_blocks_change_no_bit(block, monkeypatch):
+    # 37 points and k_max = 316: blocks of 2-4 columns at block = 1, 5-6 and
+    # 12-13 columns above
+    d, m_max = 4, 25
+    grid = np.random.default_rng(3).uniform(0.0, 6.0, 37)
+    whole = survival_table(d, m_max, grid).values
+    sizes, weights = [], exact._poisson_weights
+
+    def recorded(lam_t, k_max):
+        sizes.append((len(lam_t), k_max + 1))
+        return weights(lam_t, k_max)
+
+    monkeypatch.setattr(exact, "_BLOCK", block)
+    monkeypatch.setattr(exact, "_poisson_weights", recorded)
+    assert np.array_equal(survival_table(d, m_max, grid).values, whole)
+    assert len(sizes) > 1 and sum(cols for cols, _ in sizes) == len(grid)
+    assert all(2 <= cols and cols * rows <= max(block, 4 * rows) for cols, rows in sizes)
+
+
 def _reference_tails(d, m_max, t_grid):
     """v(m, t) as integer numerators over 2^256, within about 1e-34:
     Poisson weights from mpmath at 60 digits, uniformization steps on

@@ -6,7 +6,9 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import ndtr
 
+from cowalk import exact
 from cowalk.exact import expected_tau, expected_tau_float, r_diff_table, survival_table
+from cowalk.strategies import Strategy, death_chain
 from cowalk.tvcutoff import (
     coordinate_law,
     cutoff_profile,
@@ -162,7 +164,8 @@ def test_survival_from_stationary_boundaries():
 
 
 def test_survival_from_stationary_n1_closed_form():
-    grid = np.linspace(0.0, 5.0, 21)
+    # the far points come after every live level is dropped
+    grid = np.append(np.linspace(0.0, 5.0, 21), [300.0, 1e4, 2e4])
     for d in (2, 5, 50):
         curve = survival_from_stationary(d, 1, grid)
         closed = (1 - 1 / d) * np.exp(-d * grid / (d - 1))
@@ -171,39 +174,17 @@ def test_survival_from_stationary_n1_closed_form():
         assert np.abs(curve.value - tv).max() <= 1e-12  # tight at n = 1
 
 
-def test_survival_from_stationary_large_n_against_expm_multiply():
-    # lambda * t reaches 4800 here; the Poisson truncation must still
-    # certify its bound (it once grew k_max until memory ran out)
+def _expm_stationary_tail(d, n, stop, num):
+    """P(tau > t) from a uniform start on linspace(0, stop, num), by scipy's
+    expm_multiply on the death chain's generator.  The start law is a ratio
+    recurrence from the mode; each tail is an fsum over the live levels.
+    expm_multiply picks its order from a randomized norm estimate, so at
+    n = 2000 this reference moves by up to 6e-13 from one call to the next."""
     from scipy.sparse import diags
     from scipy.sparse.linalg import expm_multiply
 
-    from cowalk.strategies import Strategy, death_chain
-
-    d, n = 5, 400
-    grid = np.linspace(0.0, 12.0, 13)
-    curve = survival_from_stationary(d, n, grid)
     gen = death_chain(Strategy.OPTIMAL, d, n)
     # generator of the death chain acting on row distributions, transposed
-    q_t = diags([-gen.exit_rate, gen.down1[1:], gen.down2[2:]], [0, 1, 2]).tocsc()
-    m = np.arange(n + 1)
-    start = np.exp([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                    + k * math.log(1 - 1 / d) + (n - k) * math.log(1 / d) for k in m])
-    laws = expm_multiply(q_t, start, start=0.0, stop=12.0, num=13, endpoint=True)
-    ref = 1.0 - laws[:, 0]
-    assert np.abs(curve.value - ref).max() <= 1e-12
-
-
-def test_survival_from_stationary_meets_eps_at_n700():
-    # lambda * t reaches 8400: log-space Poisson weights were 3.7e-12 off
-    # here; the reference start law is a ratio recurrence from the mode
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import expm_multiply
-
-    from cowalk.strategies import Strategy, death_chain
-
-    d, n = 5, 700
-    grid = np.linspace(0.0, 12.0, 50)
-    gen = death_chain(Strategy.OPTIMAL, d, n)
     q_t = diags([-gen.exit_rate, gen.down1[1:], gen.down2[2:]], [0, 1, 2]).tocsc()
     p = 1 - 1 / d
     mode = int((n + 1) * p)
@@ -214,9 +195,81 @@ def test_survival_from_stationary_meets_eps_at_n700():
     for m in range(mode, 0, -1):
         start[m - 1] = start[m] * m / (n - m + 1) * (1 - p) / p
     start /= math.fsum(start)
-    laws = expm_multiply(q_t, start, start=0.0, stop=12.0, num=50, endpoint=True)
-    ref = np.array([math.fsum(law[1:]) for law in laws])
-    assert np.abs(survival_from_stationary(d, n, grid).value - ref).max() <= 1e-12
+    laws = expm_multiply(q_t, start, start=0.0, stop=stop, num=num, endpoint=True)
+    return np.array([math.fsum(law[1:]) for law in laws])
+
+
+def test_survival_from_stationary_large_n_against_expm_multiply():
+    d, n = 5, 400
+    curve = survival_from_stationary(d, n, np.linspace(0.0, 12.0, 13))
+    assert np.abs(curve.value - _expm_stationary_tail(d, n, 12.0, 13)).max() <= 1e-12
+
+
+def test_survival_from_stationary_meets_eps_at_n700():
+    d, n = 5, 700
+    curve = survival_from_stationary(d, n, np.linspace(0.0, 12.0, 50))
+    assert np.abs(curve.value - _expm_stationary_tail(d, n, 12.0, 50)).max() <= 1e-12
+
+
+def test_survival_from_stationary_meets_eps_at_n2000():
+    d, n = 5, 2000
+    curve = survival_from_stationary(d, n, np.linspace(0.0, 12.0, 13))
+    assert np.abs(curve.value - _expm_stationary_tail(d, n, 12.0, 13)).max() <= 1e-12
+
+
+def _count_pushes(monkeypatch):
+    """Wrap ``exact._push``: the returned list gets one [first law, steps]
+    entry per segment."""
+    segments, push = [], exact._push
+
+    def counted(stay, p1, p2, law):
+        segments.append([law.copy(), 0])
+        for step in push(stay, p1, p2, law):
+            segments[-1][1] += 1
+            yield step
+
+    monkeypatch.setattr(exact, "_push", counted)
+    return segments
+
+
+def test_stationary_tail_steps_follow_the_mass(monkeypatch):
+    # one series at the rate of the whole chain needs k_max = 13,334 steps;
+    # the windowed segments step at a rate that falls with the top level,
+    # also where one grid point lies far beyond the first segment's reach
+    d, n, grid = 5, 1000, np.linspace(0.0, 12.0, 50)
+    single = exact._truncation_order(death_chain(Strategy.OPTIMAL, d, n).lam_int * 12.0, 1e-12)
+    segments = _count_pushes(monkeypatch)
+    dense = survival_from_stationary(d, n, grid).value
+    assert len(segments) > 1
+    assert sum(steps for _, steps in segments) <= single / 3
+    segments.clear()
+    sparse = survival_from_stationary(d, n, [12.0]).value
+    assert len(segments) > 1
+    assert sum(steps for _, steps in segments) <= single / 3
+    assert abs(sparse[0] - dense[-1]) <= 2e-12
+
+
+def test_stationary_tail_drop_route_meets_a_loose_eps(monkeypatch):
+    # at eps = 1e-6 the first window drops the binomial's upper tail down to
+    # 1e-6/128 of mass, far more levels than at 1e-13
+    d, n, grid = 5, 300, np.linspace(0.0, 12.0, 50)
+    segments = _count_pushes(monkeypatch)
+    tight = survival_from_stationary(d, n, grid, eps=1e-13).value
+    top_tight = len(segments[0][0])
+    segments.clear()
+    loose = survival_from_stationary(d, n, grid, eps=1e-6).value
+    assert len(segments[0][0]) < top_tight - 10
+    assert np.abs(loose - tight).max() <= 1e-6
+
+
+def test_stationary_tail_small_n_dense_grid_is_one_segment(monkeypatch):
+    d, n, eps = 10, 5, 1e-12
+    grid = np.linspace(0.0, 12.0, 2000)
+    segments = _count_pushes(monkeypatch)
+    curve = survival_from_stationary(d, n, grid, eps)
+    start = np.array([math.comb(n, m) * (d - 1) ** m / d ** n for m in range(n + 1)])
+    assert len(segments) == 1
+    assert np.abs(curve.value - start @ survival_table(d, n, grid, eps).values).max() <= 2 * eps
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10])
@@ -239,6 +292,29 @@ def test_non_finite_times_are_refused(bad):
     for call in (lambda: survival_table(3, 3, grid), lambda: r_diff_table(3, 3, grid),
                  lambda: survival_from_stationary(3, 3, grid)):
         with pytest.raises(ValueError, match="t_grid must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-12])
+def test_non_finite_or_nonpositive_eps_is_refused(bad):
+    grid = [0.5, 1.0]
+    for call in (lambda: survival_table(5, 3, grid, eps=bad),
+                 lambda: r_diff_table(5, 3, grid, eps=bad),
+                 lambda: survival_from_stationary(5, 3, grid, eps=bad)):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            call()
+
+
+def test_bad_n_and_t_are_refused():
+    for n in (0, -1, -2):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            limit_tail(n, 1.0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            survival_from_stationary(5, n, [1.0])
+    for call in (lambda: limit_tail(3, math.nan), lambda: limit_tail(3, [1.0, math.nan]),
+                 lambda: coordinate_law(5, math.nan), lambda: tv_exact(5, 3, math.nan),
+                 lambda: cutoff_profile(5, 10, [math.nan])):
+        with pytest.raises(ValueError, match="t must be >= 0"):
             call()
 
 
