@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import chdtrc, gammaln, pdtr, pdtrik, xlogy
 
 from . import _kernels
 from .exact import _time_grid
@@ -40,6 +39,7 @@ __all__ = [
 _CHUNK = 1 << 15
 _BLOCK = 1 << 21  # uniforms drawn and run at once by the event kernel
 _LUMPED_BLOCK = 1 << 17  # replicate-steps per lumped sub-block: fits in cache
+_LUMPED_ROWS = 1024  # rows per sub-block at least, up to 16 blocks (32 MB of uniforms)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,9 @@ def _chunk_bounds(replicates: int, m0: int):
 def _run_lumped_chunk(seed, index, lo, hi, total, p2, m0, t_max):
     # sub-blocks draw the chunk's stream in order, so they change no value
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
-    rows = max(1, _LUMPED_BLOCK // max(m0, 1))
+    # the row floor keeps numpy's per-step overhead small at large m0
+    steps = max(m0, 1)
+    rows = max(1, _LUMPED_BLOCK // steps, min(_LUMPED_ROWS, 16 * _LUMPED_BLOCK // steps))
     parts = []
     for start in range(lo, hi, rows):
         u = rng.random((min(rows, hi - start), m0, 2))
@@ -88,6 +90,8 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
     if n_workers is not None and n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     total, p2 = rate_table(Strategy(strategy), d, max(m0, 1))
+    if m0 > 0 and total[m0] == 0:  # every run is stuck at the start
+        return np.full(replicates, np.inf), np.zeros(replicates, dtype=np.int64)
     bounds = _chunk_bounds(replicates, m0)
 
     def run(idx):
@@ -164,6 +168,8 @@ class MarginalReport:
 def _chisq(observed: np.ndarray, expected: np.ndarray, name: str) -> ChiSquareResult:
     """Pearson chi-square of observed against expected counts (the statistic
     and p-value of ``scipy.stats.chisquare``, without importing it)."""
+    from scipy.special import chdtrc  # only marginal validation loads scipy
+
     obs_total, exp_total = observed.sum(), expected.sum()
     if abs(obs_total - exp_total) > np.finfo(float).eps ** 0.5 * min(obs_total, exp_total):
         raise ValueError("observed and expected counts have different totals")
@@ -175,6 +181,8 @@ def _chisq(observed: np.ndarray, expected: np.ndarray, name: str) -> ChiSquareRe
 
 def _poisson_chisq(counts: np.ndarray, mean: float, name: str) -> ChiSquareResult:
     """Chi-square of observed counts against Poisson(mean), tail-pooled."""
+    from scipy.special import gammaln, pdtr, pdtrik, xlogy
+
     n_obs = counts.size
     # one past the (1 - 1e-9)-quantile of Poisson(mean)
     q = 1.0 - 1e-9

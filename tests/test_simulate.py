@@ -19,7 +19,7 @@ from cowalk.simulate import (
     validate_marginals,
 )
 from cowalk.states import WalkParams, hamming
-from cowalk.strategies import Strategy, death_chain
+from cowalk.strategies import Strategy, death_chain, rate_table
 
 
 def test_trivial_coupling_from_equal_states():
@@ -59,6 +59,19 @@ def test_synchronous_never_couples():
     tau, nj = sample_coupling_times(Strategy.SYNCHRONOUS, 3, 4, 500, seed=9)
     assert np.isinf(tau).all()
     assert (nj == 0).all()
+
+
+def test_all_stuck_start_draws_nothing_and_matches_the_chunk_path(monkeypatch):
+    # three chunks, each drawn and run as before the shortcut
+    total, p2 = rate_table(Strategy.SYNCHRONOUS, 4, 40)
+    parts = [simulate._run_lumped_chunk(7, i, lo, hi, total, p2, 40, np.inf)
+             for i, (lo, hi) in enumerate(simulate._chunk_bounds(70_000, 40))]
+    assert len(parts) == 3
+    want_tau, want_nj = (np.concatenate(x) for x in zip(*parts))
+    monkeypatch.setattr(simulate, "_run_lumped_chunk", None)  # any draw fails
+    tau, nj = sample_coupling_times(Strategy.SYNCHRONOUS, 4, 40, 70_000, seed=7)
+    assert tau.dtype == want_tau.dtype and tau.tobytes() == want_tau.tobytes()
+    assert nj.dtype == want_nj.dtype and nj.tobytes() == want_nj.tobytes()
 
 
 def test_even_level_sojourn_rate():
@@ -355,6 +368,7 @@ def test_lumped_sub_block_size_changes_no_value(monkeypatch, block):
     # give one and two rows at m0 = 3, and an uneven last block
     want = sample_coupling_times("independent", 4, 3, 1001, seed=5, t_max=1.5)
     monkeypatch.setattr(simulate, "_LUMPED_BLOCK", block)
+    monkeypatch.setattr(simulate, "_LUMPED_ROWS", 1)
     got = sample_coupling_times("independent", 4, 3, 1001, seed=5, t_max=1.5)
     assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
     assert np.isinf(got[0]).any() and np.isfinite(got[0]).any()
@@ -414,11 +428,19 @@ def test_golden_event_kernel():
 
 
 def test_import_does_not_load_scipy_stats():
+    # import, TV and the stationary tail load no scipy module at all; only
+    # validate_marginals imports scipy.special, and never scipy.stats
     src = str(Path(__import__("cowalk").__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, cowalk, cowalk.cli; assert 'scipy.stats' not in sys.modules; "
-            "cowalk.validate_marginals('optimal', cowalk.WalkParams(d=3, n=2), 2.0, 100, 1); "
+    code = ("import sys, cowalk, cowalk.cli\n"
+            "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not scipy(), scipy()\n"
+            "cowalk.tv_exact(3, 1000, 1.0); cowalk.cutoff_profile(3, 1000, [-1.0, 2.0])\n"
+            "cowalk.survival_from_stationary(3, 50, [0.0, 1.0])\n"
+            "assert not scipy(), scipy()\n"
+            "r = cowalk.validate_marginals('optimal', cowalk.WalkParams(d=3, n=2), 2.0, 100, 1)\n"
+            "assert r.passed and 'scipy.special' in sys.modules\n"
             "assert 'scipy.stats' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 

@@ -108,6 +108,57 @@ def test_tv_matches_high_precision_sum(n):
             assert abs(tv_exact(d, n, t) - float(ref)) <= 2e-15, (d, n, t)
 
 
+def _mp_binomial_sf(mpmath, n, p, k):
+    """P(K >= k) for K ~ Binomial(n, p) at the working precision: ratio
+    recurrence from the mode over 40 sd + 100 levels each way (the mass
+    beyond is below 1e-300), normalised by its sum."""
+    mode = min(n, int(mpmath.floor((n + 1) * p)))
+    half = int(40 * math.sqrt(n * float(p) * float(1 - p))) + 100
+    odds = p / (1 - p)
+    up, w = [], mpmath.mpf(1)
+    for j in range(mode, min(n, mode + half)):
+        w = w * (n - j) / (j + 1) * odds
+        up.append(w)
+    down, w = [], mpmath.mpf(1)
+    for j in range(mode, max(0, mode - half), -1):
+        w = w * j / (n - j + 1) / odds
+        down.append(w)
+    # level of up[i] is mode + 1 + i, of down[i] is mode - 1 - i
+    tail = (mpmath.fsum(up[max(k - mode - 1, 0):]) + (k <= mode)
+            + mpmath.fsum(down[:max(mode - k, 0)]))
+    return tail / (mpmath.fsum(up) + 1 + mpmath.fsum(down))
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+def test_tv_meets_stated_bound_at_large_n(n):
+    # the 40-digit binomial tails at the same float a; mpmath.betainc does
+    # not converge at these n
+    mpmath = pytest.importorskip("mpmath")
+    from cowalk.tvcutoff import _binomial_window
+
+    u = 2.0**-53
+    for d in (2, 3, 5, 10):
+        for theta in (-1.0, 0.0, 1.0):
+            t = cutoff_time(d, n) + theta
+            a = coordinate_law(d, t).a
+            with mpmath.workdps(40):
+                a_mp, unif = mpmath.mpf(a), mpmath.mpf(1) / d
+                b = (1 - a_mp) / (d - 1)
+                r1, r2 = mpmath.log(a_mp * d), -mpmath.log(d * b)
+                k_star = int(mpmath.floor(n * r2 / (r1 + r2))) + 1
+                ref = (_mp_binomial_sf(mpmath, n, a_mp, k_star)
+                       - _mp_binomial_sf(mpmath, n, unif, k_star))
+            size = sum(hi - lo + 1 for lo, hi in (_binomial_window(n, a),
+                                                  _binomial_window(n, 1.0 / d)))
+            assert abs(tv_exact(d, n, t) - float(ref)) <= 1e-24 + 4 * u * size, (d, n, theta)
+
+
+def test_tv_refuses_n_beyond_its_window_budget():
+    assert 0.0 < tv_exact(2, 10**10, cutoff_time(2, 10**10)) < 1.0
+    with pytest.raises(ValueError, match="n must be in"):
+        tv_exact(2, 10**10 + 1, 1.0)
+
+
 def test_tv_invariant_under_start_relabeling():
     # complete-graph symmetry: the distance from stationarity is the same
     # from every start state; brute-force product law from arbitrary starts
@@ -135,6 +186,11 @@ def test_cutoff_time_formula():
 def test_cutoff_profile_values():
     pts = cutoff_profile(2, 10_000, [0.0])
     assert pts[0].tv_asymptotic == pytest.approx(2 * ndtr(0.5) - 1, abs=1e-12)
+    # both sides of the erf/erfc split of Phi
+    for d, theta in [(2, -3.0), (2, 3.0), (10, -0.5), (50, 0.1)]:
+        x = math.sqrt(d - 1) / 2 * math.exp(-d * theta / (d - 1))
+        value = cutoff_profile(d, 100, [theta])[0].tv_asymptotic
+        assert value == pytest.approx(2 * ndtr(x) - 1, abs=5e-16), (d, theta)
     assert pts[0].tv_asymptotic == pytest.approx(0.3829249225480262, abs=1e-10)
     far = cutoff_profile(3, 1000, [40.0])[0]
     assert far.tv_asymptotic == pytest.approx(0.0, abs=1e-8)
@@ -174,47 +230,71 @@ def test_survival_from_stationary_n1_closed_form():
         assert np.abs(curve.value - tv).max() <= 1e-12  # tight at n = 1
 
 
-def _expm_stationary_tail(d, n, stop, num):
-    """P(tau > t) from a uniform start on linspace(0, stop, num), by scipy's
-    expm_multiply on the death chain's generator.  The start law is a ratio
-    recurrence from the mode; each tail is an fsum over the live levels.
-    expm_multiply picks its order from a randomized norm estimate, so at
-    n = 2000 this reference moves by up to 6e-13 from one call to the next."""
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import expm_multiply
-
+def _uniformized_stationary_tail(d, n, t_grid):
+    """P(tau > t) from a uniform start on t_grid, by plain uniformization in
+    long double (64-bit mantissa on x86): every level kept, the rates taken
+    from the integer numerators, and the Poisson weights and start law as
+    ratio recurrences from their modes, normalised.  Deterministic, unlike
+    scipy's expm_multiply, whose randomized norm estimate moved its result by
+    6e-13 at n = 2000."""
+    ld = np.longdouble
     gen = death_chain(Strategy.OPTIMAL, d, n)
-    # generator of the death chain acting on row distributions, transposed
-    q_t = diags([-gen.exit_rate, gen.down1[1:], gen.down2[2:]], [0, 1, 2]).tocsc()
-    p = 1 - 1 / d
-    mode = int((n + 1) * p)
-    start = np.zeros(n + 1)
-    start[mode] = 1.0
+    lam = gen.lam_int
+    p1 = gen.c1.astype(ld) / ((d - 1) * lam)
+    p2 = gen.c2.astype(ld) / ((d - 1) * lam)
+    stay = 1 - p1 - p2
+    odds = ld(d - 1)  # p / (1 - p) of the start law Binomial(n, 1 - 1/d)
+    mode = (n + 1) * (d - 1) // d
+    law = np.zeros(n + 1, dtype=ld)
+    law[mode] = 1
     for m in range(mode, n):
-        start[m + 1] = start[m] * (n - m) / (m + 1) * p / (1 - p)
+        law[m + 1] = law[m] * (n - m) / (m + 1) * odds
     for m in range(mode, 0, -1):
-        start[m - 1] = start[m] * m / (n - m + 1) * (1 - p) / p
-    start /= math.fsum(start)
-    laws = expm_multiply(q_t, start, start=0.0, stop=stop, num=num, endpoint=True)
-    return np.array([math.fsum(law[1:]) for law in laws])
+        law[m - 1] = law[m] * m / (n - m + 1) / odds
+    law /= law.sum()
+    # the Poisson(lam * max t) mass beyond k_max is below 1e-30
+    top = lam * max(t_grid)
+    k_max = int(top + 20 * math.sqrt(top) + 60)
+    tails = np.empty(k_max + 1, dtype=ld)
+    for k in range(k_max + 1):
+        tails[k] = law[1:].sum()
+        law, prev = law * stay, law
+        law[:-1] += prev[1:] * p1[1:]
+        law[:-2] += prev[2:] * p2[2:]
+    ks = np.arange(k_max + 1, dtype=ld)
+    out = []
+    for t in t_grid:
+        mu = ld(lam) * ld(t)
+        if mu == 0:
+            out.append(float(tails[0]))
+            continue
+        peak = int(mu)
+        w = np.ones(k_max + 1, dtype=ld)
+        w[peak + 1:] = np.cumprod(mu / ks[peak + 1:])
+        w[:peak] = np.cumprod((ks[1:peak + 1] / mu)[::-1])[::-1]
+        out.append(float((w * tails).sum() / w.sum()))
+    return np.array(out)
 
 
-def test_survival_from_stationary_large_n_against_expm_multiply():
+def test_survival_from_stationary_large_n_against_uniformization():
     d, n = 5, 400
-    curve = survival_from_stationary(d, n, np.linspace(0.0, 12.0, 13))
-    assert np.abs(curve.value - _expm_stationary_tail(d, n, 12.0, 13)).max() <= 1e-12
+    grid = np.linspace(0.0, 12.0, 13)
+    curve = survival_from_stationary(d, n, grid)
+    assert np.abs(curve.value - _uniformized_stationary_tail(d, n, grid)).max() <= 1e-12
 
 
 def test_survival_from_stationary_meets_eps_at_n700():
     d, n = 5, 700
-    curve = survival_from_stationary(d, n, np.linspace(0.0, 12.0, 50))
-    assert np.abs(curve.value - _expm_stationary_tail(d, n, 12.0, 50)).max() <= 1e-12
+    grid = np.linspace(0.0, 12.0, 50)
+    curve = survival_from_stationary(d, n, grid)
+    assert np.abs(curve.value - _uniformized_stationary_tail(d, n, grid)).max() <= 1e-12
 
 
 def test_survival_from_stationary_meets_eps_at_n2000():
     d, n = 5, 2000
-    curve = survival_from_stationary(d, n, np.linspace(0.0, 12.0, 13))
-    assert np.abs(curve.value - _expm_stationary_tail(d, n, 12.0, 13)).max() <= 1e-12
+    grid = np.linspace(0.0, 12.0, 13)
+    curve = survival_from_stationary(d, n, grid)
+    assert np.abs(curve.value - _uniformized_stationary_tail(d, n, grid)).max() <= 1e-12
 
 
 def _count_pushes(monkeypatch):
