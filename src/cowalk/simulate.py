@@ -165,33 +165,59 @@ class MarginalReport:
         return all(t.p_bonferroni > self.alpha for t in self.tests)
 
 
+def _chi2_sf(dof: int, x: float) -> float:
+    """P(chi^2 with dof degrees of freedom > x), for an integer dof >= 1.
+
+    With y = x/2 this is the regularized upper gamma Q(dof/2, y), and
+    Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1) unrolls it to a finite
+    sum of positive terms over a = dof/2 - 1, dof/2 - 2, ... down to 0
+    (even dof, Q(0, y) taken as 0) or to 1/2 (odd dof, Q(1/2, y) =
+    erfc(sqrt(y))).  Each term is one exp of its logarithm, so it is off by
+    about (y + dof log y) 2^-53 relatively, and nothing cancels.
+    """
+    if x <= 0.0:
+        return 1.0
+    y = 0.5 * x
+    total, a = (math.erfc(math.sqrt(y)), 0.5) if dof % 2 else (0.0, 0.0)
+    while a < 0.5 * dof:
+        total += math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+        a += 1.0
+    return total
+
+
 def _chisq(observed: np.ndarray, expected: np.ndarray, name: str) -> ChiSquareResult:
     """Pearson chi-square of observed against expected counts (the statistic
-    and p-value of ``scipy.stats.chisquare``, without importing it)."""
-    from scipy.special import chdtrc  # only marginal validation loads scipy
-
+    and p-value of ``scipy.stats.chisquare``)."""
     obs_total, exp_total = observed.sum(), expected.sum()
     if abs(obs_total - exp_total) > np.finfo(float).eps ** 0.5 * min(obs_total, exp_total):
         raise ValueError("observed and expected counts have different totals")
     stat = float(np.sum((observed - expected) ** 2 / expected))
     dof = observed.size - 1
-    return ChiSquareResult(name=name, statistic=stat, dof=dof,
-                           p_value=float(chdtrc(dof, stat)))
+    return ChiSquareResult(name=name, statistic=stat, dof=dof, p_value=_chi2_sf(dof, stat))
+
+
+def _poisson_pmf(mean: float) -> np.ndarray:
+    """Poisson(mean) probabilities at levels 0, 1, ... up to the first one
+    past the mode below 1e-30.  The ratio recurrence p[k+1]/p[k] =
+    mean/(k+1) runs outward from the mode, whose probability is one exp of
+    its logarithm, so no probability underflows before it is tiny, and a
+    tail sum of them is relatively accurate where 1 - (head sum) cancels."""
+    mode = math.floor(mean)
+    pmf = [math.exp(mode * math.log(mean) - mean - math.lgamma(mode + 1.0))]
+    for k in range(mode, 0, -1):
+        pmf.append(pmf[-1] * k / mean)
+    pmf.reverse()
+    while pmf[-1] >= 1e-30:
+        pmf.append(pmf[-1] * mean / len(pmf))
+    return np.array(pmf)
 
 
 def _poisson_chisq(counts: np.ndarray, mean: float, name: str) -> ChiSquareResult:
     """Chi-square of observed counts against Poisson(mean), tail-pooled."""
-    from scipy.special import gammaln, pdtr, pdtrik, xlogy
-
     n_obs = counts.size
-    # one past the (1 - 1e-9)-quantile of Poisson(mean)
-    q = 1.0 - 1e-9
-    hi = math.ceil(pdtrik(q, mean))
-    if hi > 0 and pdtr(hi - 1, mean) >= q:
-        hi -= 1
-    hi += 1
-    levels = np.arange(hi)
-    pmf = np.exp(xlogy(levels, mean) - gammaln(levels + 1) - mean)
+    pmf = _poisson_pmf(mean)
+    # levels 0..hi-1, hi one past the (1 - 1e-9)-quantile of Poisson(mean)
+    hi = int(np.searchsorted(np.cumsum(pmf), 1.0 - 1e-9)) + 1
     # pool bins from the right until every expected count is >= 5
     expected = pmf * n_obs
     edges = [0]
@@ -205,8 +231,7 @@ def _poisson_chisq(counts: np.ndarray, mean: float, name: str) -> ChiSquareResul
         raise ValueError("horizon too short for a Poisson chi-square")
     edges[-1] = hi
     observed = np.histogram(np.minimum(counts, hi - 1), bins=edges)[0].astype(float)
-    probs = np.add.reduceat(pmf, edges[:-1])
-    probs[-1] += 1.0 - pmf.sum()
+    probs = np.add.reduceat(pmf, edges[:-1])  # the last bin sums the tail past hi too
     return _chisq(observed, probs * n_obs, name)
 
 

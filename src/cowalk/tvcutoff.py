@@ -230,10 +230,13 @@ _EXACT_MEAN_LIMIT = 2000
 def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
     """E[coupling time] with Y_0 uniform: binomial mixture of per-level means.
 
-    Exact rational for moderate n; for large n the normalised binomial
-    weights and the level means are float64 (the level recursion mixes only
-    nonnegative terms, so it stays relatively accurate).  Both paths run the
-    level recursion once.  Returns a Fraction or a float accordingly.
+    Exact rational for moderate n.  For large n the binomial weights are
+    float64 over ``_binomial_window`` (which drops under 1e-24 of the mass),
+    and the level means come from ``exact.expected_tau_float`` up to that
+    window's top only; every weight and level is nonnegative, so the dot
+    product stays relatively accurate.  The float path refuses n whose window
+    reaches past level 10^7 (n above about 10^7 d/(d-1)) with ValueError.
+    Returns a Fraction or a float accordingly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -242,9 +245,12 @@ def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
     if exact:
         total = Fraction(0)
         w = 1  # C(n, m) (d-1)^m, the weight of level m times d^n
-        for m, e in enumerate(_mean_levels(d, n, Fraction(0))):
+        for m, e in enumerate(_mean_levels(d, n)):
             if m > 0:
                 w = w * (n - m + 1) * (d - 1) // m
             total += w * e
         return total / d**n
-    return float(_binomial_weights(n, 1.0 - 1.0 / d) @ expected_tau_float(d, n))
+    p = 1.0 - 1.0 / d
+    lo, hi = _binomial_window(n, p)
+    levels = expected_tau_float(d, hi)[lo:]
+    return float(_binomial_weights(n, p, lo, hi) @ levels)

@@ -424,3 +424,11 @@ def test_non_finite_time_is_refused(t, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "t_grid must be finite" in captured.err
+
+
+def test_float_mean_beyond_its_level_cap_is_refused(capsys):
+    # n = 1e8 at d = 4 needs mean levels up to 7.5e7, past the 1e7 cap
+    assert main(["mean-tau", "--d", "4", "--n", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most 10000000; level 75052002 was asked" in captured.err

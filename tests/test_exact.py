@@ -365,11 +365,52 @@ def test_expected_tau_matches_laplace_at_zero():
         assert expected_tau(d, m) == laplace_V(d, m)(Fraction(0))
 
 
+def _float_mean_bound(m):
+    """expected_tau_float's stated relative bound at levels m:
+    gamma_{4m + 3 sqrt(m) + 3}, u = 2^-53."""
+    k = 4 * m + 3 * np.sqrt(m) + 3
+    return k * 2.0**-53 / (1 - k * 2.0**-53)
+
+
 def test_expected_tau_float_agrees_with_exact():
-    for d in (2, 3, 10):
-        exact_vals = [float(expected_tau(d, m)) for m in range(0, 41)]
-        float_vals = expected_tau_float(d, 40)
-        assert np.abs(np.array(exact_vals) - float_vals).max() < 1e-12
+    # every level, and every block size the scan picks for m_max <= 500
+    m = np.arange(501)
+    for d in (2, 3, 4, 5, 10):
+        exact_vals = np.array([float(e) for e in exact._mean_levels(d, 500)])
+        assert np.all(np.abs(expected_tau_float(d, 500) - exact_vals)
+                      <= _float_mean_bound(m) * exact_vals)
+        for m_max in (0, 1, 2, 3, 4, 5, 17, 99, 100, 101, 257):
+            got = expected_tau_float(d, m_max)
+            assert got.shape == (m_max + 1,)
+            assert np.all(np.abs(got - exact_vals[:m_max + 1])
+                          <= _float_mean_bound(m[:m_max + 1]) * exact_vals[:m_max + 1])
+
+
+def test_expected_tau_float_against_30_digit_recursion():
+    mpmath = pytest.importorskip("mpmath")
+    n = 20_000
+    m = np.arange(n + 1)
+    with mpmath.workdps(30):
+        for d in (2, 5):
+            chain = death_chain(Strategy.OPTIMAL, d, n)
+            e1 = e2 = mpmath.mpf(0)
+            ref = [0.0]
+            for c1, c2 in zip(chain.c1[1:].tolist(), chain.c2[1:].tolist()):
+                e1, e2 = (d - 1 + c1 * e1 + c2 * e2) / (c1 + c2), e1
+                ref.append(float(e1))
+            ref = np.array(ref)
+            err = np.abs(expected_tau_float(d, n) - ref)
+            assert np.all(err <= _float_mean_bound(m) * ref)
+            assert err.max() <= 1e-13 * ref[-1]
+
+
+def test_expected_tau_float_refuses_bad_levels():
+    # a negative level is refused, not answered with an empty array
+    for m_max in (-1, -5, 10**7 + 1):
+        with pytest.raises(ValueError):
+            expected_tau_float(4, m_max)
+    with pytest.raises(ValueError):
+        expected_tau_float(1, 10)
 
 
 def test_mk_bound_mean():

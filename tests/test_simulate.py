@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -379,6 +380,8 @@ def test_lumped_sub_block_size_changes_no_value(monkeypatch, block):
 # --- golden seeded outputs ----------------------------------------------------
 # Hex values pinned from the kernels before the death-chain refactor; any
 # change to draw consumption or kernel arithmetic shows here bit for bit.
+# The two Poisson statistics of each report are within 1.2e-15 of a
+# 40-digit value.
 
 @pytest.mark.parametrize("strategy,tau_sum,nj_sum", [
     ("optimal", "0x1.c29de63786368p+12", 21818),
@@ -392,11 +395,11 @@ def test_golden_coupling_times(strategy, tau_sum, nj_sum):
 
 
 @pytest.mark.parametrize("strategy,stats", [
-    ("optimal", ["0x1.4f6cb510acf91p+3", "0x1.798a8bcbaf173p+3",
+    ("optimal", ["0x1.4f6cb510acee5p+3", "0x1.798a8bcbaf09cp+3",
                  "0x1.3fd334ec3dce6p+1", "0x1.7ea620889eab5p+1"]),
-    ("independent", ["0x1.c3e9d460d4556p+3", "0x1.cf1303f956cf3p+2",
+    ("independent", ["0x1.c3e9d460d4469p+3", "0x1.cf1303f956c4fp+2",
                      "0x1.bda2377c92a8ap-3", "0x1.b35b1a2cd355fp-2"]),
-    ("synchronous", ["0x1.faacce8f217d4p+2", "0x1.faacce8f217d4p+2",
+    ("synchronous", ["0x1.faacce8f21648p+2", "0x1.faacce8f21648p+2",
                      "0x1.f55a807526d13p+2", "0x1.f55a807526d13p+2"]),
 ])
 def test_golden_marginal_statistics(strategy, stats):
@@ -428,8 +431,8 @@ def test_golden_event_kernel():
 
 
 def test_import_does_not_load_scipy_stats():
-    # import, TV and the stationary tail load no scipy module at all; only
-    # validate_marginals imports scipy.special, and never scipy.stats
+    # import, TV, the stationary tail, the float mean and marginal
+    # validation load no scipy module at all
     src = str(Path(__import__("cowalk").__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -438,11 +441,88 @@ def test_import_does_not_load_scipy_stats():
             "assert not scipy(), scipy()\n"
             "cowalk.tv_exact(3, 1000, 1.0); cowalk.cutoff_profile(3, 1000, [-1.0, 2.0])\n"
             "cowalk.survival_from_stationary(3, 50, [0.0, 1.0])\n"
+            "cowalk.mean_tau_stationary(3, 5000)\n"
             "assert not scipy(), scipy()\n"
             "r = cowalk.validate_marginals('optimal', cowalk.WalkParams(d=3, n=2), 2.0, 100, 1)\n"
-            "assert r.passed and 'scipy.special' in sys.modules\n"
-            "assert 'scipy.stats' not in sys.modules")
+            "assert r.passed and not scipy(), scipy()")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_chi2_sf_matches_scipy():
+    from scipy.special import chdtrc
+
+    for dof in range(1, 61):
+        for x in (1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, dof / 3, dof / 2, dof, 1.5 * dof,
+                  2 * dof, 3 * dof + 10, 50.0, 100.0, 200.0, 400.0, 700.0, 1000.0):
+            ref = chdtrc(dof, x)
+            assert simulate._chi2_sf(dof, x) == pytest.approx(ref, rel=1e-12, abs=0)
+    assert simulate._chi2_sf(3, 0.0) == 1.0
+
+
+def _head(pmf, q=1.0 - 1e-9):
+    """pmf through the q-quantile, the levels the Poisson chi-square bins."""
+    return pmf[:int(np.searchsorted(np.cumsum(pmf), q)) + 1]
+
+
+def test_poisson_pmf_matches_scipy_quantile_and_pmf():
+    # the scipy route: quantile from pdtrik, pmf from logs, tail from pdtrc
+    from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
+
+    q = 1.0 - 1e-9
+    for mean in (0.01, 0.5, 1.0, 2.5, 4.0, 10.0, 33.3, 100.0, 250.0, 900.0):
+        hi = math.ceil(pdtrik(q, mean))
+        if hi > 0 and pdtr(hi - 1, mean) >= q:
+            hi -= 1
+        pmf = simulate._poisson_pmf(mean)
+        assert _head(pmf).size == hi + 1
+        k = np.arange(hi + 1)
+        ref = np.exp(xlogy(k, mean) - gammaln(k + 1) - mean)
+        # scipy's exp of a log is off by about |its terms| 2^-53, the
+        # recurrence by about |k - mode| 2^-53
+        tol = 1e-15 * (np.abs(xlogy(k, mean)) + gammaln(k + 1) + mean + np.abs(k - math.floor(mean)) + 1)
+        live = ref > 1e-300
+        assert np.all(np.abs(pmf[:hi + 1] - ref)[live] <= tol[live] * ref[live])
+        assert pmf[hi + 1:].sum() == pytest.approx(pdtrc(hi, mean), rel=1e-11)
+        assert pmf[-1] < 1e-30
+
+
+def _mp_poisson_p_value(mpmath, counts, mean, pmf):
+    """40-digit p-value of the pooled Poisson chi-square, with the bins the
+    package pools from ``pmf``."""
+    n_obs = counts.size
+    edges, acc = [0], 0.0
+    for k in range(pmf.size):
+        acc += pmf[k] * n_obs
+        if acc >= 5.0:
+            edges.append(k + 1)
+            acc = 0.0
+    edges[-1] = pmf.size
+    observed = np.histogram(np.minimum(counts, pmf.size - 1), bins=edges)[0]
+    mu = mpmath.mpf(mean)
+    probs = [mpmath.fsum(mpmath.exp(-mu) * mu**k / mpmath.factorial(k) for k in range(a, b))
+             for a, b in zip(edges[:-2], edges[1:-1])]
+    probs.append(1 - mpmath.fsum(probs))
+    stat = mpmath.fsum((int(o) - n_obs * p) ** 2 / (n_obs * p) for o, p in zip(observed, probs))
+    return len(probs) - 1, mpmath.gammainc(mpmath.mpf(len(probs) - 1) / 2, stat / 2,
+                                           mpmath.inf, regularized=True)
+
+
+@pytest.mark.parametrize("strategy,seed", [("optimal", 0), ("optimal", 1), ("independent", 7)])
+def test_poisson_chisq_p_values_against_40_digits(monkeypatch, strategy, seed):
+    # the README validate-marginals command (seed 0) and its siblings
+    mpmath = pytest.importorskip("mpmath")
+    seen = []
+    real = simulate._poisson_chisq
+    monkeypatch.setattr(simulate, "_poisson_chisq",
+                        lambda counts, mean, name: seen.append((counts, mean))
+                        or real(counts, mean, name))
+    report = validate_marginals(strategy, WalkParams(d=4, n=5), 10.0, 10_000, seed)
+    with mpmath.workdps(40):
+        for test, (counts, mean) in zip(report.tests, seen):
+            dof, ref = _mp_poisson_p_value(mpmath, counts, mean,
+                                           _head(simulate._poisson_pmf(mean)))
+            assert test.dof == dof == 23
+            assert abs(test.p_value - ref) <= 1e-13 * ref
 
 
 def test_lumped_sampler_working_set_is_bounded():
@@ -467,8 +547,9 @@ def test_marginal_validation_working_set_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # Poisson statistics within 7.2e-16 of a 40-digit value
     assert [t.statistic.hex() for t in report.tests] == [
-        "0x1.1fbeb410621bap+4", "0x1.279a4b3874ca5p+4",
+        "0x1.1fbeb4106bf15p+4", "0x1.279a4b3872aabp+4",
         "0x1.a0adf71bd4214p-3", "0x1.4d7148086085ep-5"]
     assert report.mean_changes_x.hex() == "0x1.4027e66666666p+3"
     assert report.mean_changes_y.hex() == "0x1.4029266666666p+3"

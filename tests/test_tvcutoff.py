@@ -7,9 +7,10 @@ from scipy.linalg import expm
 from scipy.special import ndtr
 
 from cowalk import exact
-from cowalk.exact import expected_tau, expected_tau_float, r_diff_table, survival_table
+from cowalk.exact import expected_tau, r_diff_table, survival_table
 from cowalk.strategies import Strategy, death_chain
 from cowalk.tvcutoff import (
+    _binomial_window,
     coordinate_law,
     cutoff_profile,
     cutoff_time,
@@ -471,22 +472,49 @@ def test_mean_tau_stationary_equals_per_level_sum():
 
 
 def test_mean_tau_stationary_float_at_n1e6():
-    # reference: binomial weights by ratio recurrence outward from the mode,
-    # normalised, every sum by math.fsum
+    # reference: the level recursion as a plain sequential float loop, and
+    # binomial weights by ratio recurrence outward from the mode (kept while
+    # above 1e-40 of the mode's), normalised, every sum by math.fsum
     d, n = 5, 10**6
     p = (d - 1) / d
     ratio = p / (1 - p)
     mode = int((n + 1) * p)
-    w = [0.0] * (n + 1)
-    w[mode] = 1.0
-    for m in range(mode, n):
+    w = {mode: 1.0}
+    m = mode
+    while w[m] > 1e-40 and m < n:
         w[m + 1] = w[m] * (n - m) / (m + 1) * ratio
-    for m in range(mode, 0, -1):
+        m += 1
+    m = mode
+    while w[m] > 1e-40 and m > 0:
         w[m - 1] = w[m] * m / (n - m + 1) / ratio
-    levels = expected_tau_float(d, n)
-    ref = math.fsum(wi * e for wi, e in zip(w, levels.tolist())) / math.fsum(w)
+        m -= 1
+    top = max(w)
+    levels = [0.0] * (top + 1)
+    e1 = e2 = 0.0
+    for m in range(1, top + 1):
+        if m % 2 == 1 and m * (d - 2) < 2 * (d - 1):  # singles mode
+            c1, c2 = m * d, 0
+        else:
+            c1, c2 = m * (d - 2), m
+        e1, e2 = ((d - 1) + c1 * e1 + c2 * e2) / (c1 + c2), e1
+        levels[m] = e1
+    ref = math.fsum(wm * levels[m] for m, wm in w.items()) / math.fsum(w.values())
     value = mean_tau_stationary(d, n, exact=False)
     assert abs(value - ref) <= 1e-12 * ref
+
+
+def test_mean_tau_stationary_float_refuses_past_level_cap():
+    # the float path steps levels up to its binomial window's top, at most 10^7
+    d = 4
+    lo, hi = 1, 10**10  # bisect for the first n whose window top passes 10^7
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if _binomial_window(mid, 1 - 1 / d)[1] <= 10**7 else (lo, mid)
+    assert _binomial_window(lo - 1, 1 - 1 / d)[1] == 10**7
+    with pytest.raises(ValueError):
+        mean_tau_stationary(d, lo, exact=False)
+    with pytest.raises(ValueError):
+        mean_tau_stationary(d, 10**10 + 1, exact=False)
 
 
 def test_mean_tau_stationary_weights_sum():
