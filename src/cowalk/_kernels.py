@@ -32,10 +32,13 @@ def lumped_batch(total, p2, m0, t_max, u_exp, u_jump):
     m > 0 with no branch: copies with rate[0] = inf (an absorbed run adds
     u / inf == 0.0 to t) and p2[:2] = 0 (m stays >= 0) make that exact.  A
     run counts while t <= cap = min(t_max, DBL_MAX); a rate-0 level (t = inf,
-    or nan from 0/0) and a late absorption fail that test for good.
+    or nan from 0/0) and a late absorption fail that test for good.  A table
+    with no -2 jump left (independent, say) skips the jump test: no uniform
+    is < 0.0.
     """
     rate, p2 = np.array(total, dtype=float), np.array(p2, dtype=float)
     rate[0], p2[:2] = np.inf, 0.0
+    down2 = p2.any()
     cap = min(t_max, np.finfo(float).max)
     m = np.full(u_exp.shape[0], m0, dtype=np.int64)
     t, njumps = np.zeros(m.shape), np.zeros(m.shape, dtype=np.int64)
@@ -47,7 +50,8 @@ def lumped_batch(total, p2, m0, t_max, u_exp, u_jump):
             if not moved.any():  # every run is absorbed, stuck or censored
                 break
             njumps += moved
-            m -= u_jump[:, step] < p2[m]  # the jump size is drawn at the pre-step m
+            if down2:
+                m -= u_jump[:, step] < p2[m]  # the jump size is drawn at the pre-step m
             m -= live
     return np.where(t <= cap, t, np.inf), njumps
 

@@ -333,7 +333,8 @@ _FLAGS = {
     "format": (["--format"], {"dest": "fmt", "choices": ["csv", "json"]}),
     "seed": (["--seed"], {"type": int}),
     "eps": (["--eps"], {"type": float, "help": "certified error bound"}),
-    "workers": (["--workers"], {"type": int, "help": "replicate-chunk workers (default 1)"}),
+    "workers": (["--workers"], {"type": int,
+                                "help": "replicate-chunk workers, two threads each (default 1)"}),
     "d": (["--d"], {"type": int}),
     "n": (["--n"], {"type": int, "help": "coordinates"}),
     "m": (["--m"], {"type": int, "help": "start level (unmatched count)"}),

@@ -66,11 +66,25 @@ def _run_lumped_chunk(seed, index, lo, hi, total, p2, m0, t_max):
     # the row floor keeps numpy's per-step overhead small at large m0
     steps = max(m0, 1)
     rows = max(1, _LUMPED_BLOCK // steps, min(_LUMPED_ROWS, 16 * _LUMPED_BLOCK // steps))
+    sizes = [min(rows, hi - start) for start in range(lo, hi, rows)]
     parts = []
-    for start in range(lo, hi, rows):
-        u = rng.random((min(rows, hi - start), m0, 2))
+
+    def run(u):
         exp_draws = -np.log1p(-u[:, :, 0])  # holding-time deviates, host-side
         parts.append(_kernels.lumped_batch(total, p2, m0, t_max, exp_draws, u[:, :, 1]))
+
+    if len(sizes) == 1:
+        run(rng.random((sizes[0], m0, 2)))
+    else:
+        # a helper thread draws sub-block i+1 (rng.random releases the GIL)
+        # while this one runs sub-block i; only the helper touches rng, in
+        # stream order, and leaving the block joins it, on error too
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            ahead = helper.submit(rng.random, (sizes[0], m0, 2))
+            for size in sizes[1:]:
+                u, ahead = ahead.result(), helper.submit(rng.random, (size, m0, 2))
+                run(u)
+            run(ahead.result())
     tau, njumps = zip(*parts)
     return np.concatenate(tau), np.concatenate(njumps)
 

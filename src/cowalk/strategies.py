@@ -111,19 +111,19 @@ def regime(m: int, d: int) -> Regime:
     return Regime.C3 if _singles_mode(m, d) else Regime.C2
 
 
-# (c1, c2): rates of the -1 and -2 jumps at level m, times (d-1); m is an int
-# or an integer array.
+# (c1, c2) per unmatched coordinate: the rates of the -1 and -2 jumps at
+# level m are m times these, over (d-1).
 
-def _paired(m, d: int):
-    return m * (d - 2), m
-
-
-def _singles(m, d: int):
-    return m * d, 0
+def _paired(d: int):
+    return d - 2, 1
 
 
-def _independent(m, d: int):
-    return 2 * m, 0
+def _singles(d: int):
+    return d, 0
+
+
+def _independent(d: int):
+    return 2, 0
 
 
 def _schedule(c1: int, c2: int, d: int) -> RateSchedule:
@@ -133,13 +133,15 @@ def _schedule(c1: int, c2: int, d: int) -> RateSchedule:
 def paired_schedule(m: int, d: int) -> RateSchedule:
     """Paired-mode (C2) rates at level m: the pair-capped, budget-saturating
     vertex of the rate polytope."""
-    return _schedule(*_paired(m, d), d)
+    c1, c2 = _paired(d)
+    return _schedule(m * c1, m * c2, d)
 
 
 def singles_schedule(m: int, d: int) -> RateSchedule:
     """Singles-mode (C3) rates at level m: the budget-saturating vertex with
     no -2 jumps."""
-    return _schedule(*_singles(m, d), d)
+    c1, c2 = _singles(d)
+    return _schedule(m * c1, m * c2, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,15 +193,23 @@ def _numerators(strategy: Strategy, m, d: int):
     """
     # ``alone`` marks the levels that do not run in paired mode
     if strategy is Strategy.OPTIMAL:
-        alone, other = _singles_mode(m, d), _singles(m, d)
+        alone, other = _singles_mode(m, d), _singles(d)
     elif strategy is Strategy.PAIRWISE_CLASSIC:
-        alone, other = m % 2 == 1, _independent(m, d)
+        alone, other = m % 2 == 1, _independent(d)
     elif strategy is Strategy.INDEPENDENT:
-        alone, other = True, _independent(m, d)
+        alone, other = True, _independent(d)
     else:
         alone, other = True, (0, 0)
-    (p1, p2), (o1, o2) = _paired(m, d), other
-    return p1 + alone * (o1 - p1), p2 + alone * (o2 - p2)
+    if not isinstance(m, np.ndarray):
+        k1, k2 = other if alone else _paired(d)
+        return m * k1, m * k2
+    # each table is its mode's coefficient scaled by m in place, so besides
+    # m only the two tables and the mode mask span the level range
+    alone = np.broadcast_to(alone, m.shape)
+    c1, c2 = (np.where(alone, o, p) for o, p in zip(other, _paired(d)))
+    c1 *= m
+    c2 *= m
+    return c1, c2
 
 
 def death_chain(strategy: Strategy, d: int, m_max: int) -> DeathChain:

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -349,6 +351,13 @@ def _lumped_cases(draw):
 # every level stuck, like the synchronous coupling
 @example(([0.0] * 4, [0.0] * 4, 3, np.inf, [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
           [[0.5] * 3] * 2))
+# no -2 jump at any level >= 2, so the kernel skips the jump test; the
+# p2[0..1] it clears may be nonzero
+@example(([0.0, 1.0, 2.0, 3.0], [0.0] * 4, 3, np.inf, [[0.5, 1.0, 0.25]], [[0.0, 0.0, 0.0]]))
+@example(([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 0.0, 0.0], 3, np.inf,
+          [[0.5, 1.0, 0.25], [1.0, 0.5, 2.0]], [[0.0, 0.5, 0.9], [0.9, 0.0, 0.0]]))
+@example(([0.0, 2.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.0], 3, None,
+          [[1.0, 0.5, 0.5], [0.25, 0.0, 1.0]], [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]]))
 def test_lumped_kernel_matches_scalar_loop_property(case):
     total, p2, m0, t_max, u_exp, u_jump = case
     u_exp, u_jump = np.array(u_exp, dtype=float), np.array(u_jump, dtype=float)
@@ -377,6 +386,26 @@ def test_lumped_sub_block_size_changes_no_value(monkeypatch, block):
     assert float(tau.sum()).hex() == "0x1.c29de63786368p+12" and int(nj.sum()) == 21818
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_thread_outlives_a_call(monkeypatch, workers):
+    # 70,000 runs at m0 = 40: three chunks of 11, 11 and 2 sub-blocks, each
+    # chunk with a helper thread drawing one sub-block ahead
+    before = threading.active_count()
+    sample_coupling_times("optimal", 4, 40, 70_000, seed=1, n_workers=workers)
+    assert threading.active_count() == before
+    calls, kernel = itertools.count(), _kernels.lumped_batch
+
+    def fail_on_second_sub_block(*args):
+        if next(calls) == 1:
+            raise RuntimeError("kernel failed")
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "lumped_batch", fail_on_second_sub_block)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        sample_coupling_times("optimal", 4, 40, 70_000, seed=1, n_workers=workers)
+    assert threading.active_count() == before
+
+
 # --- golden seeded outputs ----------------------------------------------------
 # Hex values pinned from the kernels before the death-chain refactor; any
 # change to draw consumption or kernel arithmetic shows here bit for bit.
@@ -392,6 +421,24 @@ def test_golden_coupling_times(strategy, tau_sum, nj_sum):
     tau, nj = sample_coupling_times(strategy, 4, 7, 4000, seed=99)
     assert float(tau.sum()).hex() == tau_sum
     assert int(nj.sum()) == nj_sum
+
+
+def test_golden_independent_coupling_times_digest():
+    # sha256 of tau then the jump counts, pinned before the kernel skipped
+    # the -2 test on tables with no -2 jump; one chunk of seven sub-blocks
+    want = "282676ee293b4427a73055f95e0391461e66b798ed1e53d6bf18d201c0ab16da"
+    tau, nj = sample_coupling_times("independent", 4, 40, 20_000, seed=7)
+    assert hashlib.sha256(tau.tobytes() + nj.tobytes()).hexdigest() == want
+    # rows own their uniforms, so they are the first rows of chunk 0 of a
+    # three-chunk run too: three workers and three helpers on fewer cores,
+    # switching threads every microsecond, draw the same stream
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tau, nj = sample_coupling_times("independent", 4, 40, 70_000, seed=7, n_workers=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert hashlib.sha256(tau[:20_000].tobytes() + nj[:20_000].tobytes()).hexdigest() == want
 
 
 @pytest.mark.parametrize("strategy,stats", [

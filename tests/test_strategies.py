@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -126,12 +127,26 @@ def _level_numerators(strategy, m, d):
 
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_death_chain_numerators(strategy):
-    for d in (2, 3, 4, 7):
+    for d in (2, 3, 4, 5, 7, 10):
         chain = death_chain(strategy, d, 60)
         c1, c2 = chain.numerators()
         assert all(type(c) is int for c in c1 + c2)
         assert [(c1[m], c2[m]) for m in range(61)] == [
             _level_numerators(strategy, m, d) for m in range(61)]
+
+
+def test_death_chain_working_set_is_bounded():
+    # the two int64 tables take 15.3 MiB at 10^6 levels; the level range
+    # and the mode mask add 8.6 MiB
+    tracemalloc.start()
+    try:
+        for strategy in Strategy:
+            for d in (2, 5):
+                death_chain(strategy, d, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
