@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ratfun import RationalFn
+from .ratfun import Poly, RationalFn
 from .strategies import DeathChain, Strategy, death_chain
 
 __all__ = [
@@ -243,48 +243,8 @@ def survival_exact(d: int, m: int, t_grid, eps: float = 1e-12) -> np.ndarray:
 #   P_m = (d-1) D_{m-1} + c1 P_{m-1} + c2 l_{m-1} P_{m-2}.
 # R(m) = V(m) - V(m-1) has numerator N_m = P_m - l_m P_{m-1} over D_m, and
 # R(m-1) - R(m) has numerator l_m N_{m-1} - N_m over D_m, so a zero test is
-# an emptiness test and no polynomial gcd is ever needed.  Polynomials here
-# are lists of Python ints, ascending powers, without trailing zeros.
-
-
-def _ipoly_add(p: list[int], q: list[int]) -> list[int]:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _ipoly_scale(p: list[int], c: int) -> list[int]:
-    return [c * v for v in p] if c else []
-
-
-def _ipoly_mul_linear(p: list[int], a: int, b: int) -> list[int]:
-    """p * (a + b*alpha), for b != 0."""
-    if not p:
-        return []
-    out = [a * p[0]]
-    out += [a * p[i] + b * p[i - 1] for i in range(1, len(p))]
-    out.append(b * p[-1])
-    return out
-
-
-def _ipoly_div_linear(p: list[int], a: int, b: int) -> list[int] | None:
-    """p / (a + b*alpha) for a primitive factor (gcd(a, b) = 1, b > 0), or
-    None if the factor does not divide p.  By Gauss's lemma an exact quotient
-    has integer coefficients, so an inexact step already proves the factor's
-    root is not a root of p."""
-    quo = [0] * (len(p) - 1)
-    carry = p[-1]
-    for i in range(len(p) - 2, -1, -1):
-        quo[i], rest = divmod(carry, b)
-        if rest:
-            return None
-        carry = p[i] - a * quo[i]
-    return None if carry else quo
+# an emptiness test and no polynomial gcd is ever needed.  The numerators are
+# ``Poly``s, whose int coefficients stay exact without a common denominator.
 
 
 @dataclass(frozen=True)
@@ -293,49 +253,46 @@ class _TransformLevels:
 
     q: int
     s: list[int]  # s[j] = c1 + c2 at level j; s[0] unused
-    P: list[list[int]]
+    P: list[Poly]
 
-    def r_numerator(self, m: int) -> list[int]:
+    def r_numerator(self, m: int) -> Poly:
         """N_m = P_m - l_m P_{m-1}, the numerator of R(m) over D_m."""
-        return _ipoly_add(self.P[m], _ipoly_mul_linear(self.P[m - 1], -self.s[m], -self.q))
+        return self.P[m] - self.P[m - 1] * Poly([self.s[m], self.q])
 
-    def second_diff_numerator(self, m: int) -> list[int]:
+    def second_diff_numerator(self, m: int) -> Poly:
         """l_m N_{m-1} - N_m, the numerator of R(m-1) - R(m) over D_m."""
-        return _ipoly_add(_ipoly_mul_linear(self.r_numerator(m - 1), self.s[m], self.q),
-                          _ipoly_scale(self.r_numerator(m), -1))
+        return self.r_numerator(m - 1) * Poly([self.s[m], self.q]) - self.r_numerator(m)
 
-    def canonical(self, num: list[int], m: int) -> RationalFn:
+    def canonical(self, num: Poly, m: int) -> RationalFn:
         """num / D_m in canonical form: cancel each factor l_j whose root
         num shares (a repeated factor is tested once per occurrence), so
         what remains is coprime without a gcd."""
-        if not num:
-            return RationalFn(0)
-        den = [1]  # D_m = den * prod(g), with den built from primitive factors
+        den, scale = Poly([1]), 1  # den * scale: D_m less the factors cancelled so far
         for j in range(1, m + 1):
             g = math.gcd(self.s[j], self.q)
             a, b = self.s[j] // g, self.q // g
-            quo = _ipoly_div_linear(num, a, b)
+            quo = num.div_linear(a, b)
             if quo is None:
-                den = _ipoly_mul_linear(den, a, b)
+                den = den * Poly([a, b])
             else:
                 num = quo
-            den = _ipoly_scale(den, g)
-        return RationalFn._from_coprime(num, den)
+            scale *= g
+        return RationalFn._from_coprime(num, den * scale)
 
 
 def _transform_levels(d: int, m_max: int) -> _TransformLevels:
     c1, c2 = death_chain(Strategy.OPTIMAL, d, m_max).numerators()
     q = d - 1
     s = [0]
-    P: list[list[int]] = [[]]
-    D = [1]  # D_{m-1}
+    P = [Poly()]
+    qD = Poly([q])  # (d-1) D_{m-1}
     for m in range(1, m_max + 1):
-        num = _ipoly_add(_ipoly_scale(D, q), _ipoly_scale(P[m - 1], c1[m]))
+        num = qD + P[m - 1] * c1[m]
         if c2[m]:  # never at m = 1, which is always a singles level
-            num = _ipoly_add(num, _ipoly_scale(_ipoly_mul_linear(P[m - 2], s[m - 1], q), c2[m]))
+            num = num + P[m - 2] * Poly([c2[m] * s[m - 1], c2[m] * q])
         s.append(c1[m] + c2[m])
         P.append(num)
-        D = _ipoly_mul_linear(D, s[m], q)
+        qD = qD * Poly([s[m], q])
     return _TransformLevels(q=q, s=s, P=P)
 
 
@@ -468,8 +425,13 @@ def check_total_monotone(f: RationalFn, order: int, alpha_grid) -> TotalMonotone
     measure; evaluation is exact rational arithmetic, so a reported failure
     is a real failure.  With f = N/D, f^(k) = N_k / D^(k+1) where N_0 = N and
     N_{k+1} = N_k' D - (k+1) N_k D', so the denominator is never squared.
+    Raises ValueError for order < 0 or an empty grid, which check nothing.
     """
     grid = tuple(Fraction(a) for a in alpha_grid)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if not grid:
+        raise ValueError("alpha_grid is empty")
     failures = []
     num, den, dden = f.num, f.den, f.den.derivative()
     for k in range(order + 1):

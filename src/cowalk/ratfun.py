@@ -1,37 +1,38 @@
-"""Exact univariate polynomials and rational functions over the rationals.
+"""Exact univariate polynomials with int coefficients and their ratios.
 
 Used for the Laplace-transform calculus of coupling-time tails: transforms
 of the tail and its level differences are ratios of integer-coefficient
 polynomials in the transform variable, so identities between them can be
-decided exactly.
+decided exactly, and evaluation at a rational point is exact.
 
 Equality is equality of values: f == g when f.num * g.den == g.num * f.den,
 decided by cross-multiplication.  Arithmetic results are not reduced, so
 equal values may hold different num/den, and a ``RationalFn`` is unhashable.
 The canonical values are the transforms built by ``_from_coprime``: coprime,
-jointly content-free integer-coefficient numerator and denominator, with a
-positive leading denominator coefficient.
+jointly content-free numerator and denominator, with a positive leading
+denominator coefficient.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
-
-
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+from operator import add, index, mul
 
 
 class Poly:
-    """Dense polynomial with Fraction coefficients, ascending powers."""
+    """Dense polynomial with int coefficients, ascending powers.
+
+    Any other coefficient (0.5, Fraction(1, 2)) raises TypeError.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = tuple(Fraction(c) for c in _trim(coeffs))
+        c = list(map(index, coeffs))
+        while c and c[-1] == 0:
+            c.pop()
+        self.coeffs = tuple(c)
 
     @property
     def degree(self) -> int:
@@ -54,15 +55,12 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly([other])
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return Poly([*map(add, a, b), *a[len(b):]])
 
     __radd__ = __add__
 
@@ -70,35 +68,50 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             return Poly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        n = len(a)
+        out = [0] * (n + len(b) - 1)  # all zeros, trimmed away, if b is zero
+        for j, y in enumerate(b):  # one pass over the longer factor per term
+            out[j:j + n] = map(add, out[j:j + n], map(mul, a, repeat(y)))
         return Poly(out)
 
     __rmul__ = __mul__
 
     def __call__(self, value):
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def div_linear(self, a: int, b: int) -> "Poly | None":
+        """self / (a + b*alpha) for a primitive factor (gcd(a, b) = 1, b > 0),
+        or None if the factor does not divide self.  By Gauss's lemma an
+        exact quotient has integer coefficients, so an inexact step already
+        proves the factor's root is not a root of self."""
+        p = self.coeffs
+        if not p:
+            return self
+        quo = [0] * (len(p) - 1)
+        carry = p[-1]
+        for i in range(len(p) - 2, -1, -1):
+            quo[i], rest = divmod(carry, b)
+            if rest:
+                return None
+            carry = p[i] - a * quo[i]
+        return None if carry else Poly(quo)
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
@@ -110,33 +123,24 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=Poly([1])):
-        if not isinstance(num, Poly):
-            num = Poly([num]) if isinstance(num, (int, Fraction)) else Poly(num)
-        if not isinstance(den, Poly):
-            den = Poly([den]) if isinstance(den, (int, Fraction)) else Poly(den)
+        if isinstance(num, (int, Fraction)):  # the constant p/q is p over q * den
+            num, den = Poly([num.numerator]), den * num.denominator
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num, self.den = num, (Poly([1]) if num.is_zero else den)
 
     @classmethod
-    def _from_coprime(cls, num, den) -> "RationalFn":
+    def _from_coprime(cls, num: Poly, den: Poly) -> "RationalFn":
         """Canonical form of num/den without a gcd.
 
-        ``num`` and ``den`` are integer coefficient lists (ascending, no
-        trailing zeros, ``den`` nonzero) that the caller knows to be coprime;
-        only the joint content and the sign are normalized here.
+        The caller knows ``num`` and ``den`` (nonzero) to be coprime; only
+        the joint content and the sign are normalized here.
         """
-        if not num:
-            return cls(0)
-        content = 0
-        for v in (*num, *den):
-            content = gcd(content, v)
-        if den[-1] < 0:
+        content = gcd(*num.coeffs, *den.coeffs)
+        if den.coeffs[-1] < 0:
             content = -content
-        self = cls.__new__(cls)
-        self.num = Poly([v // content for v in num])
-        self.den = Poly([v // content for v in den])
-        return self
+        return cls(Poly([v // content for v in num.coeffs]),
+                   Poly([v // content for v in den.coeffs]))
 
     @property
     def is_zero(self) -> bool:
@@ -144,7 +148,7 @@ class RationalFn:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RationalFn(Poly([other]))
+            other = RationalFn(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
         return self.num * other.den == other.num * self.den

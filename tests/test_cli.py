@@ -181,6 +181,18 @@ def test_laplace_readme_command_stdout(capsys):
     assert capsys.readouterr().out == LAPLACE_D5_M3
 
 
+@pytest.mark.parametrize("d, m, sha256", [
+    (4, 12, "1441bfb2f709f8da2355f973e7272567d669f26f467ec82bff19b1432f3b10e6"),
+    (2, 9, "d6a87b4b8e8ed49ca8ef489a396b2913a8552662bdcc158f1bf357cf6a35e31f"),
+    (10, 20, "709475fd3dfb4e13beafc93c1bb2ad2c798daacc437fc0aab6a03ab2b62ff829"),
+])
+def test_laplace_stdout_digest(capsys, d, m, sha256):
+    # digests of the stdout of `cowalk laplace --d D --m M` as first recorded,
+    # so a change to the transform arithmetic cannot move a byte unnoticed
+    assert run_cli("laplace", "--d", str(d), "--m", str(m)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 def test_laplace_json(tmp_path):
     path = tmp_path / "laplace.json"
     assert run_cli("laplace", "--d", "6", "--m", "3", "--out", str(path)) == 0

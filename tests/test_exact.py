@@ -201,7 +201,7 @@ def test_transforms_canonical(d):
     # denominator coefficient.  The denominator is a product of factors
     # s_j + q*a of D_m, so the numerator being nonzero at each root -s_j/q
     # of the denominator shows coprimality
-    from cowalk.exact import _ipoly_div_linear, _transform_levels
+    from cowalk.exact import _transform_levels
 
     levels = _transform_levels(d, 30)
     q = levels.q
@@ -211,20 +211,20 @@ def test_transforms_canonical(d):
                 assert f.den == Poly([1])
                 continue
             coeffs = f.num.coeffs + f.den.coeffs
-            assert all(c.denominator == 1 for c in coeffs)
+            assert all(type(c) is int for c in coeffs)
             content = 0
             for c in coeffs:
-                content = gcd(content, int(c))
+                content = gcd(content, c)
             assert content == 1, (d, m)
             assert f.den.coeffs[-1] > 0
-            rest = [int(c) for c in f.den.coeffs]
+            rest = f.den
             for s in set(levels.s[1:m + 1]):
                 a, b = s // gcd(s, q), q // gcd(s, q)
-                while len(rest) > 1 and (quo := _ipoly_div_linear(rest, a, b)):
+                while rest.degree > 0 and (quo := rest.div_linear(a, b)):
                     rest = quo
                 if f.den(Fraction(-s, q)) == 0:
                     assert f.num(Fraction(-s, q)) != 0, (d, m, s)
-            assert len(rest) == 1, (d, m)
+            assert rest.degree == 0, (d, m)
 
 
 def test_zero_transform_rows():
@@ -456,6 +456,16 @@ def test_total_monotone_rejects_negative_constant():
 def test_total_monotone_zero_function():
     rep = check_total_monotone(laplace_R(4, 2) - laplace_R(4, 3), 6, [0, 1, 2])
     assert rep.passed
+
+
+def test_total_monotone_refuses_negative_order():
+    with pytest.raises(ValueError, match="order must be"):
+        check_total_monotone(laplace_V(4, 3), -1, [0])
+
+
+def test_total_monotone_refuses_empty_grid():
+    with pytest.raises(ValueError, match="alpha_grid is empty"):
+        check_total_monotone(laplace_V(4, 3), 2, [])
 
 
 def test_total_monotone_pole_raises():
