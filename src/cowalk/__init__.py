@@ -33,7 +33,6 @@ from .strategies import (
     Strategy,
     build_q_matrix,
     lump_rates,
-    optimal_rates,
     rates_for,
     regime,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "Regime",
     "RateSchedule",
     "regime",
-    "optimal_rates",
     "rates_for",
     "build_q_matrix",
     "lump_rates",

@@ -17,13 +17,14 @@ derived from that chain:
   recursions of the death chain run on integer numerator polynomials over
   the known product of the levels' linear factors.
 * ``expected_tau`` is the transform at 0, evaluated as an exact rational.
-* ``r_diff_table`` stacks the level differences r(m,t) = v(m,t)-v(m-1,t)
-  and the second differences r(m-1,t)-r(m,t) into one table and signs every
-  cell: directly where the magnitude exceeds twice the uniformization bound,
-  ZERO where the rational transform vanishes, and otherwise by an exact
-  integer partial sum of the series (``_certify_exact``), which runs the
-  float tails' uniformization step ``_steps`` on integers.  Cells are never
-  signed from numerical noise.
+* ``r_diff_table`` signs the level differences r(m,t) = v(m,t)-v(m-1,t) by
+  rows: the uniformized chain is stochastically monotone, so a row is ZERO
+  where its rational transform vanishes and POSITIVE at every t > 0
+  otherwise.  A second difference r(m-1,t)-r(m,t) is signed per cell:
+  directly where it exceeds twice the uniformization bound, ZERO where its
+  transform vanishes, and otherwise by an exact integer partial sum of the
+  series (``_certify_exact``), which runs the float tails' uniformization
+  step ``_steps`` on integers.  No cell is signed from numerical noise.
 """
 from __future__ import annotations
 
@@ -473,11 +474,11 @@ def _check_monotone(chain: DeathChain) -> None:
 
 
 def _certify_exact(chain: DeathChain, rows: np.ndarray, cols: np.ndarray, t_grid):
-    """Arrays (lower, upper) bounding the (rows, cols) cells of the stacked
-    table of ``r_diff_table``.  Each cell's uniformization series
-    sum_k w_k(t) q_k is split into a head of ceil(3 lam t) + 40 terms and a
-    Poisson tail bounded by |q_k| <= 1, which for a second difference holds
-    because the chain is checked to be monotone.  A head term q_k is a
+    """Arrays (lower, upper) bounding the (rows, cols) cells of the second
+    differences r(m-1,t) - r(m,t) (row m - 2 for level m).  Each cell's
+    series sum_k w_k(t) q_k is split into a head of ceil(3 lam t) + 40 terms
+    and a Poisson tail bounded by |q_k| <= 1, which holds because the chain
+    is checked to be monotone.  A head term q_k is a
     difference of the exact vectors of ``_steps`` over ((d-1) lam)^k,
     rounded once to the nearest float (Python int / int is correctly
     rounded, so its sign is exact and its error relative)."""
@@ -497,7 +498,7 @@ def _certify_exact(chain: DeathChain, rows: np.ndarray, cols: np.ndarray, t_grid
     for k, s in zip(range(len(w)), _steps(dd - c1 - c2, c1, c2)):
         live = np.flatnonzero(heads >= k)
         first = s[1:] - s[:-1]
-        term = (np.concatenate([first, first[:-1] - first[1:]])[rows[live]] / scale).astype(float)
+        term = ((first[:-1] - first[1:])[rows[live]] / scale).astype(float)
         wk = w[k, at[live]]
         val[live] += wk * term
         mag[live] += wk * np.abs(term)
@@ -532,20 +533,21 @@ class RDiffTable:
     diff_certs: np.ndarray
 
     def undetermined_cells(self):
-        cells = [("r", int(i) + 1, float(self.t_grid[j]))
-                 for i, j in zip(*np.nonzero(self.r_certs == SignCert.UNDETERMINED.value))]
-        cells += [("diff", int(i) + 2, float(self.t_grid[j]))
-                  for i, j in zip(*np.nonzero(self.diff_certs == SignCert.UNDETERMINED.value))]
-        return cells
+        """("diff", m, t) per UNDETERMINED cell; an r cell is never one."""
+        return [("diff", int(i) + 2, float(self.t_grid[j]))
+                for i, j in zip(*np.nonzero(self.diff_certs == SignCert.UNDETERMINED.value))]
 
 
 def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
     """Tabulate level differences of the tail with certified signs.
 
-    r(m, t) = v(m,t) - v(m-1,t) for m = 1..m_max, and the second difference
-    r(m-1,t) - r(m,t) for m = 2..m_max, are signed as one stacked table:
-    |value| > 2*eps signs a cell; rows with a zero rational transform and
-    t = 0 columns are ZERO; ``_certify_exact`` may sign the rest, which stay
+    r(m, t) = v(m,t) - v(m-1,t), m = 1..m_max, is a Poisson mixture of the
+    terms s_k[m] - s_k[m-1] >= 0 of ``_steps`` (the kernel is stochastically
+    monotone, Keilson & Kester 1977), so its row is ZERO if its rational
+    transform vanishes and POSITIVE at every t > 0 otherwise; r(m, 0) is 0
+    for m >= 2.  The second difference r(m-1,t) - r(m,t), m = 2..m_max, is
+    signed per cell: |value| > 2*eps signs it; zero-transform rows and t = 0
+    columns are ZERO; ``_certify_exact`` may sign the rest, which stay
     UNDETERMINED otherwise.  Raises ValueError if a certificate would need
     a head of ``_MAX_HEAD`` terms or more, beyond its rounding bound.
     """
@@ -554,21 +556,23 @@ def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
     table = survival_table(d, m_max, t_grid, eps)
     t_grid = table.t_grid
     r = table.values[1:] - table.values[:-1]
-    values = np.concatenate([r, r[:-1] - r[1:]])
+    diff = r[:-1] - r[1:]
     levels = _transform_levels(d, m_max)
-    zero_rows = [m - 1 for m in range(1, m_max + 1) if not levels.r_numerator(m)]
-    zero_rows += [m_max + m - 2 for m in range(2, m_max + 1)
-                  if not levels.second_diff_numerator(m)]
-    certs = np.full(values.shape, SignCert.UNDETERMINED.value, dtype=object)
-    certs[values > 2 * eps] = SignCert.POSITIVE.value
-    certs[values < -2 * eps] = SignCert.NEGATIVE.value
-    certs[zero_rows] = SignCert.ZERO.value
+    chain = death_chain(Strategy.OPTIMAL, d, m_max)
+    _check_monotone(chain)
+    r_certs = np.full(r.shape, SignCert.POSITIVE.value, dtype=object)
+    r_certs[1:, t_grid == 0] = SignCert.ZERO.value
+    r_certs[[m - 1 for m in range(1, m_max + 1) if not levels.r_numerator(m)]] = SignCert.ZERO.value
+    certs = np.full(diff.shape, SignCert.UNDETERMINED.value, dtype=object)
+    certs[diff > 2 * eps] = SignCert.POSITIVE.value
+    certs[diff < -2 * eps] = SignCert.NEGATIVE.value
+    certs[[m - 2 for m in range(2, m_max + 1)
+           if not levels.second_diff_numerator(m)]] = SignCert.ZERO.value
     # t = 0 columns: v(m, 0) = 1 for all m >= 1, differences vanish exactly
     certs[(certs == SignCert.UNDETERMINED.value) & (t_grid == 0)] = SignCert.ZERO.value
     rows, cols = np.nonzero(certs == SignCert.UNDETERMINED.value)
-    lo, hi = _certify_exact(death_chain(Strategy.OPTIMAL, d, m_max), rows, cols, t_grid)
+    lo, hi = _certify_exact(chain, rows, cols, t_grid)
     certs[rows[hi < 0], cols[hi < 0]] = SignCert.NEGATIVE.value
     certs[rows[lo > 0], cols[lo > 0]] = SignCert.POSITIVE.value
-    return RDiffTable(d=d, m_max=m_max, t_grid=t_grid, eps=eps,
-                      r_values=values[:m_max], r_certs=certs[:m_max],
-                      diff_values=values[m_max:], diff_certs=certs[m_max:])
+    return RDiffTable(d=d, m_max=m_max, t_grid=t_grid, eps=eps, r_values=r, r_certs=r_certs,
+                      diff_values=diff, diff_certs=certs)

@@ -5,10 +5,10 @@ At unmatched count m the instantaneous optimization is a tiny linear
 program: maximize lam(-2)*[r(m,t)+r(m-1,t)] + lam(-1)*r(m,t) over the
 polytope {lam >= 0, (d-1)(lam(-1)+2 lam(-2)) <= m d, (d-1) lam(-2) <= m},
 with any mass on upward jumps worthless whenever the tail is increasing in
-m.  The polytope has at most four vertices; where r(m,t) >= 0 the
-budget-saturating ones win, and they differ in objective by
-m*(r(m-1,t) - r(m,t))/(d-1), so ``verify_argmax_grid`` reads the argmax
-from the certified sign tables of the exact engine (``r_diff_table``).
+m.  The polytope has at most four vertices; r(m,t) >= 0 (the death chain
+is stochastically monotone), so the budget-saturating ones win, and they
+differ in objective by m*(r(m-1,t) - r(m,t))/(d-1): ``verify_argmax_grid``
+reads the argmax from the certified second differences (``r_diff_table``).
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ import numpy as np
 
 from .exact import RDiffTable, SignCert, r_diff_table, survival_exact, survival_table
 from .simulate import SurvivalCurve, estimate_survival
-from .strategies import (RateSchedule, Strategy, _check_level, _numerators, optimal_rates,
-                         paired_schedule, singles_schedule)
+from .strategies import (RateSchedule, Strategy, _check_level, _numerators, paired_schedule,
+                         rates_for, singles_schedule)
 
 __all__ = [
     "BellmanCell",
@@ -124,31 +124,27 @@ class ArgmaxGridReport:
 
 
 _POSITIVE, _NEGATIVE = SignCert.POSITIVE.value, SignCert.NEGATIVE.value
-_FLIP = {_POSITIVE: _NEGATIVE, _NEGATIVE: _POSITIVE}
 
 
 def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> ArgmaxGridReport:
     """Check cell-by-cell that the rate LP selects the built-in rates.
 
-    The certified signs of ``r_diff_table`` decide the LP: with r(m,t)
-    positive or zero, the sign of r(m-1,t) - r(m,t) (of -r(1,t) at m = 1)
-    picks the paired vertex if positive and the singles vertex if negative.
-    A tie is a cell where a certificate the decision needs does not exclude
-    0 (an exact zero or an undetermined sign), so nothing is shown to beat
+    r(m,t) >= 0 is a theorem (``r_diff_table``), so the certified sign of
+    r(m-1,t) - r(m,t) decides the LP: the paired vertex if positive, the
+    singles vertex if negative.  At m = 1 it is -r(1,t) < 0 (R(1) =
+    (d-1)/(d+(d-1)alpha) is nonzero): the singles vertex.  A tie is a cell
+    whose sign is an exact zero or undetermined, so nothing is shown to beat
     the built-in rates; it reports the paired vertex and is no violation.
     A violation is a cell whose certified vertex differs from the built-in
     rates.
     """
     signs = r_diff_table(d, m_max, t_grid, eps)
+    singles = [_NEGATIVE] * len(signs.t_grid)
     cells = []
-    for m in range(1, m_max + 1):
-        opt = optimal_rates(m, d)
+    for m, decide in enumerate([singles, *signs.diff_certs], start=1):
+        opt = rates_for(Strategy.OPTIMAL, m, d)
         vertex = {_POSITIVE: paired_schedule(m, d), _NEGATIVE: singles_schedule(m, d)}
-        decide = ([_FLIP.get(c, c) for c in signs.r_certs[0]] if m == 1
-                  else signs.diff_certs[m - 2])
-        for j, t in enumerate(signs.t_grid):
-            nonnegative = signs.r_certs[m - 1, j] in (_POSITIVE, SignCert.ZERO.value)
-            sign = decide[j] if nonnegative else None
+        for t, sign in zip(signs.t_grid, decide):
             chosen = vertex.get(sign, vertex[_POSITIVE])  # a tie reports the paired vertex
             status = ("match" if chosen == opt else "violation") if sign in vertex else "tie"
             cells.append(BellmanCell(d=d, m=m, t=float(t), status=status,

@@ -45,7 +45,6 @@ __all__ = [
     "regime",
     "paired_schedule",
     "singles_schedule",
-    "optimal_rates",
     "rates_for",
     "rate_table",
     "build_q_matrix",
@@ -224,11 +223,6 @@ def rates_for(strategy: Strategy, m: int, d: int) -> RateSchedule:
     of ``death_chain``."""
     _check_level(m, d)
     return _schedule(*_numerators(Strategy(strategy), m, d), d)
-
-
-def optimal_rates(m: int, d: int) -> RateSchedule:
-    _check_level(m, d)
-    return _schedule(*_numerators(Strategy.OPTIMAL, m, d), d)
 
 
 def rate_table(strategy: Strategy, d: int, m_max: int):

@@ -50,6 +50,8 @@ class CoordinateLaw:
 
 def coordinate_law(d: int, t: float) -> CoordinateLaw:
     """Spectral solution of the rate-1 walk on K_d (relaxation rate d/(d-1))."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
     if not t >= 0:
         raise ValueError("t must be >= 0")
     a = 1.0 / d + (1.0 - 1.0 / d) * math.exp(-d * t / (d - 1))
@@ -109,6 +111,8 @@ def _binomial_sf(n: int, p: float, k: int) -> float:
 
 def cutoff_time(d: int, n: int) -> float:
     """Center of the TV cutoff window: ((d-1)/d) * log(n) / 2."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
     return 0.5 * (d - 1) / d * math.log(n)
 
 

@@ -35,8 +35,8 @@ from cowalk import (
     limit_tail,
     mean_tau_stationary,
     mk_bound_mean,
-    optimal_rates,
     r_diff_table,
+    rates_for,
     regime,
     survival_exact,
     survival_from_stationary,
@@ -183,7 +183,7 @@ def test_criterion_5_dominance_and_argmax():
         for m in (2, 5, 8):
             tails = survival_table(d, m + 2, [0.5, 1.0, 2.0], EPS).values
             for j, t in enumerate((0.5, 1.0, 2.0)):
-                self_gaps_zero &= bellman_gap(d, m, t, optimal_rates(m, d),
+                self_gaps_zero &= bellman_gap(d, m, t, rates_for(Strategy.OPTIMAL, m, d),
                                               tails=tails[:, j]) == 0.0
                 for sched in sample_feasible_schedules(d, m, 100, seed=97 * d + m + j):
                     worst_gap = max(worst_gap, bellman_gap(d, m, t, sched,

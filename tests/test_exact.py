@@ -510,6 +510,56 @@ def test_diff_table_small_t_certified_by_exact_path():
     assert tab.r_certs[11, 0] == SignCert.POSITIVE.value
 
 
+@pytest.mark.parametrize("d, m_max, eps", [(3, 120, 1e-12), (4, 120, 1e-12), (10, 120, 1e-12),
+                                           (4, 30, 1e-100), (10, 30, 1e-100)])
+def test_every_r_cell_is_positive(d, m_max, eps):
+    # r rows are signed by stochastic monotonicity, not cell by cell: at
+    # m_max = 120 many values are far below any float threshold, and at
+    # eps = 1e-100 some floats are rounding noise below 0
+    tab = r_diff_table(d, m_max, GRID, eps)
+    assert (tab.r_certs == SignCert.POSITIVE.value).all()
+    if eps < 1e-20:
+        assert (tab.r_values < 0).any()
+
+
+def _absorbed_by(chain, t):
+    """P(N_t = 0 | N_0 = m) for m = 0..m_max: exp(Q t) e_0 summed as its
+    Taylor series in mpmath's working precision (``mpmath.expm`` of the full
+    matrix gives the same digits but takes about 11 s per time at 160
+    digits).  Each row of Q t has absolute sum at most x = 2 Lam t, so the
+    k-th term is below x^k / k!, and the sum stops once that bound is below
+    10^-dps and falls at least twofold per term."""
+    mpmath = pytest.importorskip("mpmath")
+    c1, c2 = chain.numerators()
+    h = mpmath.mpf(float(t)) / (chain.d - 1)
+    x = 2 * chain.lam_int * float(t)
+    term = [mpmath.mpf(m == 0) for m in range(chain.m_max + 1)]
+    total, k, bound = list(term), 0, mpmath.mpf(1)
+    while k <= 2 * x or bound > mpmath.mpf(10) ** -mpmath.mp.dps:
+        k += 1
+        bound *= x / k
+        term = [mpmath.mpf(0)] + [
+            h * (c1[m] * term[m - 1] + (c2[m] * term[m - 2] if m >= 2 else 0)
+                 - (c1[m] + c2[m]) * term[m]) / k for m in range(1, chain.m_max + 1)]
+        total = [a + b for a, b in zip(total, term)]
+    return total
+
+
+def test_r_cells_below_50_digits_are_positive():
+    # five r cells at (4, 60) with values of 5e-64 to 2e-49, below the
+    # 1e-50 resolution of a 50-digit reference, checked at 160 digits
+    mpmath = pytest.importorskip("mpmath")
+    chain = death_chain(Strategy.OPTIMAL, 4, 60)
+    tab = r_diff_table(4, 60, GRID, eps=1e-12)
+    cells = [(59, 2), (60, 0), (60, 1), (60, 2), (60, 3)]
+    with mpmath.workdps(160):
+        for m, j in cells:
+            absorbed = _absorbed_by(chain, GRID[j])
+            r = absorbed[m - 1] - absorbed[m]  # r(m, t) = v(m, t) - v(m-1, t)
+            assert mpmath.mpf(10) ** -65 < r < mpmath.mpf(10) ** -48
+            assert tab.r_certs[m - 1, j] == SignCert.POSITIVE.value
+
+
 def test_d3_diff_row_negative_is_reported():
     # no sign claim is made for d=3 second differences; the table still
     # reports the true signs, and level 3 is genuinely reversed
@@ -528,7 +578,7 @@ def test_generator_exit_rates():
 
 
 def test_sign_certificates_are_pinned():
-    # the certificate of every cell; (4, 60) leaves six cells undetermined
+    # the certificate of every cell; (4, 60) leaves one diff cell undetermined
     digest = hashlib.sha256()
     grid = np.geomspace(0.01, 10, 20)
     for d, m_max in [(2, 30), (3, 30), (4, 30), (5, 30), (10, 30), (4, 60)]:
@@ -536,7 +586,7 @@ def test_sign_certificates_are_pinned():
         for certs in (table.r_certs, table.diff_certs):
             digest.update(",".join(certs.ravel()).encode() + b";")
     assert digest.hexdigest() == (
-        "1697085ed5ac1b49b13003624b6339a10b31056c94e706ee1ac7d11d5ecc9eb5")
+        "9af8fac37c382e92653ae0b1603c49caa969288af79dd57a69804604721b2f7d")
 
 
 def test_tail_and_difference_floats_are_pinned():
@@ -667,12 +717,13 @@ def test_nonmonotone_chain_is_refused():
 
 @pytest.mark.parametrize("d", [3, 5, 10])
 def test_certificate_encloses_50_digit_value(d):
-    # cells below the 2*eps float rule at small t, against exp(Qt) at 50 digits
+    # second differences below the 2*eps float rule at small t, against
+    # exp(Qt) at 50 digits
     mpmath = pytest.importorskip("mpmath")
-    m_max, t_grid = 10, np.array([1e-3, 1e-2, 0.05])
+    m_max, t_grid = 10, np.array([1e-4, 1e-3, 1e-2, 0.05])
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
     r = np.diff(survival_table(d, m_max, t_grid).values, axis=0)
-    rows, cols = np.nonzero(np.abs(np.concatenate([r, r[:-1] - r[1:]])) <= 2e-12)
+    rows, cols = np.nonzero(np.abs(r[:-1] - r[1:]) <= 2e-12)
     assert rows.size >= 4
     lo, hi = _certify_exact(chain, rows, cols, t_grid)
     mpmath.mp.dps = 50
@@ -685,7 +736,7 @@ def test_certificate_encloses_50_digit_value(d):
     for j in np.unique(cols):
         P = mpmath.expm(Q * mpmath.mpf(t_grid[j]))
         rr = [P[m - 1, 0] - P[m, 0] for m in range(1, m_max + 1)]
-        exact = rr + [a - b for a, b in zip(rr, rr[1:])]
+        exact = [a - b for a, b in zip(rr, rr[1:])]
         for i in np.flatnonzero(cols == j):
             assert lo[i] <= exact[rows[i]] <= hi[i]
             assert lo[i] > 0 or hi[i] < 0

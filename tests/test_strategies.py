@@ -14,7 +14,6 @@ from cowalk.strategies import (
     build_q_matrix,
     death_chain,
     lump_rates,
-    optimal_rates,
     rate_table,
     rates_for,
     regime,
@@ -54,14 +53,14 @@ def test_regime_threshold_rule(m, d):
 
 def test_optimal_rates_examples():
     # d=2 even level: only -2 jumps, rate = level
-    assert optimal_rates(4, 2) == RateSchedule(down2=Fraction(4), down1=Fraction(0))
+    assert rates_for(Strategy.OPTIMAL, 4, 2) == RateSchedule(down2=Fraction(4), down1=Fraction(0))
     # d=2 odd level: only -1 jumps, rate 2*level
-    assert optimal_rates(3, 2) == RateSchedule(down2=Fraction(0), down1=Fraction(6))
+    assert rates_for(Strategy.OPTIMAL, 3, 2) == RateSchedule(down2=Fraction(0), down1=Fraction(6))
     # single unmatched coordinate for any d: exit rate d/(d-1)
     for d in (2, 3, 4, 17):
-        assert optimal_rates(1, d).down1 == Fraction(d, d - 1)
-        assert optimal_rates(1, d).down2 == 0
-    sched = optimal_rates(6, 10)
+        assert rates_for(Strategy.OPTIMAL, 1, d).down1 == Fraction(d, d - 1)
+        assert rates_for(Strategy.OPTIMAL, 1, d).down2 == 0
+    sched = rates_for(Strategy.OPTIMAL, 6, 10)
     assert sched.down2 == Fraction(6, 9) and sched.down1 == Fraction(48, 9)
     assert (10 - 1) * (sched.down1 + 2 * sched.down2) == 60  # = m*d
 
@@ -69,7 +68,7 @@ def test_optimal_rates_examples():
 @given(st.integers(1, 80), st.integers(2, 20))
 @settings(max_examples=300, deadline=None)
 def test_optimal_rates_feasible_and_saturating(m, d):
-    sched = optimal_rates(m, d)
+    sched = rates_for(Strategy.OPTIMAL, m, d)
     assert sched.up1 == 0 and sched.up2 == 0
     assert sched.is_feasible(m, d)
     assert (d - 1) * (sched.down1 + 2 * sched.down2) == m * d  # saturates the budget
@@ -77,7 +76,7 @@ def test_optimal_rates_feasible_and_saturating(m, d):
 
 
 def test_zero_level_all_zero():
-    sched = optimal_rates(0, 5)
+    sched = rates_for(Strategy.OPTIMAL, 0, 5)
     assert sched.down2 + sched.down1 + sched.up1 + sched.up2 == 0
 
 
@@ -93,7 +92,7 @@ def test_competitor_rate_examples():
 
 def test_pairwise_coincides_with_optimal_at_d2():
     for m in range(1, 12):
-        assert rates_for(Strategy.PAIRWISE_CLASSIC, m, 2) == optimal_rates(m, 2)
+        assert rates_for(Strategy.PAIRWISE_CLASSIC, m, 2) == rates_for(Strategy.OPTIMAL, m, 2)
 
 
 @given(st.integers(1, 40), st.integers(2, 12),
@@ -106,7 +105,7 @@ def test_competitors_feasible(m, d, strat):
 def test_rate_table_matches_schedules():
     total, p2 = rate_table(Strategy.OPTIMAL, 4, 6)
     for m in range(1, 7):
-        sched = optimal_rates(m, 4)
+        sched = rates_for(Strategy.OPTIMAL, m, 4)
         rate = sched.down2 + sched.down1 + sched.up1 + sched.up2
         assert total[m] == pytest.approx(float(rate), abs=1e-15)
         assert p2[m] == pytest.approx(float(sched.down2 / rate), abs=1e-15)
@@ -219,7 +218,7 @@ def test_lump_rates_of_optimal_matches_schedule():
             continue
         q = build_q_matrix(Strategy.OPTIMAL, cfg, d)
         lumped = lump_rates(q, cfg, d)
-        expected = optimal_rates(m, d)
+        expected = rates_for(Strategy.OPTIMAL, m, d)
         for field in ("down2", "down1", "up1", "up2"):
             assert getattr(lumped, field) == pytest.approx(
                 float(getattr(expected, field)), abs=1e-12)

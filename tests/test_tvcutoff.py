@@ -399,6 +399,15 @@ def test_bad_n_and_t_are_refused():
             call()
 
 
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_d_below_2_is_refused(d):
+    # K_1 has no move to make; death_chain refuses it too
+    for call in (lambda: coordinate_law(d, 0.5), lambda: tv_exact(d, 10, 0.5),
+                 lambda: cutoff_time(d, 10), lambda: cutoff_profile(d, 10, [0.0])):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            call()
+
+
 def test_coupling_inequality_on_grid():
     grid = np.linspace(0.0, 6.0, 31)
     for d in (2, 3, 10):
