@@ -9,7 +9,6 @@ from .exact import (
     RDiffTable,
     SignCert,
     TailTable,
-    check_total_monotone,
     expected_tau,
     laplace_R,
     laplace_V,
@@ -76,7 +75,6 @@ __all__ = [
     "laplace_R",
     "expected_tau",
     "mk_bound_mean",
-    "check_total_monotone",
     "r_diff_table",
     "Poly",
     "RationalFn",

@@ -309,6 +309,7 @@ def _cmd_verify(cfg: ExperimentConfig):
         "dominance": dominance,
         "sign_tables": {
             "undetermined_cells": len(sign_table.undetermined_cells()),
+            "undecided_rows": sorted({m for _, m, _ in sign_table.undetermined_cells()}),
             "r_nonpositive_rows": [int(i) + 1 for i in np.flatnonzero(r_nonpositive.any(axis=1))],
         },
     }

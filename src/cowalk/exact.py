@@ -17,14 +17,15 @@ derived from that chain:
   recursions of the death chain run on integer numerator polynomials over
   the known product of the levels' linear factors.
 * ``expected_tau`` is the transform at 0, evaluated as an exact rational.
-* ``r_diff_table`` signs the level differences r(m,t) = v(m,t)-v(m-1,t) by
-  rows: the uniformized chain is stochastically monotone, so a row is ZERO
-  where its rational transform vanishes and POSITIVE at every t > 0
-  otherwise.  A second difference r(m-1,t)-r(m,t) is signed per cell:
-  directly where it exceeds twice the uniformization bound, ZERO where its
-  transform vanishes, and otherwise by an exact integer partial sum of the
-  series (``_certify_exact``), which runs the float tails' uniformization
-  step ``_steps`` on integers.  No cell is signed from numerical noise.
+* ``r_diff_table`` signs the level differences r(m,t) = v(m,t)-v(m-1,t) and
+  the second differences r(m-1,t)-r(m,t) by rows, for all t > 0 at once.
+  Both come from an exact spectral table: every v(m, t) is a finite sum
+  sum_k (A + B t) e^{-kt/(d-1)} with integer coefficients over one
+  denominator (``_spectral_levels``).  An r row is ZERO where its
+  coefficients vanish and POSITIVE otherwise, because the uniformized chain
+  is stochastically monotone.  A second-difference row is signed by
+  Descartes' rule on (0, 1) in x = e^{-t/(d-1)} (``_row_sign``), or stays
+  UNDETERMINED: no cell is signed from numerical noise.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count
 
 import numpy as np
 
@@ -49,7 +51,6 @@ __all__ = [
     "expected_tau",
     "expected_tau_float",
     "mk_bound_mean",
-    "check_total_monotone",
     "r_diff_table",
 ]
 
@@ -127,10 +128,7 @@ def _truncation_order(lam_t_max: float, eps: float) -> int:
 def _steps(stay, p1, p2):
     """Yield s_0, s_1, ... (not to be modified): s_k[m] is the chance that
     the uniformized chain from level m is not absorbed after k steps, each
-    step going m -> m-1, m-2, m with chances p1[m], p2[m], stay[m].  Given
-    numpy object arrays of the integer numerators over (d-1)*lam (stay =
-    (d-1)*lam - c1 - c2, p1 = c1, p2 = c2), s_k is exact times ((d-1)*lam)^k.
-    """
+    step going m -> m-1, m-2, m with chances p1[m], p2[m], stay[m]."""
     s = np.ones_like(stay)
     s[0] = 0
     while True:
@@ -259,10 +257,6 @@ class _TransformLevels:
     def r_numerator(self, m: int) -> Poly:
         """N_m = P_m - l_m P_{m-1}, the numerator of R(m) over D_m."""
         return self.P[m] - self.P[m - 1] * Poly([self.s[m], self.q])
-
-    def second_diff_numerator(self, m: int) -> Poly:
-        """l_m N_{m-1} - N_m, the numerator of R(m-1) - R(m) over D_m."""
-        return self.r_numerator(m - 1) * Poly([self.s[m], self.q]) - self.r_numerator(m)
 
     def canonical(self, num: Poly, m: int) -> RationalFn:
         """num / D_m in canonical form: cancel each factor l_j whose root
@@ -408,46 +402,6 @@ def mk_bound_mean(k: int, m: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# total-monotonicity spot checks
-
-
-@dataclass(frozen=True)
-class TotalMonotoneReport:
-    order: int
-    alpha_grid: tuple[Fraction, ...]
-    passed: bool
-    failures: tuple[tuple[int, Fraction], ...]  # (k, alpha) with wrong sign
-
-
-def check_total_monotone(f: RationalFn, order: int, alpha_grid) -> TotalMonotoneReport:
-    """Check (-1)^k f^(k)(alpha) >= 0 for k <= order on a grid, exactly.
-
-    A necessary condition for f to be the transform of a nonnegative
-    measure; evaluation is exact rational arithmetic, so a reported failure
-    is a real failure.  With f = N/D, f^(k) = N_k / D^(k+1) where N_0 = N and
-    N_{k+1} = N_k' D - (k+1) N_k D', so the denominator is never squared.
-    Raises ValueError for order < 0 or an empty grid, which check nothing.
-    """
-    grid = tuple(Fraction(a) for a in alpha_grid)
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    if not grid:
-        raise ValueError("alpha_grid is empty")
-    failures = []
-    num, den, dden = f.num, f.den, f.den.derivative()
-    for k in range(order + 1):
-        for a in grid:
-            at = den(a)
-            if at == 0:
-                raise ZeroDivisionError(f"pole at {a}")
-            if (-1) ** k * num(a) / at ** (k + 1) < 0:
-                failures.append((k, a))
-        num = num.derivative() * den - (k + 1) * num * dden
-    return TotalMonotoneReport(order=order, alpha_grid=grid,
-                               passed=not failures, failures=tuple(failures))
-
-
-# ---------------------------------------------------------------------------
 # signed difference tables
 
 
@@ -456,9 +410,6 @@ class SignCert(enum.Enum):
     ZERO = "zero"
     NEGATIVE = "negative"
     UNDETERMINED = "undetermined"
-
-
-_MAX_HEAD = 50_000  # longest head whose float rounding the slack covers
 
 
 def _check_monotone(chain: DeathChain) -> None:
@@ -473,45 +424,98 @@ def _check_monotone(chain: DeathChain) -> None:
                          f" {bad[0] + 1}, so sign certificates do not apply")
 
 
-def _certify_exact(chain: DeathChain, rows: np.ndarray, cols: np.ndarray, t_grid):
-    """Arrays (lower, upper) bounding the (rows, cols) cells of the second
-    differences r(m-1,t) - r(m,t) (row m - 2 for level m).  Each cell's
-    series sum_k w_k(t) q_k is split into a head of ceil(3 lam t) + 40 terms
-    and a Poisson tail bounded by |q_k| <= 1, which holds because the chain
-    is checked to be monotone.  A head term q_k is a
-    difference of the exact vectors of ``_steps`` over ((d-1) lam)^k,
-    rounded once to the nearest float (Python int / int is correctly
-    rounded, so its sign is exact and its error relative)."""
-    _check_monotone(chain)
-    lam = float(chain.lam_int)
-    head_of = np.ceil(3.0 * lam * t_grid).astype(np.int64) + 40
-    heads = head_of[cols]
-    if heads.max(initial=0) >= _MAX_HEAD:
-        raise ValueError(f"a sign certificate at t = {t_grid[cols].max():g} needs {heads.max()}"
-                         f" terms; its rounding bound holds below {_MAX_HEAD}")
-    uniq, at = np.unique(cols, return_inverse=True)
-    w = _poisson_weights(lam * t_grid[uniq], heads.max(initial=0))
-    tail = np.array([_poisson_tail_upper(lam * t_grid[j], head_of[j]) for j in uniq])[at]
-    val, mag = np.zeros((2, len(rows)))
-    scale, dd = 1, (chain.d - 1) * chain.lam_int
-    c1, c2 = chain.c1.astype(object), chain.c2.astype(object)
-    for k, s in zip(range(len(w)), _steps(dd - c1 - c2, c1, c2)):
-        live = np.flatnonzero(heads >= k)
-        first = s[1:] - s[:-1]
-        term = ((first[:-1] - first[1:])[rows[live]] / scale).astype(float)
-        wk = w[k, at[live]]
-        val[live] += wk * term
-        mag[live] += wk * np.abs(term)
-        scale *= dd
-    # sound while heads < _MAX_HEAD: a weight is off by at most
-    # (2|k - mode| + len(w))2^-53 relatively (recurrence, then the column
-    # sum that normalises it) plus the Poisson mass beyond len(w) - 1 >=
-    # 3 lam t + 40 (below 1e-35), and each quotient, product and sum by
-    # 2^-53, below 1e-10 * mag together; a weight past the float range
-    # stays below 2^-1022, so underflow adds under 2.3e-308 to each of the
-    # heads + 1 terms
-    slack = 1e-10 * mag + 2.3e-308 * (heads + 1)
-    return val - slack - tail, val + slack + tail
+# Level m's generator equation times q = d-1, q v_m' = -s_m v_m + c1 v_{m-1}
+# + c2 v_{m-2} with v_m(0) = 1 and s_m = c1 + c2, makes v_m a sum of terms
+# (A + B t) e^{-kt/q}, one key k per distinct s_j, j <= m.  A forcing term
+# (a + b t) e^{-kt/q} adds B = b/(s_m - k) and A = (a - q B)/(s_m - k) at
+# k != s_m; at k = s_m (a repeated rate: levels j and 2j at d = 2, j odd)
+# b = 0 and it adds B = a/q.  Key s_m then takes A = 1 - (the other A's).
+
+
+def _combine(*parts):
+    """(den, {k: (A, B)}) of sum c * v over parts (c, (den_v, terms_v)) over
+    the lcm of their denominators, keys whose A and B both vanish dropped."""
+    den = math.lcm(*(part[1][0] for part in parts))
+    out = {}
+    for c, (den_v, terms) in parts:
+        f = c * (den // den_v)
+        for k, (a, b) in terms.items():
+            a0, b0 = out.get(k, (0, 0))
+            out[k] = (a0 + f * a, b0 + f * b)
+    return den, {k: ab for k, ab in out.items() if any(ab)}
+
+
+def _spectral_levels(chain: DeathChain) -> list[tuple[int, dict[int, tuple[int, int]]]]:
+    """(den, {k: (A, B)}) for levels m = 0..m_max in lowest terms:
+    v(m, t) = sum_k (A + B t) e^{-kt/(d-1)} / den exactly.  Raises
+    ValueError for a rate that occurs three times, which needs t^2 terms."""
+    c1, c2 = chain.numerators()
+    q = chain.d - 1
+    levels = [(1, {})]  # v(0, t) = 0
+    for m in range(1, chain.m_max + 1):
+        s = c1[m] + c2[m]
+        den, force = _combine((c1[m], levels[m - 1]), (c2[m], levels[max(m - 2, 0)]))
+        scale = math.lcm(q if s in force else 1, *((s - k) ** 2 for k in force if k != s))
+        terms = {}
+        for k, (a, b) in force.items():
+            if k != s:
+                g = scale // (s - k) ** 2
+                terms[k] = ((a * (s - k) - q * b) * g, b * (s - k) * g)
+            elif b:
+                raise ValueError(f"exit rate {s}/{q} occurs three times by level {m}")
+            else:
+                terms[k] = (0, a * (scale // q))
+        den *= scale
+        terms[s] = (den - sum(a for a, _ in terms.values()), terms.get(s, (0, 0))[1])
+        g = math.gcd(den, *(x for ab in terms.values() for x in ab))
+        levels.append((den // g, {k: (a // g, b // g) for k, (a, b) in terms.items()}))
+    return levels
+
+
+def _no_root_in_unit_interval(p: Poly) -> bool:
+    """True if Descartes' rule shows that p (nonzero) has no root in (0, 1):
+    (1+y)^n p(1/(1+y)) has no coefficient sign change (Collins & Akritas
+    1976).  Its coefficients are p's, reversed, after n passes that each
+    replace a prefix (n+1 long, one shorter per pass) by its running sums.
+    Running sums keep a one-signed sequence one-signed, so the passes stop
+    as soon as the coefficients are one-signed."""
+    c = list(p.coeffs)
+    for size in range(len(c), 0, -1):
+        if min(c) >= 0 or max(c) <= 0:
+            return True
+        c[:size] = accumulate(c[:size])
+    return False
+
+
+def _row_sign(terms: dict[int, tuple[int, int]], q: int) -> str:
+    """SignCert value of f(t) = sum_k (A + B t) e^{-kt/q} at every t > 0.
+
+    In x = e^{-t/q} on (0, 1), f = x^low (P(x) + ln(x) R(x)) with
+    P = sum A x^(k-low), R = -q sum B x^(k-low) and low the lowest key, whose
+    term sets the sign as t -> inf.  If R = 0, f keeps that sign when P has
+    no root on (0, 1).  Otherwise, when neither R nor W = x(P'R - PR') + R^2
+    has one, h = P/R + ln x has h' = W/(x R^2) of one sign, so f = x^low R h
+    has at most one zero, where it changes sign: none if f's sign as t -> 0+
+    agrees, that of the first nonzero q^j f^(j)(0) = sum (-k)^j A +
+    j q (-k)^(j-1) B (one of j < 2 len(terms) is, as f is nonzero).
+    """
+    if not terms:
+        return SignCert.ZERO.value
+    low, keys = min(terms), range(min(terms), max(terms) + 1)
+    P = Poly([terms.get(k, (0, 0))[0] for k in keys])
+    R = Poly([-q * terms.get(k, (0, 0))[1] for k in keys])
+    at_inf = terms[low][1] or terms[low][0]
+    if R:
+        at_zero = next(filter(None, (sum((-k) ** j * a + j * q * b * (-k) ** max(j - 1, 0)
+                                         for k, (a, b) in terms.items()) for j in count())))
+        W = Poly([0, 1]) * (P.derivative() * R - P * R.derivative()) + R * R
+        signed = ((at_zero > 0) == (at_inf > 0) and _no_root_in_unit_interval(R)
+                  and _no_root_in_unit_interval(W))
+    else:
+        signed = _no_root_in_unit_interval(P)
+    if not signed:
+        return SignCert.UNDETERMINED.value
+    return SignCert.POSITIVE.value if at_inf > 0 else SignCert.NEGATIVE.value
 
 
 @dataclass(frozen=True)
@@ -539,17 +543,16 @@ class RDiffTable:
 
 
 def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
-    """Tabulate level differences of the tail with certified signs.
+    """Tabulate level differences of the tail with signs certified for all t.
 
-    r(m, t) = v(m,t) - v(m-1,t), m = 1..m_max, is a Poisson mixture of the
-    terms s_k[m] - s_k[m-1] >= 0 of ``_steps`` (the kernel is stochastically
-    monotone, Keilson & Kester 1977), so its row is ZERO if its rational
-    transform vanishes and POSITIVE at every t > 0 otherwise; r(m, 0) is 0
-    for m >= 2.  The second difference r(m-1,t) - r(m,t), m = 2..m_max, is
-    signed per cell: |value| > 2*eps signs it; zero-transform rows and t = 0
-    columns are ZERO; ``_certify_exact`` may sign the rest, which stay
-    UNDETERMINED otherwise.  Raises ValueError if a certificate would need
-    a head of ``_MAX_HEAD`` terms or more, beyond its rounding bound.
+    Values are differences of ``survival_table``; signs come from the exact
+    table of ``_spectral_levels``.  r(m, t) = v(m,t) - v(m-1,t), m = 1..m_max,
+    is a Poisson mixture of the terms s_k[m] - s_k[m-1] >= 0 of ``_steps``
+    (the kernel is stochastically monotone, Keilson & Kester 1977), so its
+    row is ZERO if its coefficients vanish and POSITIVE otherwise; r(m, 0)
+    is 0 for m >= 2.  r(m-1,t) - r(m,t) = 2v(m-1) - v(m-2) - v(m),
+    m = 2..m_max, has its row's ``_row_sign`` at every t > 0, and at t = 0
+    is 1 for m = 2 (v(0, 0) = 0) and 0 beyond.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -557,22 +560,18 @@ def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
     t_grid = table.t_grid
     r = table.values[1:] - table.values[:-1]
     diff = r[:-1] - r[1:]
-    levels = _transform_levels(d, m_max)
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
     _check_monotone(chain)
+    v = _spectral_levels(chain)
+    at_zero = t_grid == 0
     r_certs = np.full(r.shape, SignCert.POSITIVE.value, dtype=object)
-    r_certs[1:, t_grid == 0] = SignCert.ZERO.value
-    r_certs[[m - 1 for m in range(1, m_max + 1) if not levels.r_numerator(m)]] = SignCert.ZERO.value
-    certs = np.full(diff.shape, SignCert.UNDETERMINED.value, dtype=object)
-    certs[diff > 2 * eps] = SignCert.POSITIVE.value
-    certs[diff < -2 * eps] = SignCert.NEGATIVE.value
-    certs[[m - 2 for m in range(2, m_max + 1)
-           if not levels.second_diff_numerator(m)]] = SignCert.ZERO.value
-    # t = 0 columns: v(m, 0) = 1 for all m >= 1, differences vanish exactly
-    certs[(certs == SignCert.UNDETERMINED.value) & (t_grid == 0)] = SignCert.ZERO.value
-    rows, cols = np.nonzero(certs == SignCert.UNDETERMINED.value)
-    lo, hi = _certify_exact(chain, rows, cols, t_grid)
-    certs[rows[hi < 0], cols[hi < 0]] = SignCert.NEGATIVE.value
-    certs[rows[lo > 0], cols[lo > 0]] = SignCert.POSITIVE.value
+    r_certs[[m - 1 for m in range(1, m_max + 1)
+             if not _combine((1, v[m]), (-1, v[m - 1]))[1]]] = SignCert.ZERO.value
+    r_certs[1:, at_zero] = SignCert.ZERO.value
+    signs = [_row_sign(_combine((2, v[m - 1]), (-1, v[m - 2]), (-1, v[m]))[1], d - 1)
+             for m in range(2, m_max + 1)]
+    certs = np.repeat(np.array(signs, dtype=object).reshape(-1, 1), len(t_grid), axis=1)
+    certs[:, at_zero] = SignCert.ZERO.value
+    certs[:1, at_zero] = SignCert.POSITIVE.value
     return RDiffTable(d=d, m_max=m_max, t_grid=t_grid, eps=eps, r_values=r, r_certs=r_certs,
                       diff_values=diff, diff_certs=certs)

@@ -227,6 +227,7 @@ def test_verify_cli(tmp_path):
     assert payload["bellman"]["all_nonpositive_within_slack"]
     assert all(entry["passed"] for entry in payload["dominance"].values())
     assert payload["sign_tables"]["undetermined_cells"] == 0
+    assert payload["sign_tables"]["undecided_rows"] == []
     assert set(payload["argmax"]["cells"].values()) <= {"match", "tie"}
 
 
@@ -256,7 +257,7 @@ def test_readme_verify_report_is_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("verify", "--d", "4", "--mmax", "10", "--out", "report.json") == 0
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == (
-        "fc77bf4d37e9f8d7a3bacd9f9980810dc67d8b1cf77ad5324e098882f498f940")
+        "2fc31ae9e26050ccc093a575d55c9fe3498a520fb3dd11f738133d1dfc23382b")
 
 
 def test_validate_marginals_cli(capsys):
@@ -287,9 +288,12 @@ def test_config_file_key_of_a_flag_the_command_lacks_is_refused(tmp_path, capsys
 
 
 def test_verify_refuses_a_certificate_beyond_its_rounding_bound(capsys):
+    # no per-cell certificate, so no rounding bound: row signs hold for all
+    # t > 0, and t = 1e4 is signed with exit 0
     assert run_cli("verify", "--d", "4", "--mmax", "2", "--t", "10000",
-                   "--replicates", "100") == 2
-    assert "terms" in capsys.readouterr().err
+                   "--replicates", "100") == 0
+    signs = json.loads(capsys.readouterr().out)["sign_tables"]
+    assert signs["undetermined_cells"] == 0 and signs["undecided_rows"] == []
 
 
 @pytest.mark.parametrize("values", [

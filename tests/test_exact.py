@@ -12,9 +12,10 @@ from scipy.special import gammaln
 from cowalk import exact
 from cowalk.exact import (
     SignCert,
-    _certify_exact,
     _check_monotone,
-    check_total_monotone,
+    _no_root_in_unit_interval,
+    _row_sign,
+    _spectral_levels,
     expected_tau,
     expected_tau_float,
     laplace_R,
@@ -228,17 +229,26 @@ def test_transforms_canonical(d):
 
 
 def test_zero_transform_rows():
-    # R(m) vanishes only at (d=2, m=2), R(m-1) - R(m) only at (d=4, m=3)
+    # R(m) vanishes only at (d=2, m=2), R(m-1) - R(m) only at (d=4, m=3); the
+    # sign table's ZERO rows, read from the spectral table, are the same
     from cowalk.exact import _transform_levels
 
     r_zero, diff_zero = [], []
     for d in range(2, 13):
         levels = _transform_levels(d, 30)
         r_zero += [(d, m) for m in range(1, 31) if not levels.r_numerator(m)]
-        diff_zero += [(d, m) for m in range(2, 31) if not levels.second_diff_numerator(m)]
+        # R(m-1) - R(m) has numerator l_m N_{m-1} - N_m over D_m
+        diff_zero += [(d, m) for m in range(2, 31)
+                      if not (levels.r_numerator(m - 1) * Poly([levels.s[m], levels.q])
+                              - levels.r_numerator(m))]
         for m in range(2, 9):
             generic = laplace_R(d, m - 1) - laplace_R(d, m)
             assert generic.is_zero == ((d, m) in diff_zero), (d, m)
+        tab = r_diff_table(d, 30, [1.0])
+        assert [(d, m) for m in range(1, 31) if tab.r_certs[m - 1, 0] == SignCert.ZERO.value] \
+            == [(dd, m) for dd, m in r_zero if dd == d]
+        assert [(d, m) for m in range(2, 31) if tab.diff_certs[m - 2, 0] == SignCert.ZERO.value] \
+            == [(dd, m) for dd, m in diff_zero if dd == d]
     assert r_zero == [(2, 2)]
     assert diff_zero == [(4, 3)]
 
@@ -431,49 +441,6 @@ def test_mean_sandwich(d):
         assert lower <= mid <= upper, (d, m)
 
 
-# --- total monotonicity spot checks ----------------------------------------
-
-def test_total_monotone_R1():
-    rep = check_total_monotone(laplace_R(5, 1), 8, [0, Fraction(1, 2), 1, 2, 5])
-    assert rep.passed
-
-
-def test_total_monotone_closed_forms():
-    # (-1)^k d^k/da^k 1/(1+a) = k!/(1+a)^(k+1) > 0 at every order, while
-    # a/(1+a) = 1 - 1/(1+a) has (-1)^k f^(k) = -k!/(1+a)^(k+1) < 0 for k >= 1
-    grid = [0, Fraction(1, 2), 1, 3]
-    assert check_total_monotone(RationalFn(Poly([1]), Poly([1, 1])), 10, grid).passed
-    rep = check_total_monotone(RationalFn(Poly([0, 1]), Poly([1, 1])), 10, grid)
-    assert rep.failures == tuple((k, Fraction(a)) for k in range(1, 11) for a in grid)
-
-
-def test_total_monotone_rejects_negative_constant():
-    rep = check_total_monotone(RationalFn(Poly([-1])), 3, [0, 1])
-    assert not rep.passed
-    assert rep.failures[0][0] == 0
-
-
-def test_total_monotone_zero_function():
-    rep = check_total_monotone(laplace_R(4, 2) - laplace_R(4, 3), 6, [0, 1, 2])
-    assert rep.passed
-
-
-def test_total_monotone_refuses_negative_order():
-    with pytest.raises(ValueError, match="order must be"):
-        check_total_monotone(laplace_V(4, 3), -1, [0])
-
-
-def test_total_monotone_refuses_empty_grid():
-    with pytest.raises(ValueError, match="alpha_grid is empty"):
-        check_total_monotone(laplace_V(4, 3), 2, [])
-
-
-def test_total_monotone_pole_raises():
-    f = RationalFn(Poly([1]), Poly([-1, 1]))  # pole at a = 1
-    with pytest.raises(ZeroDivisionError):
-        check_total_monotone(f, 2, [1])
-
-
 # --- signed difference tables ----------------------------------------------
 
 GRID = np.geomspace(0.01, 10.0, 20)
@@ -502,24 +469,82 @@ def test_diff_table_d4_zero_row_and_no_undetermined():
     assert (tab.r_certs == SignCert.POSITIVE.value).all()
 
 
-def test_diff_table_small_t_certified_by_exact_path():
-    # at m = 12, t = 0.01 the raw difference is far below 2*eps, so the cell
-    # must be signed by the exact integer certificate, not the float rule
+def test_diff_table_small_t_signed_by_its_row():
+    # at m = 12, t = 0.01 the raw difference is far below 2*eps, so its
+    # sign can only come from its row, as the second difference's does
     tab = r_diff_table(4, 12, np.array([0.01]), eps=1e-12)
     assert tab.r_values[11, 0] < 2e-12
     assert tab.r_certs[11, 0] == SignCert.POSITIVE.value
+    assert tab.diff_certs[10, 0] == SignCert.POSITIVE.value
 
 
-@pytest.mark.parametrize("d, m_max, eps", [(3, 120, 1e-12), (4, 120, 1e-12), (10, 120, 1e-12),
-                                           (4, 30, 1e-100), (10, 30, 1e-100)])
+@pytest.mark.parametrize("terms, q, sign", [
+    ({1: (1, 0), 2: (-3, 0)}, 1, "undetermined"),  # e^-t - 3e^-2t: zero at t = ln 3
+    ({1: (-1, 0), 2: (3, 0)}, 2, "undetermined"),
+    ({1: (3, 0), 2: (-1, 0)}, 1, "positive"),
+    ({1: (1, -1)}, 1, "undetermined"),  # (1 - t) e^-t: zero at t = 1
+    ({1: (1, 1)}, 3, "positive"),
+    ({2: (0, -1), 5: (1, 0)}, 1, "undetermined"),  # -t e^-2t + e^-5t: one zero
+    ({1: (-1, -1)}, 2, "negative"),
+    ({}, 1, "zero"),
+])
+def test_row_sign_of_small_exponential_sums(terms, q, sign):
+    assert _row_sign(terms, q) == sign
+
+
+def test_descartes_passes_match_the_taylor_shift():
+    # (1+y)^n p(1/(1+y)) = sum_i p_i (1+y)^(n-i) built by Poly products
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        p = Poly(rng.integers(-4, 5, rng.integers(1, 9)).tolist())
+        if not p:
+            continue
+        n, shifted = p.degree, Poly()
+        for i, c in enumerate(p.coeffs):
+            power = Poly([1])
+            for _ in range(n - i):
+                power = power * Poly([1, 1])
+            shifted = shifted + power * c
+        one_signed = min(shifted.coeffs) >= 0 or max(shifted.coeffs) <= 0
+        assert _no_root_in_unit_interval(p) == one_signed, p.coeffs
+
+
+@pytest.mark.parametrize("d, m_max, eps", [(2, 120, 1e-12), (3, 120, 1e-12), (4, 120, 1e-12),
+                                           (10, 120, 1e-12), (4, 30, 1e-100), (10, 30, 1e-100)])
 def test_every_r_cell_is_positive(d, m_max, eps):
     # r rows are signed by stochastic monotonicity, not cell by cell: at
     # m_max = 120 many values are far below any float threshold, and at
-    # eps = 1e-100 some floats are rounding noise below 0
+    # eps = 1e-100 some floats are rounding noise below 0.  Every second
+    # difference row is signed for all t > 0 by the regime rule: NEGATIVE at
+    # singles levels, POSITIVE at paired ones, ZERO only at d = 4, m = 3
+    start = time.perf_counter()
     tab = r_diff_table(d, m_max, GRID, eps)
-    assert (tab.r_certs == SignCert.POSITIVE.value).all()
+    assert time.perf_counter() - start < 5.0
+    zero_r = [1] if d == 2 else []  # r(2, t) = 0 at d = 2
+    assert (np.delete(tab.r_certs, zero_r, axis=0) == SignCert.POSITIVE.value).all()
+    assert (tab.r_certs[zero_r] == SignCert.ZERO.value).all()
     if eps < 1e-20:
         assert (tab.r_values < 0).any()
+    assert not tab.undetermined_cells()
+    for m in range(2, m_max + 1):
+        rule = ("negative" if regime(m, d) is Regime.C3
+                else "zero" if (d, m) == (4, 3) else "positive")
+        assert (tab.diff_certs[m - 2] == rule).all(), (d, m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 10])
+def test_spectral_table_matches_the_uniformized_tails(d):
+    # v(m, t) = sum_k (A + B t) e^{-kt/(d-1)} / den, evaluated at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    levels = _spectral_levels(death_chain(Strategy.OPTIMAL, d, 12))
+    tails = survival_table(d, 12, GRID).values
+    with mpmath.workdps(40):
+        for m, (den, terms) in enumerate(levels):
+            for j, t in enumerate(GRID):
+                t = mpmath.mpf(float(t))
+                exact = sum((a + b * t) * mpmath.exp(-k * t / (d - 1))
+                            for k, (a, b) in terms.items()) / den
+                assert abs(exact - tails[m, j]) <= 1e-13, (m, j)
 
 
 def _absorbed_by(chain, t):
@@ -578,15 +603,24 @@ def test_generator_exit_rates():
 
 
 def test_sign_certificates_are_pinned():
-    # the certificate of every cell; (4, 60) leaves one diff cell undetermined
-    digest = hashlib.sha256()
+    # the sign of every cell.  The per-cell route that the row signs replaced
+    # left one cell undetermined, the diff cell at (d, m, t) = (4, 60,
+    # grid[2]); with that cell marked so, the old digest comes back, so each
+    # cell the old route signed agrees with its row
+    digest, old = hashlib.sha256(), hashlib.sha256()
     grid = np.geomspace(0.01, 10, 20)
     for d, m_max in [(2, 30), (3, 30), (4, 30), (5, 30), (10, 30), (4, 60)]:
         table = r_diff_table(d, m_max, grid)
-        for certs in (table.r_certs, table.diff_certs):
-            digest.update(",".join(certs.ravel()).encode() + b";")
-    assert digest.hexdigest() == (
+        marked = table.diff_certs.copy()
+        if (d, m_max) == (4, 60):
+            marked[58, 2] = SignCert.UNDETERMINED.value
+        for h, certs in ((digest, table.r_certs), (digest, table.diff_certs),
+                         (old, table.r_certs), (old, marked)):
+            h.update(",".join(certs.ravel()).encode() + b";")
+    assert old.hexdigest() == (
         "9af8fac37c382e92653ae0b1603c49caa969288af79dd57a69804604721b2f7d")
+    assert digest.hexdigest() == (
+        "496dbb9ea49deaa4810ccd0d8f8bd51394329fdc0709de3ba68b4257e8b54ebb")
 
 
 def test_tail_and_difference_floats_are_pinned():
@@ -690,14 +724,17 @@ def test_pinned_floats_are_no_further_from_a_reference_than_log_space_weights(
 
 
 def test_certificate_beyond_its_rounding_bound_is_refused():
-    # a 60,040-term head at t = 1e4; the slack covers heads under 5e4 terms
+    # t = 1e4 takes about 40,000 uniformization terms, past the rounding
+    # bound of any per-cell certificate; a row sign holds for all t > 0, so
+    # nothing is refused and the cells are signed
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="terms"):
-        r_diff_table(4, 2, [10000.0])
+    tab = r_diff_table(4, 2, [10000.0])
     assert time.perf_counter() - start < 5.0
+    assert tab.r_certs.ravel().tolist() == ["positive", "positive"]
+    assert tab.diff_certs.ravel().tolist() == ["positive"]
 
 
-# --- assumptions and rounding of the exact certificate -------------------------
+# --- assumptions of the sign certificates --------------------------------------
 
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_uniformized_chains_are_monotone(strategy):
@@ -712,20 +749,19 @@ def test_nonmonotone_chain_is_refused():
     # level 2 sends mass 5 to level 0, level 1 only 2: not monotone at m = 1
     chain = DeathChain(3, 3, np.array([0, 2, 0, 3]), np.array([0, 0, 5, 0]))
     with pytest.raises(ValueError, match="not stochastically monotone at level 1"):
-        _certify_exact(chain, np.array([3]), np.array([0]), np.array([0.5]))
+        _check_monotone(chain)
 
 
 @pytest.mark.parametrize("d", [3, 5, 10])
 def test_certificate_encloses_50_digit_value(d):
     # second differences below the 2*eps float rule at small t, against
-    # exp(Qt) at 50 digits
+    # exp(Qt) at 50 digits: each cell's row sign is the reference's sign
     mpmath = pytest.importorskip("mpmath")
     m_max, t_grid = 10, np.array([1e-4, 1e-3, 1e-2, 0.05])
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
-    r = np.diff(survival_table(d, m_max, t_grid).values, axis=0)
-    rows, cols = np.nonzero(np.abs(r[:-1] - r[1:]) <= 2e-12)
+    tab = r_diff_table(d, m_max, t_grid)
+    rows, cols = np.nonzero(np.abs(tab.diff_values) <= 2e-12)
     assert rows.size >= 4
-    lo, hi = _certify_exact(chain, rows, cols, t_grid)
     mpmath.mp.dps = 50
     Q = mpmath.zeros(m_max + 1)
     for m in range(1, m_max + 1):
@@ -738,5 +774,6 @@ def test_certificate_encloses_50_digit_value(d):
         rr = [P[m - 1, 0] - P[m, 0] for m in range(1, m_max + 1)]
         exact = [a - b for a, b in zip(rr, rr[1:])]
         for i in np.flatnonzero(cols == j):
-            assert lo[i] <= exact[rows[i]] <= hi[i]
-            assert lo[i] > 0 or hi[i] < 0
+            assert exact[rows[i]] != 0
+            sign = "positive" if exact[rows[i]] > 0 else "negative"
+            assert tab.diff_certs[rows[i], j] == sign
