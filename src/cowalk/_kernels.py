@@ -72,11 +72,6 @@ def _skip(k, v):
     return k + (k >= v)
 
 
-def _unmatched(x, y, r, i, j):
-    """Unmatched coordinates among {i, j} of replicates r."""
-    return (x[r, i] != y[r, i]).astype(np.int64) + ((j != i) & (x[r, j] != y[r, j]))
-
-
 def marginal_batch(strategy, d, n, x0, y0, ev_count, offsets, u, paired):
     """Thinned event loop for the coupled pair at full coordinate detail;
     returns (xchg, ychg, xinc, yinc, joint_moves).
@@ -90,31 +85,38 @@ def marginal_batch(strategy, d, n, x0, y0, ev_count, offsets, u, paired):
     unmatched count m.  Records per-coordinate value-change counts, pooled
     increment tallies (index by increment size 1..d-1), and per-replicate
     counts of events that moved both chains at once.
+
+    The replicates are sorted once by candidate count, descending (stably),
+    so those with an e-th candidate are the prefix [:live[e]], and the state
+    is flat: coordinate i of sorted replicate r sits at r*n + i.  Replicates
+    share nothing, so the order changes no value; outputs are unpermuted.
     """
     n_rep = ev_count.shape[0]
-    xchg = np.zeros((n_rep, n), dtype=np.int64)
-    ychg = np.zeros((n_rep, n), dtype=np.int64)
-    xinc = np.zeros(d, dtype=np.int64)
-    yinc = np.zeros(d, dtype=np.int64)
+    order = np.argsort(-ev_count, kind="stable")
+    live = np.searchsorted(-ev_count[order], -np.arange(ev_count.max(initial=0)), "left")
+    offsets = offsets[order]
+    x, y = (np.tile(np.asarray(v, dtype=np.int64), n_rep) for v in (x0, y0))
+    xchg, ychg = np.zeros(n_rep * n, dtype=np.int64), np.zeros(n_rep * n, dtype=np.int64)
+    xinc, yinc = np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int64)
     joint_moves = np.zeros(n_rep, dtype=np.int64)
-    x = np.tile(np.asarray(x0, dtype=np.int64), (n_rep, 1))
-    y = np.tile(np.asarray(y0, dtype=np.int64), (n_rep, 1))
-    n_unm = np.count_nonzero(x != y, axis=1)
-    for e in range(int(ev_count.max(initial=0))):
-        r = np.flatnonzero(ev_count > e)
-        u0, u1, u2, u3 = u[offsets[r] + e].T
-        i = _index(u1, n)
-        matched = x[r, i] == y[r, i]
-        if strategy is Strategy.OPTIMAL:
-            block = d / (d - 1.0)
-        elif strategy is Strategy.INDEPENDENT:
-            block = np.where(matched, 1.0, 2.0)
-        else:
-            block = 1.0
-        keep = u0 * _DOMINATING_BLOCK_RATE < block
-        r, i, matched, u2, u3 = r[keep], i[keep], matched[keep], u2[keep], u3[keep]
-        xi, yi = x[r, i], y[r, i]
-        j = i
+    n_unm = np.count_nonzero((x != y).reshape(n_rep, n), axis=1)
+    # the thinning block when it does not depend on the state
+    block = {Strategy.OPTIMAL: d / (d - 1.0), Strategy.SYNCHRONOUS: 1.0}.get(strategy)
+    for e, width in enumerate(live):
+        rows = offsets[:width] + e
+        if block is not None:  # thin before gathering the rest of the row
+            r = np.flatnonzero(u[rows, 0] * _DOMINATING_BLOCK_RATE < block)
+            rows = rows[r]
+            at = r * n + _index(u[rows, 1], n)
+            xi, yi = x[at], y[at]
+        else:  # independent: the block is 1 on a matched coordinate, 2 on an unmatched one
+            at = np.arange(width) * n + _index(u[rows, 1], n)
+            xi, yi = x[at], y[at]
+            r = np.flatnonzero(u[rows, 0] * _DOMINATING_BLOCK_RATE < np.where(xi == yi, 1.0, 2.0))
+            rows, at, xi, yi = rows[r], at[r], xi[r], yi[r]
+        u2, u3 = u[rows, 2], u[rows, 3]
+        matched = xi == yi
+        jat, yj = at, yi
         if strategy is Strategy.SYNCHRONOUS:
             delta = 1 + _index(u2, d - 1)
             kx, ky = (xi + delta) % d, (yi + delta) % d
@@ -134,25 +136,29 @@ def marginal_batch(strategy, d, n, x0, y0, ev_count, offsets, u, paired):
             kx[fresh] = ky[fresh] = _skip(_skip(c - 2, lo), hi)[fresh]
             stay = pair & (c == 1)  # completion row: both keep their value
             kx[stay], ky[stay] = xi[stay], yi[stay]
+            unm = (kx != ky).astype(np.int64) - ~matched  # unmatched-count change, j = i
             # pairing row: X(i) makes a match, and so does Y at a uniformly
-            # chosen other unmatched coordinate j
+            # chosen other unmatched coordinate j; two matches are made
             p = np.flatnonzero(pair & (c == 0))
-            rp = r[p]
-            other = x[rp] != y[rp]
-            other[np.arange(p.size), i[p]] = False
-            target = _index(u3[p], n_unm[rp] - 1)
-            j = i.copy()
-            j[p] = np.argmax(np.cumsum(other, axis=1) > target[:, None], axis=1)
-            kx[p], ky[p] = yi[p], x[rp, j[p]]
-        yj = y[r, j]
-        moved_x, moved_y = kx != xi, ky != yj
-        np.add.at(xinc, (kx - xi)[moved_x] % d, 1)
-        np.add.at(yinc, (ky - yj)[moved_y] % d, 1)
-        xchg[r, i] += moved_x
-        ychg[r, j] += moved_y
-        joint_moves[r] += moved_x & moved_y
-        before = _unmatched(x, y, r, i, j)
-        x[r, i] = kx
-        y[r, j] = ky
-        n_unm[r] += _unmatched(x, y, r, i, j) - before
-    return xchg, ychg, xinc, yinc, joint_moves
+            if p.size:
+                rp = r[p]
+                other = x.reshape(n_rep, n)[rp] != y.reshape(n_rep, n)[rp]
+                other[np.arange(p.size), at[p] % n] = False
+                target = _index(u3[p], n_unm[rp] - 1)
+                jp = rp * n + np.argmax(np.cumsum(other, axis=1) > target[:, None], axis=1)
+                jat, yj = at.copy(), yi.copy()
+                jat[p], yj[p] = jp, y[jp]
+                kx[p], ky[p] = yi[p], x[jp]
+                unm[p] = -2
+            n_unm[r] += unm
+        dx, dy = (kx - xi) % d, (ky - yj) % d  # nonzero exactly when the chain moved
+        xinc += np.bincount(dx, minlength=d)
+        yinc += np.bincount(dy, minlength=d)
+        xchg[at] += dx != 0
+        ychg[jat] += dy != 0
+        joint_moves[r] += (dx != 0) & (dy != 0)
+        x[at], y[jat] = kx, ky
+    xinc[0] = yinc[0] = 0
+    back = np.argsort(order)
+    return (xchg.reshape(n_rep, n)[back], ychg.reshape(n_rep, n)[back], xinc, yinc,
+            joint_moves[back])

@@ -38,6 +38,11 @@ __all__ = [
 
 _CHUNK = 1 << 15
 _BLOCK = 1 << 21  # uniforms drawn and run at once by the event kernel
+# expected candidate events that validate_marginals accepts: per replicate,
+# half a sub-block (2^19 events), so no replicate outgrows one; in all, a
+# time budget of about three minutes at the README size's rate (2-core Xeon)
+_MAX_REPLICATE_EVENTS = _BLOCK // 8
+_MAX_EVENTS = 1 << 30
 _LUMPED_BLOCK = 1 << 17  # replicate-steps per lumped sub-block: fits in cache
 _LUMPED_ROWS = 1024  # rows per sub-block at least, up to 16 blocks (32 MB of uniforms)
 
@@ -273,9 +278,14 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     d, n = params.d, params.n
+    rate_dom = _kernels._DOMINATING_BLOCK_RATE * n
+    if rate_dom * horizon > _MAX_REPLICATE_EVENTS or replicates * rate_dom * horizon > _MAX_EVENTS:
+        raise ValueError(
+            f"expected candidate events must be <= 2^18 per replicate (2*n*horizon = "
+            f"{rate_dom * horizon:g}) and <= 2^30 in all (replicates*2*n*horizon = "
+            f"{replicates * rate_dom * horizon:g})")
     x0 = np.zeros(n, dtype=np.int64)
     y0 = np.ones(n, dtype=np.int64)
-    rate_dom = _kernels._DOMINATING_BLOCK_RATE * n
     paired = death_chain(Strategy.OPTIMAL, d, n).c2 > 0
 
     parts = []
@@ -287,13 +297,14 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
         while start < hi - lo:
             # consecutive replicates with at most _BLOCK uniforms (4 per
             # event), or one replicate; drawn in stream order, so the
-            # sub-blocks change no value
+            # sub-blocks change no value.  Only the call holds the uniforms,
+            # so they are freed before the next sub-block is drawn.
             first = ends[start] - ev_count[start]
             stop = max(start + 1, int(np.searchsorted(ends, first + _BLOCK // 4, "right")))
             count = ev_count[start:stop]
-            u = rng.random((int(ends[stop - 1] - first), 4))
             parts.append(_kernels.marginal_batch(
-                strategy, d, n, x0, y0, count, ends[start:stop] - count - first, u, paired))
+                strategy, d, n, x0, y0, count, ends[start:stop] - count - first,
+                rng.random((int(ends[stop - 1] - first), 4)), paired))
             start = stop
     xchg, ychg, xinc, yinc, joint = zip(*parts)
     xchg, ychg, xinc, yinc = np.concatenate(xchg), np.concatenate(ychg), sum(xinc), sum(yinc)

@@ -260,11 +260,29 @@ def test_readme_verify_report_is_pinned(tmp_path, monkeypatch):
         "2fc31ae9e26050ccc093a575d55c9fe3498a520fb3dd11f738133d1dfc23382b")
 
 
+def test_readme_validate_marginals_stdout_is_pinned(capsys):
+    # sha256 of the README command's stdout, pinned before the event kernel
+    # moved to a sorted live prefix with flat state indices
+    assert run_cli("validate-marginals", "--d", "4", "--n", "5", "--strategy", "optimal",
+                   "-T", "10", "-R", "10000") == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "94aa2b736c2ad8916380cf7b1c94f8209e627a3c5603a63fb5660d20b0e0f0fd")
+
+
 def test_validate_marginals_cli(capsys):
     assert run_cli("validate-marginals", "--d", "2", "--n", "4",
                    "--strategy", "synchronous", "-T", "5", "-R", "400") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] and payload["all_moves_joint"]
+
+
+@pytest.mark.parametrize("horizon, replicates", [("30000", "100"), ("10", "20000000")])
+def test_validate_marginals_beyond_its_cost_bounds_is_refused(horizon, replicates, capsys):
+    # 3e5 expected candidate events per replicate (> 2^18); 2e9 in all (> 2^30)
+    assert run_cli("validate-marginals", "--d", "4", "--n", "5", "--strategy", "optimal",
+                   "-T", horizon, "-R", replicates) == 2
+    err = capsys.readouterr().err
+    assert "2^18 per replicate" in err and "2^30 in all" in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

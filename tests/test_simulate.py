@@ -406,6 +406,114 @@ def test_no_thread_outlives_a_call(monkeypatch, workers):
     assert threading.active_count() == before
 
 
+def _marginal_reference(strategy, d, n, x0, y0, ev_count, offsets, u, paired):
+    """Per-replicate scalar loop of the event kernel's contract; the
+    unmatched count is recounted at every event."""
+    def index(v, k):
+        return min(int(v * k), k - 1)
+
+    def skip(k, v):
+        return k + (k >= v)
+
+    xchg = np.zeros((len(ev_count), n), dtype=np.int64)
+    ychg = np.zeros((len(ev_count), n), dtype=np.int64)
+    xinc, yinc = np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int64)
+    joint = np.zeros(len(ev_count), dtype=np.int64)
+    for r in range(len(ev_count)):
+        x, y = [int(v) for v in x0], [int(v) for v in y0]
+        for e in range(ev_count[r]):
+            u0, u1, u2, u3 = (float(v) for v in u[offsets[r] + e])
+            i = j = index(u1, n)
+            matched = x[i] == y[i]
+            block = {Strategy.OPTIMAL: d / (d - 1.0), Strategy.SYNCHRONOUS: 1.0,
+                     Strategy.INDEPENDENT: 1.0 if matched else 2.0}[strategy]
+            if not u0 * 2.0 < block:
+                continue
+            if strategy is Strategy.SYNCHRONOUS:
+                delta = 1 + index(u2, d - 1)
+                kx, ky = (x[i] + delta) % d, (y[i] + delta) % d
+            elif strategy is Strategy.INDEPENDENT:
+                k = index(u2 if matched else u3, d - 1)
+                kx = skip(k, x[i]) if matched or u2 < 0.5 else x[i]
+                ky = skip(k, y[i]) if matched or u2 >= 0.5 else y[i]
+            else:
+                m = sum(a != b for a, b in zip(x, y))
+                c = kx = ky = index(u2, d)
+                if not matched and paired[m] and c == 0:
+                    j = [k for k in range(n) if k != i and x[k] != y[k]][index(u3, m - 1)]
+                    kx, ky = y[i], x[j]
+                elif not matched and paired[m] and c == 1:
+                    kx, ky = x[i], y[i]
+                elif not matched and paired[m]:
+                    lo, hi = sorted((x[i], y[i]))
+                    kx = ky = skip(skip(c - 2, lo), hi)
+            if kx != x[i]:
+                xinc[(kx - x[i]) % d] += 1
+                xchg[r, i] += 1
+            if ky != y[j]:
+                yinc[(ky - y[j]) % d] += 1
+                ychg[r, j] += 1
+            joint[r] += kx != x[i] and ky != y[j]
+            x[i], y[j] = kx, ky
+    return xchg, ychg, xinc, yinc, joint
+
+
+@st.composite
+def _event_cases(draw):
+    """(strategy, d, n, x0, y0, ev_count, u, paired) with zero and tied
+    candidate counts, uniforms on the edges of the index cells, and a
+    paired/singles table that is the optimal strategy's or arbitrary at
+    levels >= 2."""
+    strategy = draw(st.sampled_from([Strategy.OPTIMAL, Strategy.INDEPENDENT,
+                                     Strategy.SYNCHRONOUS]))
+    d, n, reps = draw(st.integers(2, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    x0 = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+    y0 = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+    ev_count = draw(st.lists(st.integers(0, 10), min_size=reps, max_size=reps))
+    uniform = st.sampled_from([0.0, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0, exclude_max=True)
+    u = draw(st.lists(st.lists(uniform, min_size=4, max_size=4),
+                      min_size=sum(ev_count), max_size=sum(ev_count)))
+    paired = list(death_chain(Strategy.OPTIMAL, d, n).c2 > 0)
+    if draw(st.booleans()):
+        paired[2:] = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    return strategy, d, n, x0, y0, ev_count, u, paired
+
+
+@given(_event_cases())
+@settings(max_examples=300, deadline=None)
+# every count zero: no row is read
+@example((Strategy.OPTIMAL, 3, 2, [0, 0], [1, 1], [0, 0, 0], [], None))
+# tied counts, and a zero count between others
+@example((Strategy.INDEPENDENT, 3, 2, [0, 1], [1, 1], [2, 0, 2, 1, 2],
+          [[0.2, 0.7, 0.4, 0.1], [0.6, 0.1, 0.8, 0.5], [0.3, 0.3, 0.6, 0.9],
+           [0.1, 0.9, 0.2, 0.2], [0.4, 0.5, 0.7, 0.3], [0.9, 0.2, 0.1, 0.6],
+           [0.7, 0.0, 0.5, 0.4]], None))
+@example((Strategy.OPTIMAL, 4, 3, [0, 0, 1], [1, 2, 1], [3, 0, 3],
+          [[0.2, 0.1, 0.3, 0.5], [0.5, 0.9, 0.6, 0.1], [0.1, 0.4, 0.9, 0.9],
+           [0.3, 0.5, 0.1, 0.5], [0.6, 0.2, 0.2, 0.3], [0.2, 0.8, 0.7, 0.0]], None))
+# n = 1 and d = 2: one coordinate, one value to move to
+@example((Strategy.SYNCHRONOUS, 2, 1, [0], [1], [2, 1],
+          [[0.1, 0.5, 0.5, 0.5], [0.6, 0.5, 0.5, 0.5], [0.4, 0.0, 0.9, 0.1]], None))
+@example((Strategy.OPTIMAL, 2, 1, [1], [0], [2], [[0.1, 0.3, 0.2, 0.7], [0.4, 0.6, 0.8, 0.2]],
+          None))
+# pairing rows at paired levels with 4 unmatched coordinates (i = 2,
+# j = 3), and with 3 after a fresh-value match (i = 1, j = 3)
+@example((Strategy.OPTIMAL, 4, 5, [0, 0, 0, 0, 2], [1, 1, 1, 1, 2], [1, 2],
+          [[0.1, 0.5, 0.1, 0.9], [0.1, 0.0, 0.5, 0.0], [0.1, 0.3, 0.1, 0.7]], None))
+def test_event_kernel_matches_scalar_loop_property(case):
+    strategy, d, n, x0, y0, ev_count, u, paired = case
+    if paired is None:
+        paired = death_chain(Strategy.OPTIMAL, d, n).c2 > 0
+    ev_count = np.array(ev_count, dtype=np.int64)
+    offsets = np.cumsum(ev_count) - ev_count
+    u = np.array(u, dtype=float).reshape(-1, 4)
+    got = _kernels.marginal_batch(strategy, d, n, np.array(x0), np.array(y0), ev_count,
+                                  offsets, u, np.array(paired))
+    want = _marginal_reference(strategy, d, n, x0, y0, ev_count, offsets, u, paired)
+    for out, ref in zip(got, want, strict=True):
+        assert out.dtype == np.int64 and out.tobytes() == ref.tobytes()
+
+
 # --- golden seeded outputs ----------------------------------------------------
 # Hex values pinned from the kernels before the death-chain refactor; any
 # change to draw consumption or kernel arithmetic shows here bit for bit.
@@ -452,6 +560,22 @@ def test_golden_independent_coupling_times_digest():
 def test_golden_marginal_statistics(strategy, stats):
     report = validate_marginals(strategy, WalkParams(d=3, n=4), 4.0, 300, seed=55)
     assert [t.statistic.hex() for t in report.tests] == stats
+
+
+@pytest.mark.parametrize("strategy,stats,means", [
+    ("optimal", ["0x1.e7faeeaf973eap+3", "0x1.8aa1dc9dad862p+4",
+                 "0x1.bc37e3f837c71p+1", "0x1.f5e071afc5d80p+1"],
+     ["0x1.3f6c0d6f544bbp+3", "0x1.3f7f8ca8198f2p+3"]),
+    ("independent", ["0x1.321187b27b9a3p+4", "0x1.65a397f0efd68p+5",
+                     "0x1.5bcd629544c92p+1", "0x1.ae3d748160669p+0"],
+     ["0x1.3fc9eecbfb15bp+3", "0x1.3f73c0c1fc8f3p+3"]),
+])
+def test_golden_readme_marginals(strategy, stats, means):
+    # the README validate-marginals size, pinned before the event kernel
+    # moved to a sorted live prefix with flat state indices
+    report = validate_marginals(strategy, WalkParams(d=4, n=5), 10.0, 10_000, 0)
+    assert [t.statistic.hex() for t in report.tests] == stats
+    assert [report.mean_changes_x.hex(), report.mean_changes_y.hex()] == means
 
 
 def test_golden_event_kernel():
@@ -601,3 +725,30 @@ def test_marginal_validation_working_set_is_bounded():
     assert report.mean_changes_x.hex() == "0x1.4027e66666666p+3"
     assert report.mean_changes_y.hex() == "0x1.4029266666666p+3"
     assert peak < 48 * 2**20
+
+
+def test_marginal_validation_readme_size_working_set():
+    # the README command's size: one chunk of two sub-blocks of uniforms
+    # (16 MB each), never both live at once
+    tracemalloc.start()
+    try:
+        validate_marginals("optimal", WalkParams(d=4, n=5), 10.0, 10_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("n,horizon,replicates", [
+    (1, math.nextafter(2.0**17, math.inf), 1),  # 2*n*horizon just above 2^18
+    (4, 8.0, 2**24 + 1),  # 64 candidates per replicate, 2^30 + 64 in all
+])
+def test_marginal_validation_cost_is_bounded(n, horizon, replicates):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\^18 per replicate .* 2\^30 in all"):
+            validate_marginals("optimal", WalkParams(d=4, n=n), horizon, replicates, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # refused before any draw
