@@ -184,13 +184,16 @@ def _cmd_exact(cfg: ExperimentConfig):
     _emit(cfg, "exact", table, lambda fh: io.write_tail_csv(table, fh))
 
 
+_MAX_LAPLACE_M = 200  # deepest --m of laplace, which writes V and R at every level up to it
+
+
 def _cmd_laplace(cfg: ExperimentConfig):
     _require(cfg, "d", "m")
     d, m = cfg.d, cfg.m
-    levels = exact._transform_levels(d, max(m, 3))  # serves every row and identity
-    V = [levels.canonical(p, level) for level, p in enumerate(levels.P)]
-    R = [None] + [levels.canonical(levels.r_numerator(level), level)
-                  for level in range(1, len(V))]
+    v = exact._optimal_levels(d, max(m, 3), _MAX_LAPLACE_M)  # serves every row and identity
+    V = [exact._transform(level, d - 1) for level in v]
+    R = [None] + [exact._transform(exact._combine((1, v[j]), (-1, v[j - 1])), d - 1)
+                  for j in range(1, len(v))]
     taus = list(exact._mean_levels(d, m))
     rows = []
     for level in range(0, m + 1):

@@ -12,20 +12,20 @@ derived from that chain:
   is used instead of exponential-sum formulas because exit rates repeat
   (d = 2 has rate 2 at both levels 1 and 2), and instead of ODE integration
   because the truncation error is an explicit bound, not an estimate.
-* ``laplace_V`` / ``laplace_R`` build the Laplace transforms of the tail and
-  of its level differences as exact rational functions, via the level
-  recursions of the death chain run on integer numerator polynomials over
-  the known product of the levels' linear factors.
+* ``_spectral_levels`` is the one exact form of the tails: every v(m, t) is
+  a finite sum sum_k (A + B t) e^{-kt/(d-1)} with integer coefficients over
+  one denominator, built from the level equation of the death chain.
+* ``laplace_V`` / ``laplace_R`` read the Laplace transforms of the tail and
+  of its level differences off that table, term by term, as exact rational
+  functions in canonical form (``_transform``).
 * ``expected_tau`` is the transform at 0, evaluated as an exact rational.
 * ``r_diff_table`` signs the level differences r(m,t) = v(m,t)-v(m-1,t) and
-  the second differences r(m-1,t)-r(m,t) by rows, for all t > 0 at once.
-  Both come from an exact spectral table: every v(m, t) is a finite sum
-  sum_k (A + B t) e^{-kt/(d-1)} with integer coefficients over one
-  denominator (``_spectral_levels``).  An r row is ZERO where its
-  coefficients vanish and POSITIVE otherwise, because the uniformized chain
-  is stochastically monotone.  A second-difference row is signed by
-  Descartes' rule on (0, 1) in x = e^{-t/(d-1)} (``_row_sign``), or stays
-  UNDETERMINED: no cell is signed from numerical noise.
+  the second differences r(m-1,t)-r(m,t) by rows, for all t > 0 at once,
+  from the same table.  An r row is ZERO where its coefficients vanish and
+  POSITIVE otherwise, because the uniformized chain is stochastically
+  monotone.  A second-difference row is signed by Descartes' rule on
+  (0, 1) in x = e^{-t/(d-1)} (``_row_sign``), or stays UNDETERMINED: no
+  cell is signed from numerical noise.
 """
 from __future__ import annotations
 
@@ -231,80 +231,100 @@ def survival_exact(d: int, m: int, t_grid, eps: float = 1e-12) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Laplace transforms and expected coupling times
+# the exact spectral table, its Laplace transforms and expected coupling times
 
 
-# Level m's generator equation, multiplied by (d-1), reads
-#   l_m V(m) = (d-1) + c1 V(m-1) + c2 V(m-2),   l_m = (c1 + c2) + (d-1) alpha,
-# with (c1, c2) the death chain's numerators at level m.  Every V(m) therefore
-# lives over the known denominator D_m = l_1 ... l_m, with an integer numerator
-# polynomial
-#   P_m = (d-1) D_{m-1} + c1 P_{m-1} + c2 l_{m-1} P_{m-2}.
-# R(m) = V(m) - V(m-1) has numerator N_m = P_m - l_m P_{m-1} over D_m, and
-# R(m-1) - R(m) has numerator l_m N_{m-1} - N_m over D_m, so a zero test is
-# an emptiness test and no polynomial gcd is ever needed.  The numerators are
-# ``Poly``s, whose int coefficients stay exact without a common denominator.
+# Level m's generator equation times q = d-1, q v_m' = -s_m v_m + c1 v_{m-1}
+# + c2 v_{m-2} with v_m(0) = 1 and s_m = c1 + c2, makes v_m a sum of terms
+# (A + B t) e^{-kt/q}, one key k per distinct s_j, j <= m.  A forcing term
+# (a + b t) e^{-kt/q} adds B = b/(s_m - k) and A = (a - q B)/(s_m - k) at
+# k != s_m; at k = s_m (a repeated rate: levels j and 2j at d = 2, j odd)
+# b = 0 and it adds B = a/q.  Key s_m then takes A = 1 - (the other A's).
 
 
-@dataclass(frozen=True)
-class _TransformLevels:
-    """Numerators of V(0..m_max) over D_m = prod_{j<=m} (s[j] + q*alpha)."""
+def _combine(*parts):
+    """(den, {k: (A, B)}) of sum c * v over parts (c, (den_v, terms_v)), over the
+    lcm of the denominators of the parts with c != 0; all-zero keys dropped."""
+    parts = [part for part in parts if part[0]]
+    den = math.lcm(*(part[1][0] for part in parts))
+    out = {}
+    for c, (den_v, terms) in parts:
+        f = c * (den // den_v)
+        for k, (a, b) in terms.items():
+            a0, b0 = out.get(k, (0, 0))
+            out[k] = (a0 + f * a, b0 + f * b)
+    return den, {k: ab for k, ab in out.items() if ab != (0, 0)}
 
-    q: int
-    s: list[int]  # s[j] = c1 + c2 at level j; s[0] unused
-    P: list[Poly]
 
-    def r_numerator(self, m: int) -> Poly:
-        """N_m = P_m - l_m P_{m-1}, the numerator of R(m) over D_m."""
-        return self.P[m] - self.P[m - 1] * Poly([self.s[m], self.q])
-
-    def canonical(self, num: Poly, m: int) -> RationalFn:
-        """num / D_m in canonical form: cancel each factor l_j whose root
-        num shares (a repeated factor is tested once per occurrence), so
-        what remains is coprime without a gcd."""
-        den, scale = Poly([1]), 1  # den * scale: D_m less the factors cancelled so far
-        for j in range(1, m + 1):
-            g = math.gcd(self.s[j], self.q)
-            a, b = self.s[j] // g, self.q // g
-            quo = num.div_linear(a, b)
-            if quo is None:
-                den = den * Poly([a, b])
+def _spectral_levels(chain: DeathChain) -> list[tuple[int, dict[int, tuple[int, int]]]]:
+    """(den, {k: (A, B)}) for levels m = 0..m_max in lowest terms:
+    v(m, t) = sum_k (A + B t) e^{-kt/(d-1)} / den exactly.  Raises
+    ValueError for a rate that occurs three times, which needs t^2 terms."""
+    c1, c2 = chain.numerators()
+    q = chain.d - 1
+    levels = [(1, {})]  # v(0, t) = 0
+    for m in range(1, chain.m_max + 1):
+        s = c1[m] + c2[m]
+        den, force = _combine((c1[m], levels[m - 1]), (c2[m], levels[max(m - 2, 0)]))
+        scale = math.lcm(q if s in force else 1,
+                         *((s - k) ** (2 if b else 1) for k, (_, b) in force.items() if k != s))
+        terms = {}
+        for k, (a, b) in force.items():
+            if k == s:
+                if b:
+                    raise ValueError(f"exit rate {s}/{q} occurs three times by level {m}")
+                terms[k] = (0, a * (scale // q))
+            elif b:
+                g = scale // (s - k) ** 2
+                terms[k] = ((a * (s - k) - q * b) * g, b * (s - k) * g)
             else:
-                num = quo
-            scale *= g
-        return RationalFn._from_coprime(num, den * scale)
+                terms[k] = (a * (scale // (s - k)), 0)
+        den *= scale
+        terms[s] = (den - sum(a for a, _ in terms.values()), terms.get(s, (0, 0))[1])
+        g = math.gcd(den, *(x for ab in terms.values() for x in ab))
+        levels.append((den // g, {k: (a // g, b // g) for k, (a, b) in terms.items() if a or b}))
+    return levels
 
 
-def _transform_levels(d: int, m_max: int) -> _TransformLevels:
-    c1, c2 = death_chain(Strategy.OPTIMAL, d, m_max).numerators()
-    q = d - 1
-    s = [0]
-    P = [Poly()]
-    qD = Poly([q])  # (d-1) D_{m-1}
-    for m in range(1, m_max + 1):
-        num = qD + P[m - 1] * c1[m]
-        if c2[m]:  # never at m = 1, which is always a singles level
-            num = num + P[m - 2] * Poly([c2[m] * s[m - 1], c2[m] * q])
-        s.append(c1[m] + c2[m])
-        P.append(num)
-        qD = qD * Poly([s[m], q])
-    return _TransformLevels(q=q, s=s, P=P)
+_MAX_TRANSFORM_LEVEL = 500  # deepest level of laplace_V and laplace_R
+
+
+def _optimal_levels(d: int, m: int, top: int = _MAX_TRANSFORM_LEVEL):
+    """The optimal chain's ``_spectral_levels`` to level m; refused above level top."""
+    if m > top:
+        raise ValueError(f"exact transforms run to level at most {top}; level {m} was asked")
+    return _spectral_levels(death_chain(Strategy.OPTIMAL, d, m))
+
+
+def _transform(level, q: int) -> RationalFn:
+    """Laplace transform in alpha of a ``_spectral_levels`` entry (den, {k: (A, B)}):
+    sum_k A q/(k + q alpha) + B q^2/(k + q alpha)^2, over den.  No key has
+    A = B = 0, so each is a pole of order 1 (B = 0) or 2 whose top
+    coefficient does not vanish there: num/prod is coprime as it stands."""
+    den, terms = level
+    num, prod = [0], [1]  # the sum so far is num/prod, ascending coefficients
+    for k, (a, b) in terms.items():
+        tops = (a * q, b * q * q) if b else (a * q,)
+        for top in tops:  # num <- num (k + q alpha) + top prod; num is at most one longer
+            num = [k * x + q * y + top * z for x, y, z in zip(num + [0], [0] + num, prod + [0, 0])]
+        for _ in tops:
+            prod = [k * x + q * y for x, y in zip(prod + [0], [0] + prod)]
+    return RationalFn._from_coprime(Poly(num), Poly(prod) * den)
 
 
 def laplace_V(d: int, m: int) -> RationalFn:
     """Laplace transform of t -> P(tau > t | N_0 = m), exact in alpha."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    levels = _transform_levels(d, m)
-    return levels.canonical(levels.P[m], m)
+    return _transform(_optimal_levels(d, m)[m], d - 1)
 
 
 def laplace_R(d: int, m: int) -> RationalFn:
     """Laplace transform of the level difference r(m, t) = v(m,t) - v(m-1,t)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    levels = _transform_levels(d, m)
-    return levels.canonical(levels.r_numerator(m), m)
+    v = _optimal_levels(d, m)
+    return _transform(_combine((1, v[m]), (-1, v[m - 1])), d - 1)
 
 
 def _mean_levels(d: int, m_max: int):
@@ -422,54 +442,6 @@ def _check_monotone(chain: DeathChain) -> None:
     if bad.size:
         raise ValueError(f"the uniformized chain is not stochastically monotone at level"
                          f" {bad[0] + 1}, so sign certificates do not apply")
-
-
-# Level m's generator equation times q = d-1, q v_m' = -s_m v_m + c1 v_{m-1}
-# + c2 v_{m-2} with v_m(0) = 1 and s_m = c1 + c2, makes v_m a sum of terms
-# (A + B t) e^{-kt/q}, one key k per distinct s_j, j <= m.  A forcing term
-# (a + b t) e^{-kt/q} adds B = b/(s_m - k) and A = (a - q B)/(s_m - k) at
-# k != s_m; at k = s_m (a repeated rate: levels j and 2j at d = 2, j odd)
-# b = 0 and it adds B = a/q.  Key s_m then takes A = 1 - (the other A's).
-
-
-def _combine(*parts):
-    """(den, {k: (A, B)}) of sum c * v over parts (c, (den_v, terms_v)) over
-    the lcm of their denominators, keys whose A and B both vanish dropped."""
-    den = math.lcm(*(part[1][0] for part in parts))
-    out = {}
-    for c, (den_v, terms) in parts:
-        f = c * (den // den_v)
-        for k, (a, b) in terms.items():
-            a0, b0 = out.get(k, (0, 0))
-            out[k] = (a0 + f * a, b0 + f * b)
-    return den, {k: ab for k, ab in out.items() if any(ab)}
-
-
-def _spectral_levels(chain: DeathChain) -> list[tuple[int, dict[int, tuple[int, int]]]]:
-    """(den, {k: (A, B)}) for levels m = 0..m_max in lowest terms:
-    v(m, t) = sum_k (A + B t) e^{-kt/(d-1)} / den exactly.  Raises
-    ValueError for a rate that occurs three times, which needs t^2 terms."""
-    c1, c2 = chain.numerators()
-    q = chain.d - 1
-    levels = [(1, {})]  # v(0, t) = 0
-    for m in range(1, chain.m_max + 1):
-        s = c1[m] + c2[m]
-        den, force = _combine((c1[m], levels[m - 1]), (c2[m], levels[max(m - 2, 0)]))
-        scale = math.lcm(q if s in force else 1, *((s - k) ** 2 for k in force if k != s))
-        terms = {}
-        for k, (a, b) in force.items():
-            if k != s:
-                g = scale // (s - k) ** 2
-                terms[k] = ((a * (s - k) - q * b) * g, b * (s - k) * g)
-            elif b:
-                raise ValueError(f"exit rate {s}/{q} occurs three times by level {m}")
-            else:
-                terms[k] = (0, a * (scale // q))
-        den *= scale
-        terms[s] = (den - sum(a for a, _ in terms.values()), terms.get(s, (0, 0))[1])
-        g = math.gcd(den, *(x for ab in terms.values() for x in ab))
-        levels.append((den // g, {k: (a // g, b // g) for k, (a, b) in terms.items()}))
-    return levels
 
 
 def _no_root_in_unit_interval(p: Poly) -> bool:

@@ -96,23 +96,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def div_linear(self, a: int, b: int) -> "Poly | None":
-        """self / (a + b*alpha) for a primitive factor (gcd(a, b) = 1, b > 0),
-        or None if the factor does not divide self.  By Gauss's lemma an
-        exact quotient has integer coefficients, so an inexact step already
-        proves the factor's root is not a root of self."""
-        p = self.coeffs
-        if not p:
-            return self
-        quo = [0] * (len(p) - 1)
-        carry = p[-1]
-        for i in range(len(p) - 2, -1, -1):
-            quo[i], rest = divmod(carry, b)
-            if rest:
-                return None
-            carry = p[i] - a * quo[i]
-        return None if carry else Poly(quo)
-
     def __repr__(self):
         return f"Poly({format_poly(self)})"
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,17 @@ def test_laplace_stdout_digest(capsys, d, m, sha256):
     # so a change to the transform arithmetic cannot move a byte unnoticed
     assert run_cli("laplace", "--d", str(d), "--m", str(m)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+def test_laplace_refuses_m_above_its_bound(capsys):
+    # --m 200 is the deepest run (about 1 s at d = 2); --m 201 is refused
+    # before any work, naming the bound
+    assert run_cli("laplace", "--d", "2", "--m", "200") == 0
+    assert json.loads(capsys.readouterr().out)["levels"][200]["m"] == 200
+    start = time.perf_counter()
+    assert run_cli("laplace", "--d", "50", "--m", "201") == 2
+    assert time.perf_counter() - start < 0.1
+    assert "at most 200; level 201 was asked" in capsys.readouterr().err
 
 
 def test_laplace_json(tmp_path):

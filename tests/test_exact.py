@@ -2,7 +2,7 @@ import hashlib
 import operator
 import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -196,17 +196,30 @@ def test_deep_transforms_match_scalar_recursion(d):
         assert r30(alpha) == values[30] - values[29], (d, alpha)
 
 
+def _divide_linear(p, a, b):
+    """p / (a + b*alpha) by synthetic division, or None if the primitive
+    factor (gcd(a, b) = 1, b > 0) does not divide p.  By Gauss's lemma an
+    exact quotient has int coefficients, so an inexact step proves that the
+    factor's root is not a root of p."""
+    quo, carry = [0] * (len(p.coeffs) - 1), p.coeffs[-1]
+    for i in range(len(p.coeffs) - 2, -1, -1):
+        quo[i], rest = divmod(carry, b)
+        if rest:
+            return None
+        carry = p.coeffs[i] - a * quo[i]
+    return None if carry else Poly(quo)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 10])
 def test_transforms_canonical(d):
     # coprime, jointly content-free integer coefficients, positive leading
     # denominator coefficient.  The denominator is a product of factors
-    # s_j + q*a of D_m, so the numerator being nonzero at each root -s_j/q
-    # of the denominator shows coprimality
-    from cowalk.exact import _transform_levels
-
-    levels = _transform_levels(d, 30)
-    q = levels.q
+    # s_j + q*a, s_j = c1 + c2 the death chain's rate numerators at levels
+    # j <= m, and the numerator is nonzero at each root -s_j/q of it
+    c1, c2 = death_chain(Strategy.OPTIMAL, d, 30).numerators()
+    q = d - 1
     for m in range(1, 31):
+        rates = {c1[j] + c2[j] for j in range(1, m + 1)}
         for f in (laplace_V(d, m), laplace_R(d, m)):
             if f.is_zero:
                 assert f.den == Poly([1])
@@ -219,31 +232,36 @@ def test_transforms_canonical(d):
             assert content == 1, (d, m)
             assert f.den.coeffs[-1] > 0
             rest = f.den
-            for s in set(levels.s[1:m + 1]):
+            for s in rates:
                 a, b = s // gcd(s, q), q // gcd(s, q)
-                while rest.degree > 0 and (quo := rest.div_linear(a, b)):
+                while rest.degree > 0 and (quo := _divide_linear(rest, a, b)):
                     rest = quo
                 if f.den(Fraction(-s, q)) == 0:
                     assert f.num(Fraction(-s, q)) != 0, (d, m, s)
             assert rest.degree == 0, (d, m)
 
 
-def test_zero_transform_rows():
-    # R(m) vanishes only at (d=2, m=2), R(m-1) - R(m) only at (d=4, m=3); the
-    # sign table's ZERO rows, read from the spectral table, are the same
-    from cowalk.exact import _transform_levels
+def test_divide_linear_helper():
+    p = Poly([2, 3]) * Poly([1, 2])         # (2 + 3a)(1 + 2a)
+    assert _divide_linear(p, 2, 3) == Poly([1, 2])
+    assert _divide_linear(p, 1, 1) is None  # p(-1) = 1
+    assert _divide_linear(p, 1, 4) is None  # 4 does not divide the leading 6
+    assert _divide_linear(Poly([1, 2, 1]) * 4, 1, 1) == Poly([4, 4])
 
+
+def test_zero_transform_rows():
+    # R(m) = V(m) - V(m-1) vanishes only at (d=2, m=2), and R(m-1) - R(m)
+    # only at (d=4, m=3), by generic RationalFn subtraction of the transforms;
+    # the sign table's ZERO rows, which ``_combine`` reads off the spectral
+    # table, are the same
     r_zero, diff_zero = [], []
     for d in range(2, 13):
-        levels = _transform_levels(d, 30)
-        r_zero += [(d, m) for m in range(1, 31) if not levels.r_numerator(m)]
-        # R(m-1) - R(m) has numerator l_m N_{m-1} - N_m over D_m
-        diff_zero += [(d, m) for m in range(2, 31)
-                      if not (levels.r_numerator(m - 1) * Poly([levels.s[m], levels.q])
-                              - levels.r_numerator(m))]
-        for m in range(2, 9):
-            generic = laplace_R(d, m - 1) - laplace_R(d, m)
-            assert generic.is_zero == ((d, m) in diff_zero), (d, m)
+        V = [laplace_V(d, m) for m in range(31)]
+        R = [None] + [V[m] - V[m - 1] for m in range(1, 31)]
+        r_zero += [(d, m) for m in range(1, 31) if R[m].is_zero]
+        diff_zero += [(d, m) for m in range(2, 31) if (R[m - 1] - R[m]).is_zero]
+        for m in range(1, 31):
+            assert laplace_R(d, m).is_zero == R[m].is_zero, (d, m)
         tab = r_diff_table(d, 30, [1.0])
         assert [(d, m) for m in range(1, 31) if tab.r_certs[m - 1, 0] == SignCert.ZERO.value] \
             == [(dd, m) for dd, m in r_zero if dd == d]
@@ -251,6 +269,18 @@ def test_zero_transform_rows():
             == [(dd, m) for dd, m in diff_zero if dd == d]
     assert r_zero == [(2, 2)]
     assert diff_zero == [(4, 3)]
+
+
+def test_transforms_refuse_levels_above_the_bound():
+    # the bound is checked before the spectral table is built; level
+    # _MAX_TRANSFORM_LEVEL itself takes about 0.4 s at d = 2
+    top = exact._MAX_TRANSFORM_LEVEL
+    assert laplace_V(2, top)(1) > 0
+    for f in (laplace_V, laplace_R):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"at most {top}; level {top + 1}"):
+            f(50, top + 1)
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("d", range(2, 13))
@@ -545,6 +575,43 @@ def test_spectral_table_matches_the_uniformized_tails(d):
                 exact = sum((a + b * t) * mpmath.exp(-k * t / (d - 1))
                             for k, (a, b) in terms.items()) / den
                 assert abs(exact - tails[m, j]) <= 1e-13, (m, j)
+
+
+def test_spectral_table_has_no_all_zero_key():
+    # at d = 4 level 3's key 9 cancels; kept, it would give its transform a
+    # spurious pole at -3
+    for d in range(2, 13):
+        for m, (_, terms) in enumerate(_spectral_levels(death_chain(Strategy.OPTIMAL, d, 40))):
+            assert all(a or b for a, b in terms.values()), (d, m)
+    f = laplace_V(4, 3)
+    assert (f.num, f.den) == (Poly([10, 3]), Poly([8, 10, 3]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 10])
+def test_spectral_table_of_the_independent_coupling(d):
+    # 1 - (1 - e^{-2t/(d-1)})^m: key 2j with A/den = (-1)^(j+1) C(m, j)
+    levels = _spectral_levels(death_chain(Strategy.INDEPENDENT, d, 40))
+    for m, (den, terms) in enumerate(levels):
+        assert {k: Fraction(a, den) for k, (a, b) in terms.items()} \
+            == {2 * j: (-1) ** (j + 1) * comb(m, j) for j in range(1, m + 1)}, (d, m)
+        assert all(b == 0 for _, b in terms.values())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 10])
+def test_spectral_table_of_the_synchronous_coupling(d):
+    # the unmatched count never moves, so every level's tail is 1
+    levels = _spectral_levels(death_chain(Strategy.SYNCHRONOUS, d, 40))
+    assert levels[1:] == [(1, {0: (1, 0)})] * 40
+
+
+def test_spectral_tables_at_d2_match_the_optimal_one():
+    # pairwise-classic is the optimal coupling at d = 2 (the Connor-Jacka
+    # hypercube coupling), and independent has the optimal tail at m = 1
+    optimal = _spectral_levels(death_chain(Strategy.OPTIMAL, 2, 40))
+    assert _spectral_levels(death_chain(Strategy.PAIRWISE_CLASSIC, 2, 40)) == optimal
+    independent = _spectral_levels(death_chain(Strategy.INDEPENDENT, 2, 40))
+    assert independent[1] == optimal[1]
+    assert all(independent[m] != optimal[m] for m in range(2, 41))
 
 
 def _absorbed_by(chain, t):

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -49,26 +48,6 @@ def test_fraction_constant_is_numerator_over_denominator():
     g = RationalFn(Poly([1]), Poly([1, 1]))
     assert (g + Fraction(1, 2))(2) == Fraction(1, 3) + Fraction(1, 2)
     assert RationalFn(Fraction(-2, 3), Poly([0, 1])) == RationalFn(Poly([-2]), Poly([0, 3]))
-
-
-@given(st.lists(st.integers(-10**6, 10**6), max_size=6),
-       st.integers(-50, 50), st.integers(1, 50))
-@settings(max_examples=200, deadline=None)
-def test_div_linear_inverts_multiplication(coeffs, a, b):
-    g = gcd(a, b)  # primitive factor a + b*alpha with b > 0
-    a, b = a // g, b // g
-    p = Poly(coeffs)
-    assert (p * Poly([a, b])).div_linear(a, b) == p
-
-
-def test_div_linear_refuses_a_non_factor():
-    p = Poly([2, 3]) * Poly([1, 2])         # (2 + 3a)(1 + 2a)
-    assert p.div_linear(2, 3) == Poly([1, 2])
-    assert p.div_linear(1, 1) is None       # p(-1) = 1
-    assert p.div_linear(3, 2) is None       # p(-3/2) = 5
-    assert p.div_linear(1, 4) is None       # 4 does not divide the leading 6
-    assert Poly([1, 2, 3]).div_linear(0, 1) is None  # remainder 1 at a = 0
-    assert (Poly([1, 2, 1]) * 4).div_linear(1, 1) == Poly([4, 4])
 
 
 def test_rational_equality_and_zero():
