@@ -25,7 +25,7 @@ from .simulate import (
     sample_coupling_times,
     validate_marginals,
 )
-from .states import PairConfig, WalkParams, hamming, sample_uniform_state
+from .states import PairConfig, WalkParams, hamming
 from .strategies import (
     RateSchedule,
     Regime,
@@ -54,7 +54,6 @@ __all__ = [
     "WalkParams",
     "PairConfig",
     "hamming",
-    "sample_uniform_state",
     "Strategy",
     "Regime",
     "RateSchedule",

@@ -377,7 +377,6 @@ _COMMANDS = {
 
 # flags that read differently on one subcommand
 _VARIANTS = {
-    ("simulate", "m"): (["--m", "--m0"], _FLAGS["m"][1]),
     ("validate-marginals", "strategy"):
         (["--strategy"], {"choices": ["optimal", "independent", "synchronous"]}),
 }

@@ -151,8 +151,11 @@ def _push(stay, p1, p2, law):
 
 
 def _time_grid(t_grid) -> np.ndarray:
-    """t_grid as a 1-d float array, refused unless nonempty, finite and >= 0."""
+    """t_grid as a 1-d float array, refused unless a scalar or 1-d, nonempty,
+    finite and >= 0."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t_grid.ndim > 1:
+        raise ValueError(f"t_grid must be one-dimensional, got shape {t_grid.shape}")
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     if not np.isfinite(t_grid).all():
@@ -327,14 +330,21 @@ def laplace_R(d: int, m: int) -> RationalFn:
     return _transform(_combine((1, v[m]), (-1, v[m - 1])), d - 1)
 
 
+_MAX_MEAN_LEVEL = 2000  # deepest level of the exact means
+
+
 def _mean_levels(d: int, m_max: int):
     """Yield E[tau | N_0 = m] for m = 0..m_max as exact Fractions.
 
     Level m's generator equation at alpha = 0, times (d-1):
     (c1 + c2) E_m = (d-1) + c1 E_{m-1} + c2 E_{m-2}.  The numerators are
     read through memoryviews, which yield Python ints without holding a
-    list of them.
+    list of them.  Levels above 2000 are refused with ValueError before
+    any work: the digits grow with m, so the cost grows about as m^2.7.
     """
+    if m_max > _MAX_MEAN_LEVEL:
+        raise ValueError(f"exact means run to level at most {_MAX_MEAN_LEVEL};"
+                         f" level {m_max} was asked")
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
     e1 = e2 = Fraction(0)
     yield e1

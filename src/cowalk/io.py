@@ -1,4 +1,4 @@
-"""Readers and writers for the tabular output schemas.
+"""Writers for the tabular output schemas.
 
 Formats (CSV columns):
   survival:   t,value,half_width_95,half_width_3sigma,replicates
@@ -29,11 +29,8 @@ from .tvcutoff import CutoffPoint
 __all__ = [
     "write_csv",
     "write_survival_csv",
-    "read_survival_csv",
     "write_tail_csv",
-    "read_tail_csv",
     "write_cutoff_csv",
-    "read_cutoff_csv",
     "to_jsonable",
     "write_json",
     "write_metadata",
@@ -59,38 +56,14 @@ def write_survival_csv(curve: SurvivalCurve, fh) -> None:
               ((*row, curve.replicates) for row in zip(*cols)))
 
 
-def read_survival_csv(path) -> SurvivalCurve:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    get = lambda key: np.array([float(r[key]) for r in rows])
-    return SurvivalCurve(t_grid=get("t"), value=get("value"),
-                         half_width_95=get("half_width_95"),
-                         half_width_3sigma=get("half_width_3sigma"),
-                         replicates=int(rows[0]["replicates"]) if rows else 0)
-
-
 def write_tail_csv(table: TailTable, fh) -> None:
     write_csv(fh, ["m"] + [f"t={_fmt(t)}" for t in table.t_grid],
               ([m, *table.values[m]] for m in range(table.m_max + 1)))
 
 
-def read_tail_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (t_grid, values[m, j])."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    t_grid = np.array([float(h.removeprefix("t=")) for h in rows[0][1:]])
-    values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    return t_grid, values
-
-
 def write_cutoff_csv(points: list[CutoffPoint], fh) -> None:
     write_csv(fh, ["theta", "T_d", "t", "tv_exact", "tv_asymptotic"],
               ((p.theta, p.cutoff, p.t, p.tv_exact, p.tv_asymptotic) for p in points))
-
-
-def read_cutoff_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
 def to_jsonable(obj):

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import RDiffTable, SignCert, r_diff_table, survival_exact, survival_table
+from .exact import RDiffTable, SignCert, _time_grid, r_diff_table, survival_exact, survival_table
 from .simulate import SurvivalCurve, estimate_survival
-from .strategies import (RateSchedule, Strategy, _check_level, _numerators, paired_schedule,
-                         rates_for, singles_schedule)
+from .strategies import (RateSchedule, Strategy, _check_level, _numerators, _paired,
+                         _singles, _singles_mode)
 
 __all__ = [
     "BellmanCell",
@@ -70,7 +70,10 @@ def _lp_vertices(m: int, d: int) -> list[RateSchedule]:
     """The four vertices of the down-rate polytope: no move, paired,
     singles, and the double-match cap alone.  A linear objective peaks at
     one of them, so they are the only schedules a Bellman check needs."""
-    return [RateSchedule(), paired_schedule(m, d), singles_schedule(m, d),
+    (p1, p2), (s1, s2) = _paired(d), _singles(d)
+    return [RateSchedule(),
+            RateSchedule(down2=Fraction(m * p2, d - 1), down1=Fraction(m * p1, d - 1)),
+            RateSchedule(down2=Fraction(m * s2, d - 1), down1=Fraction(m * s1, d - 1)),
             RateSchedule(down2=Fraction(m, d - 1))]
 
 
@@ -132,23 +135,24 @@ def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> Argmax
     r(m,t) >= 0 is a theorem (``r_diff_table``), so the certified sign of
     r(m-1,t) - r(m,t) decides the LP: the paired vertex if positive, the
     singles vertex if negative.  At m = 1 it is -r(1,t) < 0 (R(1) =
-    (d-1)/(d+(d-1)alpha) is nonzero): the singles vertex.  A tie is a cell
-    whose sign is an exact zero or undetermined, so nothing is shown to beat
-    the built-in rates; it reports the paired vertex and is no violation.
-    A violation is a cell whose certified vertex differs from the built-in
-    rates.
+    (d-1)/(d+(d-1)alpha) is nonzero): the singles vertex.  The built-in
+    rates are the singles vertex where the regime rule picks singles mode
+    and the paired vertex elsewhere (the two differ in the -2 rate at every
+    m >= 1), so a cell matches where its sign is the one of its level's mode
+    and is a violation where it is the other.  A tie is a cell whose sign is
+    an exact zero or undetermined, so nothing is shown to beat the built-in
+    rates; it reports the paired vertex and is no violation.
     """
     signs = r_diff_table(d, m_max, t_grid, eps)
     singles = [_NEGATIVE] * len(signs.t_grid)
     cells = []
     for m, decide in enumerate([singles, *signs.diff_certs], start=1):
-        opt = rates_for(Strategy.OPTIMAL, m, d)
-        vertex = {_POSITIVE: paired_schedule(m, d), _NEGATIVE: singles_schedule(m, d)}
+        opt = _NEGATIVE if _singles_mode(m, d) else _POSITIVE
         for t, sign in zip(signs.t_grid, decide):
-            chosen = vertex.get(sign, vertex[_POSITIVE])  # a tie reports the paired vertex
-            status = ("match" if chosen == opt else "violation") if sign in vertex else "tie"
+            tie = sign not in (_POSITIVE, _NEGATIVE)
+            status = "tie" if tie else "match" if sign == opt else "violation"
             cells.append(BellmanCell(d=d, m=m, t=float(t), status=status,
-                                     equals_optimal=chosen == opt))
+                                     equals_optimal=(_POSITIVE if tie else sign) == opt))
     return ArgmaxGridReport(d=d, m_max=m_max, t_grid=signs.t_grid, eps=eps,
                             cells=tuple(cells), sign_table=signs)
 
@@ -187,7 +191,7 @@ def dominance_test(d: int, m0: int, competitor: Strategy, t_grid,
     competitor = Strategy(competitor)
     if competitor is Strategy.OPTIMAL:
         raise ValueError("dominance_test compares baselines against optimal")
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    t_grid = _time_grid(t_grid)
     emp = estimate_survival(competitor, d, m0, t_grid, replicates, seed,
                             n_workers=n_workers)
     exact = survival_exact(d, m0, t_grid, eps)

@@ -25,16 +25,6 @@ class WalkParams:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
 
-def as_state(coords, params: WalkParams) -> np.ndarray:
-    """Validate and return a state vector for the given dimensions."""
-    x = np.asarray(coords, dtype=np.int64)
-    if x.shape != (params.n,):
-        raise ValueError(f"state must have shape ({params.n},), got {x.shape}")
-    if (x < 0).any() or (x >= params.d).any():
-        raise ValueError(f"state entries must lie in [0, {params.d})")
-    return x
-
-
 def hamming(x, y) -> int:
     """Number of coordinates where x and y differ."""
     x = np.asarray(x)
@@ -72,11 +62,3 @@ class PairConfig:
     def n_unmatched(self) -> int:
         return self.unmatched.shape[0]
 
-
-def sample_uniform_state(params: WalkParams, seed) -> np.ndarray:
-    """Draw a state with i.i.d. uniform coordinates, reproducibly from seed.
-
-    ``seed`` may be an int, a SeedSequence, or an existing Generator.
-    """
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, params.d, size=params.n, dtype=np.int64)

@@ -43,8 +43,6 @@ __all__ = [
     "DeathChain",
     "death_chain",
     "regime",
-    "paired_schedule",
-    "singles_schedule",
     "rates_for",
     "rate_table",
     "build_q_matrix",
@@ -93,6 +91,8 @@ def _check_level(m: int, d: int) -> None:
         raise ValueError(f"m must be >= 0, got {m}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
+    if max(m, 1) * d >= 2**53:  # the rate numerators are int64 and exact as floats
+        raise ValueError(f"max(m, 1) * d must be below 2^53, got m = {m}, d = {d}")
 
 
 def _singles_mode(m, d: int):
@@ -125,31 +125,14 @@ def _independent(d: int):
     return 2, 0
 
 
-def _schedule(c1: int, c2: int, d: int) -> RateSchedule:
-    return RateSchedule(down2=Fraction(c2, d - 1), down1=Fraction(c1, d - 1))
-
-
-def paired_schedule(m: int, d: int) -> RateSchedule:
-    """Paired-mode (C2) rates at level m: the pair-capped, budget-saturating
-    vertex of the rate polytope."""
-    c1, c2 = _paired(d)
-    return _schedule(m * c1, m * c2, d)
-
-
-def singles_schedule(m: int, d: int) -> RateSchedule:
-    """Singles-mode (C3) rates at level m: the budget-saturating vertex with
-    no -2 jumps."""
-    c1, c2 = _singles(d)
-    return _schedule(m * c1, m * c2, d)
-
-
 @dataclass(frozen=True, eq=False)
 class DeathChain:
     """Pure-death chain of the unmatched count N under a built-in strategy.
 
     ``c1[m]`` and ``c2[m]`` (int64, m = 0..m_max) are the rates of the -1 and
-    -2 jumps at level m times (d-1).  The float rates are the correctly
-    rounded values of the rationals c/(d-1).
+    -2 jumps at level m times (d-1).  ``_check_level`` keeps them below
+    2^53, so the float rates are the correctly rounded values of the
+    rationals c/(d-1).
     """
 
     d: int
@@ -222,7 +205,8 @@ def rates_for(strategy: Strategy, m: int, d: int) -> RateSchedule:
     """Lumped rates of ``strategy`` at level m (exact rationals): one level
     of ``death_chain``."""
     _check_level(m, d)
-    return _schedule(*_numerators(Strategy(strategy), m, d), d)
+    c1, c2 = _numerators(Strategy(strategy), m, d)
+    return RateSchedule(down2=Fraction(c2, d - 1), down1=Fraction(c1, d - 1))
 
 
 def rate_table(strategy: Strategy, d: int, m_max: int):

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import _mean_levels, _start_law_tail, expected_tau_float
+from .exact import (_MAX_MEAN_LEVEL, _mean_levels, _start_law_tail, _time_grid,
+                    expected_tau_float)
 from .simulate import SurvivalCurve
 
 __all__ = [
@@ -218,7 +219,7 @@ def dinfty_convergence(n: int, d_list, t_grid, eps: float = 1e-12) -> list[GapEn
     d_list = list(d_list)
     if any(d2 <= d1 for d1, d2 in zip(d_list, d_list[1:])):
         raise ValueError("d_list must be strictly increasing")
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    t_grid = _time_grid(t_grid)
     lim = limit_tail(n, t_grid)
     out = []
     for d in d_list:
@@ -228,24 +229,22 @@ def dinfty_convergence(n: int, d_list, t_grid, eps: float = 1e-12) -> list[GapEn
     return out
 
 
-_EXACT_MEAN_LIMIT = 2000
-
-
 def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
     """E[coupling time] with Y_0 uniform: binomial mixture of per-level means.
 
-    Exact rational for moderate n.  For large n the binomial weights are
-    float64 over ``_binomial_window`` (which drops under 1e-24 of the mass),
-    and the level means come from ``exact.expected_tau_float`` up to that
-    window's top only; every weight and level is nonnegative, so the dot
-    product stays relatively accurate.  The float path refuses n whose window
-    reaches past level 10^7 (n above about 10^7 d/(d-1)) with ValueError.
-    Returns a Fraction or a float accordingly.
+    Exact rational up to n = 2000, the default there; the exact path
+    refuses a larger n with ValueError (``exact._mean_levels``).  Above it
+    the binomial weights are float64 over ``_binomial_window`` (which drops
+    under 1e-24 of the mass), and the level means come from
+    ``exact.expected_tau_float`` up to that window's top only; every weight
+    and level is nonnegative, so the dot product stays relatively accurate.
+    The float path refuses n whose window reaches past level 10^7 (n above
+    about 10^7 d/(d-1)) with ValueError.  Returns a Fraction or a float accordingly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if exact is None:
-        exact = n <= _EXACT_MEAN_LIMIT
+        exact = n <= _MAX_MEAN_LEVEL
     if exact:
         total = Fraction(0)
         w = 1  # C(n, m) (d-1)^m, the weight of level m times d^n

@@ -11,7 +11,7 @@ import pytest
 from cowalk import exact, io, optimality
 from cowalk.cli import main
 from cowalk.exact import survival_table
-from cowalk.simulate import SurvivalCurve
+from cowalk.simulate import estimate_survival
 from cowalk.tvcutoff import cutoff_profile
 
 
@@ -100,16 +100,22 @@ def test_simulate_writes_deterministic_csv(tmp_path):
     assert meta["seed"] == 9 and meta["command"] == "simulate"
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_survival_csv_round_trip(tmp_path):
     path = tmp_path / "curve.csv"
     assert run_cli("simulate", "--d", "3", "--m", "2", "--strategy", "independent",
                    "--replicates", "1000", "--t", "0.3,0.9", "--seed", "4",
                    "--out", str(path)) == 0
-    curve = io.read_survival_csv(path)
-    path2 = tmp_path / "again.csv"
-    with open(path2, "w", newline="") as fh:
-        io.write_survival_csv(curve, fh)
-    assert path.read_bytes() == path2.read_bytes()
+    curve = estimate_survival("independent", 3, 2, [0.3, 0.9], 1000, 4)
+    header, *rows = _csv_rows(path)
+    assert header == ["t", "value", "half_width_95", "half_width_3sigma", "replicates"]
+    cols = (curve.t_grid, curve.value, curve.half_width_95, curve.half_width_3sigma)
+    assert [[float(v) for v in row[:4]] for row in rows] == [list(r) for r in zip(*cols)]
+    assert [int(row[4]) for row in rows] == [curve.replicates] * 2
 
 
 def test_tail_csv_round_trip(tmp_path):
@@ -117,9 +123,11 @@ def test_tail_csv_round_trip(tmp_path):
     path = tmp_path / "tail.csv"
     with open(path, "w", newline="") as fh:
         io.write_tail_csv(table, fh)
-    t_grid, values = io.read_tail_csv(path)
-    assert (t_grid == table.t_grid).all()
-    assert (values == table.values).all()
+    header, *rows = _csv_rows(path)
+    assert header[0] == "m"
+    assert [float(h.removeprefix("t=")) for h in header[1:]] == list(table.t_grid)
+    assert [int(row[0]) for row in rows] == list(range(5))
+    assert [[float(v) for v in row[1:]] for row in rows] == table.values.tolist()
 
 
 def test_cutoff_csv_round_trip(tmp_path):
@@ -127,17 +135,19 @@ def test_cutoff_csv_round_trip(tmp_path):
     path = tmp_path / "cutoff.csv"
     with open(path, "w", newline="") as fh:
         io.write_cutoff_csv(points, fh)
-    rows = io.read_cutoff_csv(path)
-    assert [r["theta"] for r in rows] == [-1.0, 0.0, 1.0]
-    assert rows[1]["tv_exact"] == points[1].tv_exact
+    header, *rows = _csv_rows(path)
+    assert header == ["theta", "T_d", "t", "tv_exact", "tv_asymptotic"]
+    assert [[float(v) for v in row] for row in rows] == [
+        [p.theta, p.cutoff, p.t, p.tv_exact, p.tv_asymptotic] for p in points]
 
 
 def test_cutoff_cli(tmp_path):
     path = tmp_path / "cutoff.csv"
     assert run_cli("cutoff", "--d", "2", "--n", "1000", "--theta", "0",
                    "--out", str(path)) == 0
-    rows = io.read_cutoff_csv(path)
-    assert rows[0]["tv_asymptotic"] == pytest.approx(0.3829249225480262, abs=1e-10)
+    header, row = _csv_rows(path)
+    assert float(row[header.index("tv_asymptotic")]) == pytest.approx(0.3829249225480262,
+                                                                      abs=1e-10)
 
 
 LAPLACE_D5_M3 = """\
@@ -357,9 +367,9 @@ BASE_ARGV = {
     "verify": "--d 3 --mmax 2 --t 1 --replicates 100",
     "validate-marginals": "--d 2 --n 2 --strategy synchronous -T 1 -R 100",
 }
-FLAG_VALUES = {"--seed": "1", "--eps": "1e-9", "--workers": "1", "--format": "json"}
+FLAG_VALUES = {"--seed": "1", "--eps": "1e-9", "--workers": "1", "--format": "json", "--m0": "2"}
 UNREAD_FLAGS = [
-    ("simulate", "--eps"),
+    ("simulate", "--eps"), ("simulate", "--m0"),
     ("exact", "--seed"), ("exact", "--workers"),
     *[(cmd, flag) for cmd in ("laplace", "mean-tau")
       for flag in ("--seed", "--eps", "--workers", "--format")],
@@ -478,3 +488,38 @@ def test_float_mean_beyond_its_level_cap_is_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "at most 10000000; level 75052002 was asked" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    "mean-tau --d 4611686018427387904 --m 3",  # 3 d = 3 * 2^62 wrapped the int64 rates
+    "laplace --d 10000000000000000000 --m 3",  # d past int64 raised OverflowError
+    "mean-tau --d 3002399751580331 --m 3",  # 3 d = 2^53 + 1
+])
+def test_rates_at_or_above_2_to_the_53_are_refused(argv, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max(m, 1) * d must be below 2^53" in captured.err
+
+
+def test_rates_just_below_2_to_the_53_run(capsys):
+    d = (2**53 - 1) // 3  # 3 d = 2^53 - 1
+    assert main(["mean-tau", "--d", str(d), "--m", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # exit rates tend to 1, 2, 3 at levels 1, 2, 3 as d grows
+    assert payload["expected_tau_float"] == pytest.approx(1 + 1 / 2 + 1 / 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("mean-tau --d 5 --m 2000", 0),
+    ("mean-tau --d 5 --m 2001", 2),
+    ("mean-tau --d 5 --m 100000", 2),
+])
+def test_exact_mean_levels_are_bounded(argv, code, capsys):
+    start = time.perf_counter()
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert time.perf_counter() - start < 0.1
+        assert captured.out == ""
+        assert "exact means run to level at most 2000" in captured.err

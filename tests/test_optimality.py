@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cowalk.exact import survival_table
+from cowalk import optimality
+from cowalk.exact import SignCert, survival_table
 from cowalk.optimality import (
     _lp_vertices,
     bellman_gap,
@@ -12,7 +14,7 @@ from cowalk.optimality import (
     sample_feasible_schedules,
     verify_argmax_grid,
 )
-from cowalk.strategies import RateSchedule, Strategy, rates_for
+from cowalk.strategies import RateSchedule, Regime, Strategy, rates_for, regime
 
 
 def test_bellman_gap_zero_for_optimal():
@@ -220,3 +222,32 @@ def test_argmax_grid_reads_no_rounding_noise_at_small_eps(d, eps):
     rep = verify_argmax_grid(d, 30, GRID, eps)
     assert rep.n_violations == 0
     assert all(c.equals_optimal for c in rep.cells)
+
+
+def test_argmax_cells_follow_the_regime_rule_for_every_sign(monkeypatch):
+    # forge one cell of each sign into every diff row; at d = 3 levels 1 and 3
+    # run in singles mode, levels 2 and 4 in paired mode
+    real = optimality.r_diff_table
+    forged = np.array([c.value for c in SignCert], dtype=object)
+
+    def forge(d, m_max, t_grid, eps):
+        table = real(d, m_max, t_grid, eps)
+        certs = np.tile(forged, (m_max - 1, 1))
+        return dataclasses.replace(table, diff_certs=certs)
+
+    monkeypatch.setattr(optimality, "r_diff_table", forge)
+    d = 3
+    rep = verify_argmax_grid(d, 4, [0.5, 1.0, 2.0, 4.0])
+    for c in rep.cells:
+        if c.m == 1:  # no diff row: -r(1, t) < 0, the singles vertex
+            assert (c.status, c.equals_optimal) == ("match", True)
+            continue
+        sign = SignCert(forged[[0.5, 1.0, 2.0, 4.0].index(c.t)])
+        mode = SignCert.NEGATIVE if regime(c.m, d) is Regime.C3 else SignCert.POSITIVE
+        if sign in (SignCert.POSITIVE, SignCert.NEGATIVE):
+            assert c.status == ("match" if sign is mode else "violation")
+            assert c.equals_optimal == (sign is mode)
+        else:  # a tie reports the paired vertex
+            assert c.status == "tie"
+            assert c.equals_optimal == (mode is SignCert.POSITIVE)
+    assert rep.n_violations == 3 and rep.n_ties == 6

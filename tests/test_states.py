@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cowalk.states import PairConfig, WalkParams, as_state, hamming, sample_uniform_state
+from cowalk.states import PairConfig, WalkParams, hamming
 
 
 def brute_hamming(x, y):
@@ -17,15 +17,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         WalkParams(d=3, n=0)
     WalkParams(d=2, n=1)
-
-
-def test_as_state_bounds():
-    p = WalkParams(d=3, n=4)
-    as_state([0, 1, 2, 0], p)
-    with pytest.raises(ValueError):
-        as_state([0, 1, 3, 0], p)
-    with pytest.raises(ValueError):
-        as_state([0, 1], p)
 
 
 def test_hamming_trivial_cases():
@@ -85,33 +76,11 @@ def test_partition_agrees_with_scan(data):
     assert cfg.n_unmatched == hamming(x, y)
 
 
-def test_sampling_deterministic():
-    p = WalkParams(d=5, n=7)
-    assert (sample_uniform_state(p, 123) == sample_uniform_state(p, 123)).all()
-    assert (sample_uniform_state(p, 123) != sample_uniform_state(p, 124)).any()
-
-
-def test_sampling_binary_frequency():
-    p = WalkParams(d=2, n=1)
-    draws = np.concatenate([sample_uniform_state(p, (9, i)) for i in range(100_000)])
-    freq = (draws == 0).mean()
-    assert abs(freq - 0.5) <= 3 * np.sqrt(0.25 / 100_000)
-
-
-def test_sampling_chi_square_uniform():
-    draws = sample_uniform_state(WalkParams(d=5, n=4 * 100_000), 77).reshape(100_000, 4)
-    for col in range(4):
-        counts = np.bincount(draws[:, col], minlength=5)
-        _, pval = stats.chisquare(counts)
-        assert pval > 1e-3
-
-
 def test_initial_distance_binomial():
     # X_0 fixed, Y_0 uniform: distance is Binomial(n, 1 - 1/d)
     d, n, reps = 3, 6, 100_000
-    p = WalkParams(d=d, n=n)
     x0 = np.zeros(n, dtype=int)
-    y = sample_uniform_state(WalkParams(d=d, n=n * reps), 5).reshape(reps, n)
+    y = np.random.default_rng(5).integers(0, d, size=(reps, n))
     dist = (y != x0).sum(axis=1)
     counts = np.bincount(dist, minlength=n + 1)
     expected = stats.binom.pmf(np.arange(n + 1), n, 1 - 1 / d) * reps

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cowalk.states import PairConfig, sample_uniform_state, WalkParams
+from cowalk.states import PairConfig
 from cowalk.strategies import (
     RateSchedule,
     Regime,
@@ -132,6 +132,19 @@ def test_death_chain_numerators(strategy):
         assert all(type(c) is int for c in c1 + c2)
         assert [(c1[m], c2[m]) for m in range(61)] == [
             _level_numerators(strategy, m, d) for m in range(61)]
+
+
+def test_rate_numerators_stay_below_2_to_the_53():
+    # int64 numerators wrapped at 3 * 2^62 (c1 = [0, 2^62, 2^63 - 4, -2^62])
+    for m, d in ((3, 2**62), (3, 2**53 // 3 + 1), (0, 2**53), (1, 2**53)):
+        with pytest.raises(ValueError, match=r"max\(m, 1\) \* d must be below 2\^53"):
+            death_chain(Strategy.OPTIMAL, d, m)
+        with pytest.raises(ValueError):
+            rates_for(Strategy.OPTIMAL, m, d)
+    d = (2**53 - 1) // 3
+    chain = death_chain(Strategy.OPTIMAL, d, 3)
+    assert chain.numerators() == ([0, d, 2 * (d - 2), 3 * (d - 2)], [0, 0, 2, 3])
+    assert chain.down1[3] == 3 * (d - 2) / (d - 1)
 
 
 def test_death_chain_working_set_is_bounded():

@@ -7,7 +7,9 @@ from scipy.linalg import expm
 from scipy.special import ndtr
 
 from cowalk import exact
-from cowalk.exact import expected_tau, r_diff_table, survival_table
+from cowalk.exact import expected_tau, r_diff_table, survival_exact, survival_table
+from cowalk.optimality import dominance_test, verify_argmax_grid
+from cowalk.simulate import estimate_survival
 from cowalk.strategies import Strategy, death_chain
 from cowalk.tvcutoff import (
     _binomial_window,
@@ -376,6 +378,25 @@ def test_non_finite_times_are_refused(bad):
             call()
 
 
+GRID_ENTRY_POINTS = {
+    "survival_table": lambda grid: survival_table(4, 3, grid),
+    "survival_exact": lambda grid: survival_exact(4, 3, grid),
+    "r_diff_table": lambda grid: r_diff_table(4, 3, grid),
+    "verify_argmax_grid": lambda grid: verify_argmax_grid(4, 3, grid),
+    "estimate_survival": lambda grid: estimate_survival("optimal", 4, 3, grid, 100, 1),
+    "dominance_test": lambda grid: dominance_test(4, 3, "independent", grid, 100, 1),
+    "survival_from_stationary": lambda grid: survival_from_stationary(4, 3, grid),
+    "dinfty_convergence": lambda grid: dinfty_convergence(3, [10, 100], grid),
+}
+
+
+@pytest.mark.parametrize("grid", [[[0.5, 1.0]], [[0.5, 1.0], [2.0, 3.0]]])
+@pytest.mark.parametrize("entry", GRID_ENTRY_POINTS)
+def test_time_grids_of_more_than_one_dimension_are_refused(entry, grid):
+    with pytest.raises(ValueError, match="t_grid must be one-dimensional"):
+        GRID_ENTRY_POINTS[entry](grid)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-12])
 def test_non_finite_or_nonpositive_eps_is_refused(bad):
     grid = [0.5, 1.0]
@@ -524,6 +545,14 @@ def test_mean_tau_stationary_float_refuses_past_level_cap():
         mean_tau_stationary(d, lo, exact=False)
     with pytest.raises(ValueError):
         mean_tau_stationary(d, 10**10 + 1, exact=False)
+
+
+def test_mean_tau_stationary_exact_path_refuses_past_level_2000():
+    # the automatic exact path ends at n = 2000, where the level bound is
+    assert isinstance(mean_tau_stationary(2, 2000), Fraction)
+    assert isinstance(mean_tau_stationary(2, 2001), float)
+    with pytest.raises(ValueError, match="exact means run to level at most 2000"):
+        mean_tau_stationary(50, 2001, exact=True)
 
 
 def test_mean_tau_stationary_weights_sum():
