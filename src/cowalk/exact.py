@@ -38,7 +38,7 @@ from itertools import accumulate, count
 import numpy as np
 
 from .ratfun import Poly, RationalFn
-from .strategies import DeathChain, Strategy, death_chain
+from .strategies import DeathChain, Strategy, _check_level, _numerators, death_chain
 
 __all__ = [
     "TailTable",
@@ -363,25 +363,46 @@ def expected_tau(d: int, m: int) -> Fraction:
 _MAX_FLOAT_LEVELS = 10**7  # deepest level of expected_tau_float
 
 
-def _scan_blocks(d: int, size: int, blocks: int) -> np.ndarray:
-    """Rows P, H, G of the mean recursion at level k*size + 1 + j (index
-    [:, k, j]), every block k run at once from its own start: (E_{s-1},
-    E_{s-2}) = (0, 0) with the (d-1) term for P, and (1, 0) and (0, 1)
-    without it for H and G."""
-    chain = death_chain(Strategy.OPTIMAL, d, blocks * size)
-    c1 = chain.c1[1:].reshape(blocks, size)
-    c2 = chain.c2[1:].reshape(blocks, size)
-    out = np.empty((3, blocks, size))
-    prev, cur = np.zeros((3, blocks)), np.zeros((3, blocks))
+def _float_levels(d: int, lo: int, hi: int) -> np.ndarray:
+    """Levels lo..hi (0 <= lo <= hi) of ``expected_tau_float(d, hi)``, bit
+    for bit.  Step j runs level k*size + 1 + j of every block k at once
+    (rates clamped at level hi) on contiguous (3, blocks) rows: P from
+    (E_{s-1}, E_{s-2}) = (0, 0) with the (d-1) term, H from (1, 0) and G
+    from (0, 1) without it.  Only the blocks that hold lo..hi keep their
+    rows; the chaining pass reads the others' last two steps alone."""
+    if not 0 <= hi <= _MAX_FLOAT_LEVELS:
+        raise ValueError(f"the float level means run from level 0 to at most"
+                         f" {_MAX_FLOAT_LEVELS}; level {hi} was asked")
+    _check_level(hi, d)
+    size = math.isqrt(hi) + 1  # levels per block, 2 or more once hi >= 1
+    lanes = np.arange(1, hi + 1, size)  # each block's first level
+    blocks, first = lanes.size, max(lo - 1, 0) // size  # first: the first block kept
+    kept = np.empty((size, 3, blocks - first))
+    prev, cur, nxt = np.zeros((3, blocks)), np.zeros((3, blocks)), np.empty((3, blocks))
     cur[1] = prev[2] = 1.0
     for j in range(size):
-        nxt = c1[:, j] * cur
-        nxt += c2[:, j] * prev
+        c1, c2 = _numerators(Strategy.OPTIMAL, np.minimum(lanes + j, hi), d)
+        np.multiply(c1, cur, out=nxt)
+        nxt += c2 * prev
         nxt[0] += d - 1
-        nxt /= c1[:, j] + c2[:, j]
-        out[:, :, j] = nxt
-        prev, cur = cur, nxt
-    return out
+        nxt /= c1 + c2
+        kept[j] = nxt[:, first:]
+        prev, cur, nxt = cur, nxt, prev
+    x, y = np.zeros(blocks), np.zeros(blocks)  # level 1 never reads E_{-1}
+    ends = zip(prev.T[:-1].tolist(), cur.T[:-1].tolist())  # (P, H, G) at the last two steps
+    for k, ((p2, h2, g2), (p1, h1, g1)) in enumerate(ends):
+        x[k + 1] = p1 + x[k] * h1 + y[k] * g1
+        y[k + 1] = p2 + x[k] * h2 + y[k] * g2
+    # level first*size, then the kept blocks, each level (P + x H) + y G
+    # rounded in that order
+    levels = np.zeros((blocks - first) * size + 1)
+    out = levels[1:].reshape(-1, size)
+    p, h, g = kept.transpose(1, 2, 0)
+    np.multiply(h, x[first:, None], out=out)
+    out += p
+    g *= y[first:, None]
+    out += g
+    return levels[lo - first * size:hi - first * size + 1]
 
 
 def expected_tau_float(d: int, m_max: int) -> np.ndarray:
@@ -390,7 +411,7 @@ def expected_tau_float(d: int, m_max: int) -> np.ndarray:
 
     The recursion of ``_mean_levels`` is a blocked scan (Blelloch 1990):
     levels 1..m_max are cut into about sqrt(m_max) blocks of about
-    sqrt(m_max) levels, ``_scan_blocks`` steps all blocks at once, one
+    sqrt(m_max) levels, ``_float_levels`` steps all blocks at once, one
     scalar pass chains the block ends, and each level is P + x H + y G with
     (x, y) = (E_{s-1}, E_{s-2}) at its block's start s.  Every coefficient,
     start and partial value is nonnegative, so nothing cancels (Higham,
@@ -399,26 +420,12 @@ def expected_tau_float(d: int, m_max: int) -> np.ndarray:
     is within gamma_{4m + 3 sqrt(m) + 3} ~ (4m + 3 sqrt(m)) 2^-53 relatively
     of its exact value, the bound of the sequential loop (4m) plus the
     block joins (while the rates' numerators stay below 2^53).  Raises
-    ValueError beyond level 10^7, before any work.  At that cap, d = 5 takes
-    1.1-1.6 s and peaks at 422 MB in a fresh process (Xeon, 2 cores); the
-    peak is set by building the death chain's int64 tables.
+    ValueError beyond level 10^7 or where m_max * d reaches 2^53, before any
+    work.  At that cap, d = 5 takes 0.8-1.1 s and peaks at 337 MB in a fresh
+    process (Xeon, 2 cores): the output and the scan's rows, 4 floats a
+    level; the rates are built a step at a time.
     """
-    if not 0 <= m_max <= _MAX_FLOAT_LEVELS:
-        raise ValueError(f"the float level means run from level 0 to at most"
-                         f" {_MAX_FLOAT_LEVELS}; level {m_max} was asked")
-    size = math.isqrt(m_max) + 1  # levels per block, 2 or more once m_max >= 1
-    blocks = -(-m_max // size)
-    out = _scan_blocks(d, size, blocks)
-    ends = out[:, :, -2:].transpose(1, 2, 0).tolist()  # per block: (P, H, G) at its last two levels
-    x, y = np.zeros(blocks), np.zeros(blocks)  # level 1 never reads E_{-1}
-    for k in range(blocks - 1):
-        (p2, h2, g2), (p1, h1, g1) = ends[k]
-        x[k + 1] = p1 + x[k] * h1 + y[k] * g1
-        y[k + 1] = p2 + x[k] * h2 + y[k] * g2
-    levels = np.zeros(blocks * size + 1)
-    np.einsum("ikj,ik->kj", out, np.stack([np.ones(blocks), x, y]),
-              out=levels[1:].reshape(blocks, size))
-    return levels[:m_max + 1]
+    return _float_levels(d, 0, m_max)
 
 
 def mk_bound_mean(k: int, m: int) -> Fraction:

@@ -21,8 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (_MAX_MEAN_LEVEL, _mean_levels, _start_law_tail, _time_grid,
-                    expected_tau_float)
+from .exact import _MAX_MEAN_LEVEL, _float_levels, _mean_levels, _start_law_tail, _time_grid
 from .simulate import SurvivalCurve
 
 __all__ = [
@@ -235,9 +234,11 @@ def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
     Exact rational up to n = 2000, the default there; the exact path
     refuses a larger n with ValueError (``exact._mean_levels``).  Above it
     the binomial weights are float64 over ``_binomial_window`` (which drops
-    under 1e-24 of the mass), and the level means come from
-    ``exact.expected_tau_float`` up to that window's top only; every weight
-    and level is nonnegative, so the dot product stays relatively accurate.
+    under 1e-24 of the mass), and ``exact._float_levels`` gives the level
+    means of that window only: it scans the levels up to the window's top
+    but keeps the rows of the window's blocks alone, each level equal to
+    ``expected_tau_float``'s.  Every weight and level is nonnegative, so the
+    dot product stays relatively accurate.
     The float path refuses n whose window reaches past level 10^7 (n above
     about 10^7 d/(d-1)) with ValueError.  Returns a Fraction or a float accordingly.
     """
@@ -255,5 +256,4 @@ def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
         return total / d**n
     p = 1.0 - 1.0 / d
     lo, hi = _binomial_window(n, p)
-    levels = expected_tau_float(d, hi)[lo:]
-    return float(_binomial_weights(n, p, lo, hi) @ levels)
+    return float(_binomial_weights(n, p, lo, hi) @ _float_levels(d, lo, hi))

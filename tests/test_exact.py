@@ -2,7 +2,7 @@ import hashlib
 import operator
 import time
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import numpy as np
 import pytest
@@ -451,6 +451,30 @@ def test_expected_tau_float_refuses_bad_levels():
             expected_tau_float(4, m_max)
     with pytest.raises(ValueError):
         expected_tau_float(1, 10)
+
+
+def test_float_levels_window_equals_full_scan():
+    # windows that start and end on, just before and just after block edges
+    # (blocks of isqrt(hi) + 1 levels from level 1), plus lo = 0 and lo = hi
+    for d in (2, 3, 5, 10):
+        for hi in (1, 2, 3, 16, 17, 18, 99, 100, 101, 2000):
+            full = expected_tau_float(d, hi)
+            size = isqrt(hi) + 1
+            edges = range(1, hi + 1, size)
+            los = {0, 1, hi} | {e + s for e in edges for s in (-1, 0, 1)}
+            for lo in sorted(lo for lo in los if 0 <= lo <= hi):
+                got = exact._float_levels(d, lo, hi)
+                assert got.tobytes() == full[lo:].tobytes(), (d, lo, hi)
+
+
+def test_expected_tau_float_at_the_int64_bound():
+    # the scan pads levels to whole blocks but computes no rate past m_max,
+    # so m_max * d < 2^53 is the only bound, and a refusal names m_max
+    d = 2**53 // 11
+    got = expected_tau_float(d, 11)
+    assert got.shape == (12,) and np.all(np.isfinite(got))
+    with pytest.raises(ValueError, match="got m = 12,"):
+        expected_tau_float(d, 12)
 
 
 def test_mk_bound_mean():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from cowalk.optimality import dominance_test, verify_argmax_grid
 from cowalk.simulate import estimate_survival
 from cowalk.strategies import Strategy, death_chain
 from cowalk.tvcutoff import (
+    _binomial_weights,
     _binomial_window,
     coordinate_law,
     cutoff_profile,
@@ -531,6 +533,29 @@ def test_mean_tau_stationary_float_at_n1e6():
     ref = math.fsum(wm * levels[m] for m, wm in w.items()) / math.fsum(w.values())
     value = mean_tau_stationary(d, n, exact=False)
     assert abs(value - ref) <= 1e-12 * ref
+
+
+def test_mean_tau_stationary_float_is_the_window_of_the_full_scan():
+    for d in (2, 5, 10):
+        p = 1.0 - 1.0 / d
+        for n in (2001, 10**4, 10**5):
+            lo, hi = _binomial_window(n, p)
+            direct = float(_binomial_weights(n, p, lo, hi) @ exact.expected_tau_float(d, hi)[lo:])
+            assert mean_tau_stationary(d, n, exact=False) == direct
+
+
+def test_mean_tau_stationary_float_working_set_is_the_window():
+    # only the window's blocks keep their rows: at the largest accepted n for
+    # d = 5 the window is levels 9,966,006..10^7
+    assert _binomial_window(12_478_753, 1.0 - 1.0 / 5) == (9_966_006, 10**7)
+    for n, bound in ((10**6, 4), (12_478_753, 16)):
+        tracemalloc.start()
+        try:
+            mean_tau_stationary(5, n, exact=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, n
 
 
 def test_mean_tau_stationary_float_refuses_past_level_cap():
