@@ -1,5 +1,6 @@
 """Pointwise certification that the built-in strategy solves the rate LP,
-plus stochastic-dominance tests against the baseline strategies.
+plus exact stochastic dominance over the baselines (``_dominance_sign``);
+``bellman_gap`` and ``dominance_test`` are float and Monte Carlo references.
 
 At unmatched count m the instantaneous optimization is a tiny linear
 program: maximize lam(-2)*[r(m,t)+r(m-1,t)] + lam(-1)*r(m,t) over the
@@ -17,10 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import RDiffTable, SignCert, _time_grid, r_diff_table, survival_exact, survival_table
+from .exact import (RDiffTable, SignCert, _combine, _row_sign, _spectral_levels, _time_grid,
+                    r_diff_table, survival_exact, survival_table)
 from .simulate import SurvivalCurve, estimate_survival
 from .strategies import (RateSchedule, Strategy, _check_level, _numerators, _paired,
-                         _singles, _singles_mode)
+                         _singles, _singles_mode, death_chain)
 
 __all__ = [
     "BellmanCell",
@@ -155,6 +157,13 @@ def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> Argmax
                                      equals_optimal=(_POSITIVE if tie else sign) == opt))
     return ArgmaxGridReport(d=d, m_max=m_max, t_grid=signs.t_grid, eps=eps,
                             cells=tuple(cells), sign_table=signs)
+
+
+def _dominance_sign(d: int, m: int, competitor: Strategy) -> str:
+    """SignCert value of P(tau_c > t) - P(tau > t) at every t > 0 from N_0 = m,
+    tau_c the coupling time of ``competitor``, off both spectral tables."""
+    v_c, v_opt = (_spectral_levels(death_chain(s, d, m)) for s in (competitor, Strategy.OPTIMAL))
+    return _row_sign(_combine((1, v_c[m]), (-1, v_opt[m]))[1], d - 1)
 
 
 @dataclass(frozen=True)

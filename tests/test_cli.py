@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cowalk import exact, io, optimality
+from cowalk import exact, io, optimality, simulate
 from cowalk.cli import main
 from cowalk.exact import survival_table
 from cowalk.simulate import estimate_survival
@@ -83,6 +83,16 @@ def test_invalid_configs():
     with pytest.raises(SystemExit) as err:
         run_cli("no-such-command")
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("mean-tau --d 3", "need --m or --n"),
+    ("exact --d 2 --m 1 --mmax 3", "--m and --mmax together"),
+])
+def test_level_flags_missing_or_together_are_refused(argv, message, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_simulate_writes_deterministic_csv(tmp_path):
@@ -241,13 +251,13 @@ def test_limit_cli(capsys):
 def test_verify_cli(tmp_path):
     path = tmp_path / "verify.json"
     assert run_cli("verify", "--d", "4", "--mmax", "6", "--t", "0.5,1.0,2.0",
-                   "--replicates", "2000", "--seed", "3",
                    "--out", str(path)) == 0
     payload = json.loads(path.read_text())
     assert payload["argmax"]["violations"] == 0
     assert payload["argmax"]["all_equal_optimal"]
     assert payload["bellman"]["all_nonpositive_within_slack"]
-    assert all(entry["passed"] for entry in payload["dominance"].values())
+    assert payload["dominance"] == {c: {"sign": "positive", "passed": True} for c in
+                                    ("independent", "synchronous", "pairwise-classic")}
     assert payload["sign_tables"]["undetermined_cells"] == 0
     assert payload["sign_tables"]["undecided_rows"] == []
     assert set(payload["argmax"]["cells"].values()) <= {"match", "tie"}
@@ -266,20 +276,44 @@ def test_verify_builds_one_sign_table(monkeypatch, capsys):
     sign_table = counted("signs", exact.r_diff_table)
     monkeypatch.setattr(exact, "r_diff_table", sign_table)
     monkeypatch.setattr(optimality, "r_diff_table", sign_table, raising=False)
-    assert run_cli("verify", "--d", "4", "--mmax", "5", "--t", "0.5,1",
-                   "--replicates", "100") == 0
-    # one sign table over one tail table; then one table at m_max + 2 for the
-    # Bellman vertices and the three dominance tests' exact tails
-    assert calls[:2] == [("signs", 5), ("tails", 5)]
-    assert [name for name, _ in calls].count("signs") == 1
-    assert [level for name, level in calls[1:]] == [5, 7, 2, 2, 2]
+    monkeypatch.setattr(simulate, "sample_coupling_times",
+                        counted("samples", simulate.sample_coupling_times))
+    assert run_cli("verify", "--d", "4", "--mmax", "5", "--t", "0.5,1") == 0
+    # one sign table over one tail table; the Bellman and dominance verdicts
+    # read the exact tables alone, with no Monte Carlo
+    assert calls == [("signs", 5), ("tails", 5)]
+
+
+def test_verify_reports_one_cell_per_distinct_time(capsys):
+    # the five times agree to 6 significant digits, so no shorter key tells them apart
+    assert run_cli("verify", "--d", "4", "--mmax", "3", "--t-start", "1",
+                   "--t-stop", "1.000001", "--t-points", "5") == 0
+    cells = json.loads(capsys.readouterr().out)["argmax"]["cells"]
+    assert len(cells) == 15
+    assert "m=2,t=1.00000025" in cells
+
+
+def test_verify_verdicts_fail_where_no_row_is_signed(monkeypatch, capsys):
+    def undetermined(terms, q):
+        return exact.SignCert.UNDETERMINED.value
+
+    monkeypatch.setattr(exact, "_row_sign", undetermined)
+    monkeypatch.setattr(optimality, "_row_sign", undetermined)
+    assert run_cli("verify", "--d", "4", "--mmax", "4", "--t", "0.5,2") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["argmax"]["violations"] == 0
+    assert payload["sign_tables"]["undetermined_cells"] == 6
+    assert payload["bellman"]["all_nonpositive_within_slack"] is False
+    assert payload["dominance"] == {c: {"sign": "undetermined", "passed": False} for c in
+                                    ("independent", "synchronous", "pairwise-classic")}
 
 
 def test_readme_verify_report_is_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("verify", "--d", "4", "--mmax", "10", "--out", "report.json") == 0
+    # sha256 of the README command's report: every verdict read off exact signs
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == (
-        "2fc31ae9e26050ccc093a575d55c9fe3498a520fb3dd11f738133d1dfc23382b")
+        "601225768073c67d1184d2eef057bd739c70360f9183f382113582321e4f81d0")
 
 
 def test_readme_validate_marginals_stdout_is_pinned(capsys):
@@ -330,8 +364,7 @@ def test_config_file_key_of_a_flag_the_command_lacks_is_refused(tmp_path, capsys
 def test_verify_refuses_a_certificate_beyond_its_rounding_bound(capsys):
     # no per-cell certificate, so no rounding bound: row signs hold for all
     # t > 0, and t = 1e4 is signed with exit 0
-    assert run_cli("verify", "--d", "4", "--mmax", "2", "--t", "10000",
-                   "--replicates", "100") == 0
+    assert run_cli("verify", "--d", "4", "--mmax", "2", "--t", "10000") == 0
     signs = json.loads(capsys.readouterr().out)["sign_tables"]
     assert signs["undetermined_cells"] == 0 and signs["undecided_rows"] == []
 
@@ -364,10 +397,11 @@ BASE_ARGV = {
     "tv": "--d 3 --n 1 --t 0",
     "cutoff": "--d 3 --n 10 --theta 0",
     "limit": "--n 2 --t 1",
-    "verify": "--d 3 --mmax 2 --t 1 --replicates 100",
+    "verify": "--d 3 --mmax 2 --t 1",
     "validate-marginals": "--d 2 --n 2 --strategy synchronous -T 1 -R 100",
 }
-FLAG_VALUES = {"--seed": "1", "--eps": "1e-9", "--workers": "1", "--format": "json", "--m0": "2"}
+FLAG_VALUES = {"--seed": "1", "--eps": "1e-9", "--workers": "1", "--format": "json", "--m0": "2",
+               "--replicates": "100"}
 UNREAD_FLAGS = [
     ("simulate", "--eps"), ("simulate", "--m0"),
     ("exact", "--seed"), ("exact", "--workers"),
@@ -375,7 +409,7 @@ UNREAD_FLAGS = [
       for flag in ("--seed", "--eps", "--workers", "--format")],
     *[(cmd, flag) for cmd in ("tv", "cutoff") for flag in ("--seed", "--eps", "--workers")],
     ("limit", "--seed"), ("limit", "--workers"),
-    ("verify", "--format"),
+    *[("verify", flag) for flag in ("--format", "--replicates", "--seed", "--workers")],
     ("validate-marginals", "--eps"), ("validate-marginals", "--workers"),
     ("validate-marginals", "--format"),
 ]

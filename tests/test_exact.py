@@ -611,9 +611,10 @@ def test_spectral_table_has_no_all_zero_key():
     assert (f.num, f.den) == (Poly([10, 3]), Poly([8, 10, 3]))
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 10])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 10])
 def test_spectral_table_of_the_independent_coupling(d):
-    # 1 - (1 - e^{-2t/(d-1)})^m: key 2j with A/den = (-1)^(j+1) C(m, j)
+    # 1 - (1 - e^{-2t/(d-1)})^m = sum_{j=1..m} -C(m, j) (-1)^j e^{-2jt/(d-1)}:
+    # key 2j with A/den = (-1)^(j+1) C(m, j)
     levels = _spectral_levels(death_chain(Strategy.INDEPENDENT, d, 40))
     for m, (den, terms) in enumerate(levels):
         assert {k: Fraction(a, den) for k, (a, b) in terms.items()} \
@@ -621,7 +622,7 @@ def test_spectral_table_of_the_independent_coupling(d):
         assert all(b == 0 for _, b in terms.values())
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 10])
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 10])
 def test_spectral_table_of_the_synchronous_coupling(d):
     # the unmatched count never moves, so every level's tail is 1
     levels = _spectral_levels(death_chain(Strategy.SYNCHRONOUS, d, 40))

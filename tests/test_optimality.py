@@ -251,3 +251,58 @@ def test_argmax_cells_follow_the_regime_rule_for_every_sign(monkeypatch):
             assert c.status == "tie"
             assert c.equals_optimal == (mode is SignCert.POSITIVE)
     assert rep.n_violations == 3 and rep.n_ties == 6
+
+
+README_GRID = np.linspace(0.0, 10.0, 50)[1:]  # verify's default grid, t = 0 dropped
+BASELINES = [Strategy.INDEPENDENT, Strategy.SYNCHRONOUS, Strategy.PAIRWISE_CLASSIC]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 10])
+def test_vertex_gaps_are_the_signed_rows_where_the_bellman_verdict_holds(d):
+    # verify's former float route, kept as a reference: on an m_max + 2 table
+    # every vertex gap is within 4 eps m_max of 0 or below, and each is the
+    # one-signed combination of r rows that the verdict reads
+    m_max, eps = 10, 1e-12
+    rep = verify_argmax_grid(d, m_max, README_GRID, eps)
+    assert rep.n_violations == 0 and not rep.sign_table.undetermined_cells()
+    tails = survival_table(d, m_max + 2, README_GRID, eps).values
+    r = np.vstack([np.zeros(len(README_GRID)), np.diff(tails, axis=0)])  # r[0] = 0
+    for m in range(1, m_max + 1):
+        singles = regime(m, d) is Regime.C3
+        diff = m / (d - 1) * (r[m - 1] - r[m])
+        cap = -m * (d - 2) / (d - 1) * r[m] + (diff if singles else 0)
+        opt = rates_for(Strategy.OPTIMAL, m, d)
+        no_move = -(float(opt.down2) * (r[m] + r[m - 1]) + float(opt.down1) * r[m])
+        paired_gap, singles_gap = (diff, 0 * diff) if singles else (0 * diff, -diff)
+        for j, t in enumerate(README_GRID):
+            gaps = [bellman_gap(d, m, float(t), v, eps, tails=tails[:, j])
+                    for v in _lp_vertices(m, d)]
+            assert max(gaps) <= 4 * eps * m_max, (m, t)
+            closed = [no_move[j], paired_gap[j], singles_gap[j], cap[j]]
+            assert np.allclose(gaps, closed, rtol=0, atol=1e-14), (m, t)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("competitor", BASELINES)
+def test_monte_carlo_dominance_passes_where_the_exact_sign_holds(d, competitor):
+    sign = optimality._dominance_sign(d, 5, competitor)
+    assert sign in ("positive", "zero")
+    rep = dominance_test(d, 5, competitor, [0.3, 0.8, 1.5, 3.0], 20_000, seed=29)
+    assert rep.passed, rep.violations
+
+
+def test_dominance_signs_at_d2():
+    # pairwise-classic is the Connor-Jacka hypercube coupling, optimal at
+    # d = 2; independent exits level 1 at the optimal rate 2 only
+    for m in range(1, 41):
+        assert optimality._dominance_sign(2, m, Strategy.PAIRWISE_CLASSIC) == "zero"
+        assert optimality._dominance_sign(2, m, Strategy.INDEPENDENT) == (
+            "zero" if m == 1 else "positive")
+        assert optimality._dominance_sign(2, m, Strategy.SYNCHRONOUS) == "positive"
+
+
+@pytest.mark.parametrize("d", [3, 4, 10])
+def test_every_baseline_is_strictly_slower_beyond_d2(d):
+    for competitor in BASELINES:
+        for m in (1, 2, 3, 5, 8, 13, 21, 40):
+            assert optimality._dominance_sign(d, m, competitor) == "positive", (competitor, m)
