@@ -195,7 +195,7 @@ def _cmd_laplace(cfg: ExperimentConfig):
     V = [exact._transform(level, d - 1) for level in v]
     R = [None] + [exact._transform(exact._combine((1, v[j]), (-1, v[j - 1])), d - 1)
                   for j in range(1, len(v))]
-    taus = list(exact._mean_levels(d, m))
+    taus = [Fraction(num, den) for num, den, _ in exact._mean_levels(d, m)]
     rows = []
     for level in range(0, m + 1):
         entry = {"m": level, "V": format_rational(V[level])}

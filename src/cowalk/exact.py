@@ -33,7 +33,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate, count, cycle
 
 import numpy as np
 
@@ -141,13 +141,24 @@ def _steps(stay, p1, p2):
 
 
 def _push(stay, p1, p2, law):
-    """Yield law and its pushes by 1, 2, ... steps of ``_steps``' chain; not to be modified."""
-    while True:
-        yield law
-        nxt = stay * law
-        nxt[:-1] += p1[1:] * law[1:]
-        nxt[:-2] += p2[2:] * law[2:]
-        law = nxt
+    """Yield law and its pushes by 1, 2, ... steps of ``_steps``' chain.
+
+    The pushes alternate between two buffers (slices taken once), so a
+    yielded array is not to be modified and is overwritten by the next
+    step: read it before asking for another.  Each step rounds as
+    ``stay * law``, then ``+= p1[1:] * law[1:]`` on [:-1] and ``+= p2[2:]
+    * law[2:]`` on [:-2]."""
+    tmp = np.empty(len(law) - 1)
+    p1, p2, tmp2 = p1[1:], p2[2:], tmp[:-1]
+    bufs = [(b, b[1:], b[2:], b[:-1], b[:-2]) for b in np.empty((2, len(law)))]
+    src, src1, src2 = law, law[1:], law[2:]
+    yield law
+    for nxt, nxt1, nxt2, head1, head2 in cycle(bufs):
+        np.multiply(stay, src, out=nxt)
+        head1 += np.multiply(p1, src1, out=tmp)
+        head2 += np.multiply(p2, src2, out=tmp2)
+        yield nxt
+        src, src1, src2 = nxt, nxt1, nxt2
 
 
 def _time_grid(t_grid) -> np.ndarray:
@@ -191,7 +202,11 @@ def _start_law_tail(d: int, start: np.ndarray, t_grid, eps: float):
     """(t_grid, P(N_t > 0)) of the optimal chain from N_0 ~ start by adaptive
     uniformization (van Moorsel & Sanders 1994).  Per segment: drop top levels
     (eps/64 in all), ``_push`` at the rate Lam of the rest up to max(ln 2,
-    256/Lam), sum one Poisson series.  Steps are L1 non-expansive, so errors add."""
+    256/Lam), sum one Poisson series.  Steps are L1 non-expansive, so errors add.
+
+    A step only records its survival mass and adds its weighted law to the
+    segment's end law in place; each grid point's compensated sum over the
+    masses (``_kahan_columns``) runs once per segment, in step order."""
     t_grid = _time_grid(t_grid)
     times, at = np.unique(t_grid, return_inverse=True)
     values = np.zeros(len(times))  # 0 once no live level is kept
@@ -208,15 +223,34 @@ def _start_law_tail(d: int, start: np.ndarray, t_grid, eps: float):
         w = _poisson_weights(lam * (np.append(times[j:j1], t1) - t0),
                              _truncation_order(lam * (t1 - t0), share))
         p1, p2 = chain.down1 / lam, chain.down2 / lam
-        out, comp, end = np.zeros(j1 - j), np.zeros(j1 - j), np.zeros(len(p1))
-        for wk, pk in zip(w, _push(1.0 - p1 - p2, p1, p2, law[:len(p1)])):
-            y = pk[1:].sum() * wk[:-1] - comp
-            acc = out + y
-            comp = (acc - out) - y
-            out = acc
-            end += wk[-1] * pk
-        values[j:j1], law, t0, j = out, end, t1, j1
+        masses, end, tmp = [], np.zeros(len(p1)), np.empty(len(p1))
+        for wk, pk in zip(w[:, -1], _push(1.0 - p1 - p2, p1, p2, law[:len(p1)])):
+            masses.append(pk[1:].sum())
+            end += np.multiply(wk, pk, out=tmp)
+        values[j:j1] = _kahan_columns(np.array(masses)[:, None] * w[:, :-1])
+        law, t0, j = end, t1, j1
     return t_grid, np.clip(values, 0.0, 1.0)[at]
+
+
+def _kahan(rows, zero):
+    """Compensated sum (Kahan 1965) of rows, in order, from zero."""
+    acc = comp = zero
+    for x in rows:
+        y = x - comp
+        total = acc + y
+        comp = (total - acc) - y
+        acc = total
+    return acc
+
+
+def _kahan_columns(terms: np.ndarray):
+    """``_kahan`` of each column of terms.  Python floats round as numpy's
+    elementwise operations do, so both routes give the same bits: a column
+    at a time in Python floats, or from 24 columns on, where numpy's
+    per-call cost is the smaller, a row at a time in numpy."""
+    if terms.shape[1] >= 24:
+        return _kahan(terms, np.zeros(terms.shape[1]))
+    return [_kahan(column, 0.0) for column in terms.T.tolist()]
 
 
 def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
@@ -334,30 +368,36 @@ _MAX_MEAN_LEVEL = 2000  # deepest level of the exact means
 
 
 def _mean_levels(d: int, m_max: int):
-    """Yield E[tau | N_0 = m] for m = 0..m_max as exact Fractions.
+    """Yield (N_m, D_m, s_m) for m = 0..m_max: E[tau | N_0 = m] = N_m / D_m
+    exactly, over the running denominator D_m = s_1 ... s_m, s_m = c1 + c2.
 
-    Level m's generator equation at alpha = 0, times (d-1):
-    (c1 + c2) E_m = (d-1) + c1 E_{m-1} + c2 E_{m-2}.  The numerators are
-    read through memoryviews, which yield Python ints without holding a
-    list of them.  Levels above 2000 are refused with ValueError before
-    any work: the digits grow with m, so the cost grows about as m^2.7.
+    Level m's generator equation at alpha = 0, times (d-1), is
+    s_m E_m = (d-1) + c1 E_{m-1} + c2 E_{m-2}; times D_{m-1} it gives
+    N_m = (d-1) D_{m-1} + c1 N_{m-1} + c2 s_{m-1} N_{m-2} in integers, so no
+    level builds or reduces a fraction.  The numerators are read through
+    memoryviews, which yield Python ints without holding a list of them.
+    Levels above 2000 are refused with ValueError before any work: the
+    digits grow with m, so the cost grows about as m^2.
     """
     if m_max > _MAX_MEAN_LEVEL:
         raise ValueError(f"exact means run to level at most {_MAX_MEAN_LEVEL};"
                          f" level {m_max} was asked")
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
-    e1 = e2 = Fraction(0)
-    yield e1
+    n1, n2, den, s1 = 0, 0, 1, 0  # N_{m-1}, N_{m-2}, D_{m-1}, s_{m-1}
+    yield n1, den, s1
     for c1, c2 in zip(memoryview(chain.c1)[1:], memoryview(chain.c2)[1:]):
-        e1, e2 = ((d - 1) + c1 * e1 + c2 * e2) / (c1 + c2), e1
-        yield e1
+        s = c1 + c2
+        n1, n2 = (d - 1) * den + c1 * n1 + c2 * s1 * n2, n1
+        den, s1 = den * s, s
+        yield n1, den, s
 
 
 def expected_tau(d: int, m: int) -> Fraction:
-    """E[tau | N_0 = m] as an exact rational (the transform at alpha = 0)."""
-    for e in _mean_levels(d, m):
+    """E[tau | N_0 = m] as an exact rational (the transform at alpha = 0):
+    ``_mean_levels``' integer recursion, reduced once at the end."""
+    for num, den, _ in _mean_levels(d, m):
         pass
-    return e
+    return Fraction(num, den)
 
 
 _MAX_FLOAT_LEVELS = 10**7  # deepest level of expected_tau_float
@@ -531,6 +571,9 @@ class RDiffTable:
                 for i, j in zip(*np.nonzero(self.diff_certs == SignCert.UNDETERMINED.value))]
 
 
+_MAX_SIGN_LEVEL = 200  # deepest level of r_diff_table, so of verify_argmax_grid
+
+
 def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
     """Tabulate level differences of the tail with signs certified for all t.
 
@@ -541,10 +584,15 @@ def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
     row is ZERO if its coefficients vanish and POSITIVE otherwise; r(m, 0)
     is 0 for m >= 2.  r(m-1,t) - r(m,t) = 2v(m-1) - v(m-2) - v(m),
     m = 2..m_max, has its row's ``_row_sign`` at every t > 0, and at t = 0
-    is 1 for m = 2 (v(0, 0) = 0) and 0 beyond.
+    is 1 for m = 2 (v(0, 0) = 0) and 0 beyond.  Levels above 200 are
+    refused with ValueError before any work: the table's integers grow with
+    m, and (4, 200) already takes about 0.5 s.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if m_max > _MAX_SIGN_LEVEL:
+        raise ValueError(f"sign tables run to level at most {_MAX_SIGN_LEVEL};"
+                         f" level {m_max} was asked")
     table = survival_table(d, m_max, t_grid, eps)
     t_grid = table.t_grid
     r = table.values[1:] - table.values[:-1]

@@ -231,15 +231,16 @@ def dinfty_convergence(n: int, d_list, t_grid, eps: float = 1e-12) -> list[GapEn
 def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
     """E[coupling time] with Y_0 uniform: binomial mixture of per-level means.
 
-    Exact rational up to n = 2000, the default there; the exact path
-    refuses a larger n with ValueError (``exact._mean_levels``).  Above it
-    the binomial weights are float64 over ``_binomial_window`` (which drops
-    under 1e-24 of the mass), and ``exact._float_levels`` gives the level
-    means of that window only: it scans the levels up to the window's top
-    but keeps the rows of the window's blocks alone, each level equal to
-    ``expected_tau_float``'s.  Every weight and level is nonnegative, so the
-    dot product stays relatively accurate.
-    The float path refuses n whose window reaches past level 10^7 (n above
+    Exact rational up to n = 2000, the default there: the exact path sums
+    the integer numerators of ``exact._mean_levels`` over their last
+    running denominator, reduces once, and refuses a larger n with
+    ValueError.  Above it the binomial weights are float64 over
+    ``_binomial_window`` (which drops under 1e-24 of the mass), and
+    ``exact._float_levels`` gives the level means of that window only: it
+    scans the levels up to the window's top but keeps the rows of the
+    window's blocks alone, each level equal to ``expected_tau_float``'s.
+    Every weight and level is nonnegative, so the dot product stays
+    relatively accurate.  The float path refuses n whose window reaches past level 10^7 (n above
     about 10^7 d/(d-1)) with ValueError.  Returns a Fraction or a float accordingly.
     """
     if n < 1:
@@ -247,13 +248,12 @@ def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
     if exact is None:
         exact = n <= _MAX_MEAN_LEVEL
     if exact:
-        total = Fraction(0)
-        w = 1  # C(n, m) (d-1)^m, the weight of level m times d^n
-        for m, e in enumerate(_mean_levels(d, n)):
-            if m > 0:
-                w = w * (n - m + 1) * (d - 1) // m
-            total += w * e
-        return total / d**n
+        # Horner over the running denominators: total = sum_m w_m N_m D_n / D_m
+        total = w = 0  # w: C(n, m) (d-1)^m, the weight of level m times d^n
+        for m, (num, den, s) in enumerate(_mean_levels(d, n)):
+            w = w * (n - m + 1) * (d - 1) // m if m else 1
+            total = total * s + w * num
+        return Fraction(total, den * d**n)
     p = 1.0 - 1.0 / d
     lo, hi = _binomial_window(n, p)
     return float(_binomial_weights(n, p, lo, hi) @ _float_levels(d, lo, hi))

@@ -252,12 +252,13 @@ def test_criterion_7_coupling_inequality_strict_gap():
     ok = True
     details = []
     for d in (2, 3, 4, 10):
-        surv = survival_from_stationary(d, 10, grid, EPS).value
-        tv = np.array([tv_exact(d, 10, t) for t in grid])
-        ok &= (tv <= surv + EPS).all()
-        gap = surv - tv
-        ok &= gap.max() > 10 * EPS
-        details.append(f"d={d}: max gap {gap.max():.3f}")
+        for n in (10, 1000):
+            surv = survival_from_stationary(d, n, grid, EPS).value
+            tv = np.array([tv_exact(d, n, t) for t in grid])
+            ok &= (tv <= surv + EPS).all()
+            gap = surv - tv
+            ok &= gap.max() > 10 * EPS
+            details.append(f"d={d}, n={n}: max gap {gap.max():.3f}")
     assert _report("7 coupling inequality + strict non-maximality gap", bool(ok),
                    "; ".join(details))
 

@@ -557,3 +557,12 @@ def test_exact_mean_levels_are_bounded(argv, code, capsys):
         assert time.perf_counter() - start < 0.1
         assert captured.out == ""
         assert "exact means run to level at most 2000" in captured.err
+
+
+def test_verify_refuses_mmax_above_the_sign_table_bound(capsys):
+    start = time.perf_counter()
+    assert main(["verify", "--d", "4", "--mmax", "201", "--t", "1,5"]) == 2
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sign tables run to level at most 200" in captured.err

@@ -27,6 +27,7 @@ from cowalk.exact import (
 )
 from cowalk.ratfun import Poly, RationalFn
 from cowalk.strategies import DeathChain, Regime, Strategy, death_chain, regime
+from cowalk.tvcutoff import mean_tau_stationary
 
 
 # --- closed-form tails ------------------------------------------------------
@@ -396,6 +397,39 @@ def test_expected_tau_small_levels(d):
         assert expected_tau(d, m) == _expected_tau_oracle(d, m)
 
 
+def _fraction_mean_levels(d, m_max):
+    """E[tau | N_0 = m], m = 0..m_max, as Fractions reduced at every level:
+    (c1 + c2) E_m = (d-1) + c1 E_{m-1} + c2 E_{m-2}.  A reference for the
+    integer numerators of ``exact._mean_levels``."""
+    c1, c2 = death_chain(Strategy.OPTIMAL, d, m_max).numerators()
+    levels = [Fraction(0)]
+    for m in range(1, m_max + 1):
+        levels.append(((d - 1) + c1[m] * levels[m - 1] + c2[m] * levels[max(m - 2, 0)])
+                      / (c1[m] + c2[m]))
+    return levels
+
+
+@pytest.mark.parametrize("d", [2, 5, 50])
+def test_exact_means_equal_the_fraction_recursion(d):
+    # every level up to the 2000 cap, and the stationary mixture as the
+    # Fraction sum of binomial weights times those levels
+    levels = _fraction_mean_levels(d, 2000)
+    den0 = 1
+    for m, (num, den, s) in enumerate(exact._mean_levels(d, 2000)):
+        assert num * levels[m].denominator == levels[m].numerator * den
+        assert den == den0 * (s if m else 1)
+        den0 = den
+    for m in (0, 1, 2, 3, 10, 399, 2000):
+        assert expected_tau(d, m) == levels[m]
+    for n in (1, 2, 3, 10, 400, 2000):
+        total, w = Fraction(0), 1
+        for m in range(n + 1):
+            if m > 0:
+                w = w * (n - m + 1) * (d - 1) // m
+            total += w * levels[m]
+        assert mean_tau_stationary(d, n) == total / d**n
+
+
 def test_expected_tau_d2_level2():
     assert expected_tau(2, 2) == Fraction(1, 2)  # survival e^{-2t}
 
@@ -416,7 +450,7 @@ def test_expected_tau_float_agrees_with_exact():
     # every level, and every block size the scan picks for m_max <= 500
     m = np.arange(501)
     for d in (2, 3, 4, 5, 10):
-        exact_vals = np.array([float(e) for e in exact._mean_levels(d, 500)])
+        exact_vals = np.array([num / den for num, den, _ in exact._mean_levels(d, 500)])
         assert np.all(np.abs(expected_tau_float(d, 500) - exact_vals)
                       <= _float_mean_bound(m) * exact_vals)
         for m_max in (0, 1, 2, 3, 4, 5, 17, 99, 100, 101, 257):
@@ -521,6 +555,18 @@ def test_diff_table_d4_zero_row_and_no_undetermined():
     keep = np.delete(np.arange(11), 1)
     assert (tab.diff_certs[keep] == SignCert.POSITIVE.value).all()
     assert (tab.r_certs == SignCert.POSITIVE.value).all()
+
+
+def test_sign_tables_are_bounded():
+    # level 200 is the deepest table (about 0.3 s at d = 2); level 201 is
+    # refused before any work, naming the bound
+    tab = r_diff_table(2, 200, [1.0, 5.0])
+    assert tab.diff_certs.shape == (199, 2)
+    assert not tab.undetermined_cells()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="sign tables run to level at most 200"):
+        r_diff_table(4, 201, [1.0, 5.0])
+    assert time.perf_counter() - start < 0.1
 
 
 def test_diff_table_small_t_signed_by_its_row():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -355,6 +356,21 @@ def test_stationary_tail_small_n_dense_grid_is_one_segment(monkeypatch):
     start = np.array([math.comb(n, m) * (d - 1) ** m / d ** n for m in range(n + 1)])
     assert len(segments) == 1
     assert np.abs(curve.value - start @ survival_table(d, n, grid, eps).values).max() <= 2 * eps
+
+
+@pytest.mark.parametrize("d, n, points, sha256", [
+    (5, 100, 50, "f4fd988fb653b1df1ee0fd78d7c93f7015b5a96b056d89cf1342eb70c26c27ec"),
+    (5, 1000, 50, "1d1043ad4f4927d393c8c3d9aa5b4a282399f8f98725a9b2d4faa3af1f8dd51a"),
+    (5, 10**4, 50, "9a7c6be354f0487b2acfa7aca9792a78e393f40e4019e348404aa5ed59f089b7"),
+    (2, 300, 50, "32c4dbb7a495d8eaf5999b2c9827761eb0f8f601c959d85b48eb713529738adc"),
+    (10, 5, 2000, "283c943f5028eb90ff6d34c65a5812d2cb1c1096ce4a4d512567798767045034"),
+])
+def test_stationary_tail_bits_are_pinned(d, n, points, sha256):
+    # sha256 of the float64 tails as first recorded (numpy 2.4, x86-64):
+    # the push's buffers and the per-segment Kahan sums round exactly as
+    # the step-by-step sums did, so no bit of the tail may move
+    value = survival_from_stationary(d, n, np.linspace(0.0, 12.0, points)).value
+    assert hashlib.sha256(value.tobytes()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10])
