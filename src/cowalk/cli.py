@@ -21,7 +21,7 @@ import sys
 import types
 import typing
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -178,10 +178,8 @@ def _cmd_exact(cfg: ExperimentConfig):
     _require(cfg, "d")
     if (cfg.m is None) == (cfg.m_max is None):
         raise ValueError("need --m or --mmax" if cfg.m is None else "--m and --mmax together")
-    m_max = cfg.m_max if cfg.m_max is not None else max(cfg.m, 1)
+    m_max = cfg.m_max if cfg.m_max is not None else cfg.m
     table = exact.survival_table(cfg.d, m_max, cfg.t_grid(), cfg.eps)
-    if cfg.m_max is None:
-        table = replace(table, m_max=cfg.m, values=table.values[: cfg.m + 1])
     _emit(cfg, "exact", table, lambda fh: io.write_tail_csv(table, fh))
 
 
@@ -283,7 +281,7 @@ def _cmd_verify(cfg: ExperimentConfig):
     grid = grid[grid > 0]  # t = 0 objectives vanish identically
     if grid.size == 0:
         raise ValueError("verify needs at least one positive time point")
-    argmax = optimality.verify_argmax_grid(cfg.d, cfg.m_max, grid, cfg.eps)
+    argmax = optimality.verify_argmax_grid(cfg.d, cfg.m_max, grid)
     statuses = {f"m={cell.m},t={cell.t!r}": cell.status for cell in argmax.cells}
     sign_table = argmax.sign_table
     # vertex gaps: -obj (no move), -+m/(d-1) (r(m-1) - r(m)) (other mode) and
@@ -294,7 +292,7 @@ def _cmd_verify(cfg: ExperimentConfig):
              for c in (Strategy.INDEPENDENT, Strategy.SYNCHRONOUS, Strategy.PAIRWISE_CLASSIC)}
     r_nonpositive = sign_table.r_certs != exact.SignCert.POSITIVE.value
     payload = {
-        "d": cfg.d, "m_max": cfg.m_max, "eps": cfg.eps,
+        "d": cfg.d, "m_max": cfg.m_max, "eps": argmax.eps,
         "argmax": {"cells": statuses, "violations": argmax.n_violations,
                    "ties": argmax.n_ties,
                    "all_equal_optimal": bool(all(c.equals_optimal for c in argmax.cells))},
@@ -361,7 +359,7 @@ _COMMANDS = {
     "cutoff": ("TV cutoff profile vs the normal asymptotic", "d n theta format", _cmd_cutoff),
     "limit": ("large-d limiting tail and convergence gaps", f"n d-list format eps {_GRID}",
               _cmd_limit),
-    "verify": ("optimality certification report", f"d mmax eps {_GRID}", _cmd_verify),
+    "verify": ("optimality certification report", f"d mmax {_GRID}", _cmd_verify),
     "validate-marginals": ("chi-square marginal-law checks",
                            "d n strategy horizon replicates seed", _cmd_validate_marginals),
 }

@@ -128,7 +128,8 @@ def _truncation_order(lam_t_max: float, eps: float) -> int:
 def _steps(stay, p1, p2):
     """Yield s_0, s_1, ... (not to be modified): s_k[m] is the chance that
     the uniformized chain from level m is not absorbed after k steps, each
-    step going m -> m-1, m-2, m with chances p1[m], p2[m], stay[m]."""
+    step going m -> m-1, m-2, m with chances p1[m], p2[m], stay[m].  Level
+    0 absorbs (stay[0] = 1), so s_k[0] stays at its start, 0, with no store."""
     s = np.ones_like(stay)
     s[0] = 0
     while True:
@@ -136,7 +137,6 @@ def _steps(stay, p1, p2):
         nxt = stay * s
         nxt[1:] += p1[1:] * s[:-1]
         nxt[2:] += p2[2:] * s[:-2]
-        nxt[0] = 0
         s = nxt
 
 
@@ -187,14 +187,9 @@ def _tail_sums(d: int, m_max: int, t_grid, eps: float):
     p1, p2 = chain.down1 / lam, chain.down2 / lam
     blocks = []
     for times in np.array_split(t_grid, -(-len(t_grid) // max(4, _BLOCK // (k_max + 1)))):
-        w = _poisson_weights(lam * times, k_max)
-        out = comp = np.zeros((m_max + 1, len(times)))  # comp: Kahan compensation
-        for k, s in zip(range(k_max + 1), _steps(1.0 - p1 - p2, p1, p2)):
-            y = np.multiply.outer(s, w[k]) - comp
-            acc = out + y
-            comp = (acc - out) - y
-            out = acc
-        blocks.append(out)
+        w = _poisson_weights(lam * times, k_max)  # zipped first: no step past k_max is drawn
+        terms = (np.multiply.outer(s, w_k) for w_k, s in zip(w, _steps(1.0 - p1 - p2, p1, p2)))
+        blocks.append(_kahan(terms, np.zeros((m_max + 1, len(times)))))
     return t_grid, np.clip(np.hstack(blocks), 0.0, 1.0), chain, k_max
 
 
@@ -261,10 +256,10 @@ def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
 
 
 def survival_exact(d: int, m: int, t_grid, eps: float = 1e-12) -> np.ndarray:
-    """One tail column: P(tau > t | N_0 = m) on the grid, |err| <= eps."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return survival_table(d, max(m, 1), t_grid, eps).values[m]
+    """One tail column: P(tau > t | N_0 = m) on the grid, |err| <= eps: row m
+    of ``survival_table(d, m, ...)``, whose level 0 is an ordinary level
+    (its row is all zeros)."""
+    return survival_table(d, m, t_grid, eps).values[m]
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +346,6 @@ def _transform(level, q: int) -> RationalFn:
 
 def laplace_V(d: int, m: int) -> RationalFn:
     """Laplace transform of t -> P(tau > t | N_0 = m), exact in alpha."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
     return _transform(_optimal_levels(d, m)[m], d - 1)
 
 

@@ -190,7 +190,7 @@ def _coerce(value) -> RationalFn:
     raise TypeError(f"cannot combine RationalFn with {type(value).__name__}")
 
 
-def format_poly(p: Poly, var: str = "a") -> str:
+def format_poly(p: Poly) -> str:
     if p.is_zero:
         return "0"
     parts = []
@@ -202,7 +202,7 @@ def format_poly(p: Poly, var: str = "a") -> str:
         else:
             mag = "" if abs(c) == 1 else f"{abs(c)}*"
             sign = "-" if c < 0 else ""
-            power = var if i == 1 else f"{var}^{i}"
+            power = "a" if i == 1 else f"a^{i}"
             term = f"{sign}{mag}{power}"
         parts.append(term)
     out = parts[0]
@@ -211,8 +211,8 @@ def format_poly(p: Poly, var: str = "a") -> str:
     return out
 
 
-def format_rational(f: RationalFn, var: str = "a") -> str:
-    num = format_poly(f.num, var)
+def format_rational(f: RationalFn) -> str:
+    num = format_poly(f.num)
     if f.den == Poly([1]):
         return num
-    return f"({num})/({format_poly(f.den, var)})"
+    return f"({num})/({format_poly(f.den)})"

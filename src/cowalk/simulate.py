@@ -78,18 +78,15 @@ def _run_lumped_chunk(seed, index, lo, hi, total, p2, m0, t_max):
         exp_draws = -np.log1p(-u[:, :, 0])  # holding-time deviates, host-side
         parts.append(_kernels.lumped_batch(total, p2, m0, t_max, exp_draws, u[:, :, 1]))
 
-    if len(sizes) == 1:
-        run(rng.random((sizes[0], m0, 2)))
-    else:
-        # a helper thread draws sub-block i+1 (rng.random releases the GIL)
-        # while this one runs sub-block i; only the helper touches rng, in
-        # stream order, and leaving the block joins it, on error too
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            ahead = helper.submit(rng.random, (sizes[0], m0, 2))
-            for size in sizes[1:]:
-                u, ahead = ahead.result(), helper.submit(rng.random, (size, m0, 2))
-                run(u)
-            run(ahead.result())
+    # a helper thread draws sub-block i+1 (rng.random releases the GIL)
+    # while this one runs sub-block i; only the helper touches rng, in
+    # stream order, and leaving the block joins it, on error too
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(rng.random, (sizes[0], m0, 2))
+        for size in sizes[1:]:
+            u, ahead = ahead.result(), helper.submit(rng.random, (size, m0, 2))
+            run(u)
+        run(ahead.result())
     tau, njumps = zip(*parts)
     return np.concatenate(tau), np.concatenate(njumps)
 
@@ -108,7 +105,7 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
         raise ValueError("t_max must be positive")
     if n_workers is not None and n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    total, p2 = rate_table(Strategy(strategy), d, max(m0, 1))
+    total, p2 = rate_table(Strategy(strategy), d, m0)
     if m0 > 0 and total[m0] == 0:  # every run is stuck at the start
         return np.full(replicates, np.inf), np.zeros(replicates, dtype=np.int64)
     bounds = _chunk_bounds(replicates, m0)
@@ -116,12 +113,8 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
     def run(idx):
         return _run_lumped_chunk(seed, idx, *bounds[idx], total, p2, m0, t_max)
 
-    chunks = range(len(bounds))
-    if (n_workers or 1) > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            tau, njumps = zip(*pool.map(run, chunks))  # yields in chunk order
-    else:
-        tau, njumps = zip(*map(run, chunks))
+    with ThreadPoolExecutor(max_workers=n_workers or 1) as pool:
+        tau, njumps = zip(*pool.map(run, range(len(bounds))))  # yields in chunk order
     return np.concatenate(tau), np.concatenate(njumps)
 
 

@@ -221,85 +221,56 @@ def rate_table(strategy: Strategy, d: int, m_max: int):
     return chain.exit_rate, p2
 
 
-def _row(i: int, k: int, d: int) -> int:
-    return i * d + k
-
-
 def build_q_matrix(strategy: Strategy, cfg: PairConfig, d: int) -> np.ndarray:
     """Doubly-stochastic control matrix realizing ``strategy`` at ``cfg``.
 
-    Rows/columns are indexed by (coordinate, value) as i*d + k.  Matched
-    coordinates always get the identity block (no match is ever broken).
-    Rows (i, x(i)) and columns (j, y(j)) left free by the paired mode are
-    completed with no-op mass q[(i, x(i)), (j, y(j))] = 1/(N-1), j != i,
-    which changes neither chain and keeps the matrix doubly stochastic.
+    Rows/columns are indexed by (coordinate, value) as i*d + k.
+    Synchronous moves every coordinate with the common increment y(i) - x(i)
+    (0 where matched).  Otherwise the matrix starts from the identity, which
+    keeps matched coordinates (no match is ever broken) and is the whole of
+    singles mode.  Paired mode clears the (i, x(i)) and (i, y(i)) diagonals
+    of each unmatched coordinate i and pairs the matching move of X(i) with
+    that of Y(j), q[(i, y(i)), (j, x(j))] = w, completed by the no-op mass
+    q[(i, x(i)), (j, y(j))] = w, which changes neither chain and keeps the
+    matrix doubly stochastic.  The optimal strategy pairs i with every
+    other unmatched j at w = 1/(N-1) (N >= 2 there, as N = 1 is singles
+    mode); pairwise-classic pairs consecutive unmatched coordinates at w = 1.
 
     Only optimal, synchronous, and even-count pairwise-classic have a cheap
     full-matrix realization; the independent baseline is simulated directly.
     """
     strategy = Strategy(strategy)
     x, y = cfg.x, cfg.y
-    n = cfg.n
     if (x >= d).any() or (y >= d).any():
         raise ValueError("state values exceed d")
-    q = np.zeros((n * d, n * d))
-    for i in cfg.matched:
-        for k in range(d):
-            q[_row(i, k, d), _row(i, k, d)] = 1.0
-
-    unmatched = cfg.unmatched
-    m = len(unmatched)
-    if m == 0:
-        return q
-
     if strategy is Strategy.SYNCHRONOUS:
         # common-increment pairing: X(i) -> k goes with Y(i) -> k + (y-x)
-        for i in unmatched:
-            delta = int(y[i] - x[i]) % d
-            for k in range(d):
-                q[_row(i, k, d), _row(i, (k + delta) % d, d)] = 1.0
+        rows = np.arange(cfg.n * d)
+        i, k = np.divmod(rows, d)
+        q = np.zeros((cfg.n * d, cfg.n * d))
+        q[rows, i * d + (k + y[i] - x[i]) % d] = 1.0
         return q
-
+    q = np.eye(cfg.n * d)
+    u = cfg.unmatched
+    m = len(u)
+    if m == 0 or (strategy is Strategy.OPTIMAL and _singles_mode(m, d)):
+        return q
+    if strategy is Strategy.PAIRWISE_CLASSIC and m % 2 == 1:
+        raise ValueError(
+            "pairwise-classic has a full-matrix realization only at even "
+            "unmatched counts (odd counts behave independently)"
+        )
     if strategy is Strategy.OPTIMAL:
-        if regime(m, d) is Regime.C3:
-            for i in unmatched:
-                for k in range(d):
-                    q[_row(i, k, d), _row(i, k, d)] = 1.0
-            return q
-        if m < 2:
-            raise ValueError("paired mode needs at least 2 unmatched coordinates")
-        w = 1.0 / (m - 1)
-        for i in unmatched:
-            for j in unmatched:
-                if i == j:
-                    continue
-                # matching move of X(i) paired with matching move of Y(j)
-                q[_row(i, int(y[i]), d), _row(j, int(x[j]), d)] = w
-                # no-op completion row/column
-                q[_row(i, int(x[i]), d), _row(j, int(y[j]), d)] = w
-            for k in range(d):
-                if k != x[i] and k != y[i]:
-                    q[_row(i, k, d), _row(i, k, d)] = 1.0
-        return q
-
-    if strategy is Strategy.PAIRWISE_CLASSIC:
-        if m % 2 == 1:
-            raise ValueError(
-                "pairwise-classic has a full-matrix realization only at even "
-                "unmatched counts (odd counts behave independently)"
-            )
-        for a in range(0, m, 2):
-            i, j = int(unmatched[a]), int(unmatched[a + 1])
-            for u, v in ((i, j), (j, i)):
-                q[_row(u, int(y[u]), d), _row(v, int(x[v]), d)] = 1.0
-                q[_row(u, int(x[u]), d), _row(v, int(y[v]), d)] = 1.0
-        for i in unmatched:
-            for k in range(d):
-                if k != x[i] and k != y[i]:
-                    q[_row(i, k, d), _row(i, k, d)] = 1.0
-        return q
-
-    raise ValueError(f"no full-matrix realization for strategy {strategy!r}")
+        i, j = np.repeat(u, m), np.tile(u, m)
+        i, j, w = i[i != j], j[i != j], 1.0 / (m - 1)
+    elif strategy is Strategy.PAIRWISE_CLASSIC:
+        i, j, w = u, u.reshape(-1, 2)[:, ::-1].ravel(), 1.0
+    else:
+        raise ValueError(f"no full-matrix realization for strategy {strategy!r}")
+    q[u * d + x[u], u * d + x[u]] = q[u * d + y[u], u * d + y[u]] = 0.0
+    q[i * d + y[i], j * d + x[j]] = w  # matching move of X(i) paired with one of Y(j)
+    q[i * d + x[i], j * d + y[j]] = w  # no-op completion row/column
+    return q
 
 
 def lump_rates(q: np.ndarray, cfg: PairConfig, d: int) -> RateSchedule:

@@ -85,6 +85,20 @@ def test_invalid_configs():
     assert err.value.code == 2
 
 
+def test_exact_at_level_0_is_the_level_0_chain(capsys):
+    # level 0 is an ordinary level: its CSV (sha256 pinned before levels
+    # 0 and 1 shared a table) is one zero row, and its JSON reports the
+    # level-0 chain's own uniformization rate
+    argv = ["exact", "--d", "3", "--m", "0", "--t", "0.5,1"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "3e971b1af562abe5aaa87883e45a3343a74d04170b5ff7db4c48f7595b959785")
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["m_max"] == 0 and doc["uniformization_rate"] == 1
+    assert doc["values"] == [[0.0, 0.0]]
+
+
 @pytest.mark.parametrize("argv, message", [
     ("mean-tau --d 3", "need --m or --n"),
     ("exact --d 2 --m 1 --mmax 3", "--m and --mmax together"),
@@ -359,6 +373,10 @@ def test_config_file_key_of_a_flag_the_command_lacks_is_refused(tmp_path, capsys
     cfg.write_text(json.dumps({"eps": 1e-9, "seed": 3, "d": 3, "n": 2, "t_values": [0.5]}))
     assert run_cli("tv", "--config", str(cfg)) == 2
     assert "'eps', 'seed'" in capsys.readouterr().err
+    # no verdict of verify reads eps, so it takes neither the flag nor the key
+    cfg.write_text(json.dumps({"eps": 1e-9}))
+    assert run_cli("verify", "--d", "3", "--mmax", "2", "--t", "1", "--config", str(cfg)) == 2
+    assert "does not take: ['eps']" in capsys.readouterr().err
 
 
 def test_verify_refuses_a_certificate_beyond_its_rounding_bound(capsys):
@@ -409,7 +427,7 @@ UNREAD_FLAGS = [
       for flag in ("--seed", "--eps", "--workers", "--format")],
     *[(cmd, flag) for cmd in ("tv", "cutoff") for flag in ("--seed", "--eps", "--workers")],
     ("limit", "--seed"), ("limit", "--workers"),
-    *[("verify", flag) for flag in ("--format", "--replicates", "--seed", "--workers")],
+    *[("verify", flag) for flag in ("--format", "--replicates", "--seed", "--workers", "--eps")],
     ("validate-marginals", "--eps"), ("validate-marginals", "--workers"),
     ("validate-marginals", "--format"),
 ]

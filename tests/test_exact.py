@@ -73,6 +73,14 @@ def test_tail_boundary_values():
     assert (table.values >= 0).all() and (table.values <= 1).all()
 
 
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_level_0_is_an_ordinary_level(d):
+    table = survival_table(d, 0, T50)
+    assert table.values.shape == (1, len(T50)) and (table.values == 0.0).all()
+    assert table.uniformization_rate == 1
+    assert (survival_exact(d, 0, T50) == 0.0).all()
+
+
 def test_uniformization_error_scaling():
     t = np.linspace(0.01, 8.0, 30)
     coarse = survival_table(4, 12, t, eps=1e-6).values
@@ -110,8 +118,10 @@ def test_invalid_args():
         survival_table(4, 5, [-1.0])
     with pytest.raises(ValueError, match="t_grid must be nonempty"):
         survival_table(3, 2, [])
-    with pytest.raises(ValueError):
-        survival_exact(4, -1, [0.5])
+    # one refusal of a negative level, the death chain's
+    for f, args in ((survival_exact, (4, -1, [0.5])), (laplace_V, (4, -1))):
+        with pytest.raises(ValueError, match="m must be >= 0, got -1"):
+            f(*args)
 
 
 # --- Laplace transforms -----------------------------------------------------

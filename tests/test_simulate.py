@@ -48,6 +48,9 @@ def test_jump_counts_d2():
     assert (nj == 4).all()
     tau, nj = sample_coupling_times(Strategy.OPTIMAL, 2, 7, 2000, seed=0)
     assert (nj == 4).all()  # 7 -> 6 -> 4 -> 2 -> 0
+    for strat in Strategy:  # level 0, on its own one-level rate table
+        tau, nj = sample_coupling_times(strat, 2, 0, 2000, seed=0)
+        assert (tau == 0.0).all() and (nj == 0).all()
 
 
 def test_path_monotone_jump_budget():
@@ -388,22 +391,27 @@ def test_lumped_sub_block_size_changes_no_value(monkeypatch, block):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_no_thread_outlives_a_call(monkeypatch, workers):
-    # 70,000 runs at m0 = 40: three chunks of 11, 11 and 2 sub-blocks, each
-    # chunk with a helper thread drawing one sub-block ahead
-    before = threading.active_count()
-    sample_coupling_times("optimal", 4, 40, 70_000, seed=1, n_workers=workers)
-    assert threading.active_count() == before
-    calls, kernel = itertools.count(), _kernels.lumped_batch
+    # 70,000 runs at m0 = 40: three chunks of 11, 11 and 2 sub-blocks; 100
+    # runs at m0 = 3: one chunk of one sub-block.  Every chunk has a helper
+    # thread drawing one sub-block ahead.  Then the kernel fails on the
+    # second sub-block, or on the only one
+    kernel = _kernels.lumped_batch
+    for replicates, m0, failing in ((70_000, 40, 1), (100, 3, 0)):
+        before = threading.active_count()
+        sample_coupling_times("optimal", 4, m0, replicates, seed=1, n_workers=workers)
+        assert threading.active_count() == before
+        calls = itertools.count()
 
-    def fail_on_second_sub_block(*args):
-        if next(calls) == 1:
-            raise RuntimeError("kernel failed")
-        return kernel(*args)
+        def fail_on_a_sub_block(*args):
+            if next(calls) == failing:
+                raise RuntimeError("kernel failed")
+            return kernel(*args)
 
-    monkeypatch.setattr(_kernels, "lumped_batch", fail_on_second_sub_block)
-    with pytest.raises(RuntimeError, match="kernel failed"):
-        sample_coupling_times("optimal", 4, 40, 70_000, seed=1, n_workers=workers)
-    assert threading.active_count() == before
+        monkeypatch.setattr(_kernels, "lumped_batch", fail_on_a_sub_block)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            sample_coupling_times("optimal", 4, m0, replicates, seed=1, n_workers=workers)
+        assert threading.active_count() == before
+        monkeypatch.setattr(_kernels, "lumped_batch", kernel)
 
 
 def _marginal_reference(strategy, d, n, x0, y0, ev_count, offsets, u, paired):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -218,6 +220,29 @@ def test_q_errors():
         build_q_matrix(Strategy.PAIRWISE_CLASSIC, cfg, 4)  # odd unmatched count
     with pytest.raises(ValueError):
         build_q_matrix(Strategy.INDEPENDENT, cfg, 4)  # no cheap realization
+
+
+@pytest.mark.parametrize("d, n, sha256", [
+    (2, 4, "796a0712d6c0b86b374d7ead1f4fc61e316a93c54b87d8a846cc07d54858bfa5"),
+    (3, 3, "d09f5c988028fc964c7c8afc4efed12b73f2b6c622ebda8b47aa111dd98ea0fa"),
+    (4, 2, "e4eafc6113d7f7252dff5033070704b17287cf434491d63e090bfd5b88bb0697"),
+    (5, 2, "96f4543ec9389cf52d96aaba4527789396c8c75cafc9edba37ab593c63d7acc7"),
+])
+def test_q_matrices_are_pinned(d, n, sha256):
+    # sha256 of every strategy's matrix at every (x, y), recorded when each
+    # strategy's matrix was built by its own branch; a refusal adds its
+    # message instead
+    digest = hashlib.sha256()
+    for strategy in Strategy:
+        for x in itertools.product(range(d), repeat=n):
+            for y in itertools.product(range(d), repeat=n):
+                try:
+                    q = build_q_matrix(strategy, PairConfig(np.array(x), np.array(y)), d)
+                except ValueError as err:
+                    digest.update(str(err).encode())
+                else:
+                    digest.update(q.tobytes())
+    assert digest.hexdigest() == sha256
 
 
 def test_lump_rates_of_optimal_matches_schedule():
