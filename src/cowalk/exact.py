@@ -9,12 +9,13 @@ derived from that chain:
   uniformization -- the death chain is embedded in a discrete chain
   subordinated to a Poisson process of rate Lam >= all exit rates, and the
   Poisson mixture is truncated with a certified error bound.  Uniformization
-  is used instead of exponential-sum formulas because exit rates repeat
-  (d = 2 has rate 2 at both levels 1 and 2), and instead of ODE integration
-  because the truncation error is an explicit bound, not an estimate.
+  is used instead of exponential-sum formulas because those sums cancel
+  catastrophically in floats (their coefficients reach about 1e17 at d = 2
+  and 1e27 at d = 10 by m = 120), and instead of ODE integration because the
+  truncation error is an explicit bound, not an estimate.
 * ``_spectral_levels`` is the one exact form of the tails: every v(m, t) is
-  a finite sum sum_k (A + B t) e^{-kt/(d-1)} with integer coefficients over
-  one denominator, built from the level equation of the death chain.
+  a finite sum sum_k A e^{-kt/(d-1)} with integer coefficients over one
+  denominator, built from the level equation of the death chain.
 * ``laplace_V`` / ``laplace_R`` read the Laplace transforms of the tail and
   of its level differences off that table, term by term, as exact rational
   functions in canonical form (``_transform``).
@@ -33,7 +34,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, cycle
+from itertools import accumulate, cycle
 
 import numpy as np
 
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 21  # most Poisson weights in one column block of ``_tail_sums``
+_MAX_TERMS = 1 << 20  # longest series of ``_tail_sums``: Lam * t up to 795,861
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +186,8 @@ def _tail_sums(d: int, m_max: int, t_grid, eps: float):
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
     lam = float(chain.lam_int)
     k_max = _truncation_order(lam * t_grid.max(), eps)
+    if k_max > _MAX_TERMS:  # before any allocation
+        raise ValueError(f"the tail series needs {k_max} terms, over 2^20: lower t or m_max")
     p1, p2 = chain.down1 / lam, chain.down2 / lam
     blocks = []
     for times in np.array_split(t_grid, -(-len(t_grid) // max(4, _BLOCK // (k_max + 1)))):
@@ -268,53 +272,45 @@ def survival_exact(d: int, m: int, t_grid, eps: float = 1e-12) -> np.ndarray:
 
 # Level m's generator equation times q = d-1, q v_m' = -s_m v_m + c1 v_{m-1}
 # + c2 v_{m-2} with v_m(0) = 1 and s_m = c1 + c2, makes v_m a sum of terms
-# (A + B t) e^{-kt/q}, one key k per distinct s_j, j <= m.  A forcing term
-# (a + b t) e^{-kt/q} adds B = b/(s_m - k) and A = (a - q B)/(s_m - k) at
-# k != s_m; at k = s_m (a repeated rate: levels j and 2j at d = 2, j odd)
-# b = 0 and it adds B = a/q.  Key s_m then takes A = 1 - (the other A's).
+# A e^{-kt/q}: a forcing term a e^{-kt/q} adds A = a/(s_m - k), and key s_m
+# takes A = 1 - (the other A's).  No built-in chain forces a level at its own
+# rate s_m (that needs t e^{-kt/q} terms): optimal at d >= 3 and independent
+# have distinct rates, synchronous no forcing; optimal at d = 2 shares rate 2j
+# between odd level j, which reads only lower levels, and level 2j, which reads
+# only even ones (c1 = 0); pairwise-classic at even d >= 4 shares it between
+# level 2j, j odd, whose own key has A = 0, and level j(d-1).
 
 
 def _combine(*parts):
-    """(den, {k: (A, B)}) of sum c * v over parts (c, (den_v, terms_v)), over the
-    lcm of the denominators of the parts with c != 0; all-zero keys dropped."""
+    """(den, {k: A}) of sum c * v over parts (c, (den_v, terms_v)), over the
+    lcm of the denominators of the parts with c != 0; zero keys dropped."""
     parts = [part for part in parts if part[0]]
     den = math.lcm(*(part[1][0] for part in parts))
     out = {}
     for c, (den_v, terms) in parts:
         f = c * (den // den_v)
-        for k, (a, b) in terms.items():
-            a0, b0 = out.get(k, (0, 0))
-            out[k] = (a0 + f * a, b0 + f * b)
-    return den, {k: ab for k, ab in out.items() if ab != (0, 0)}
+        for k, a in terms.items():
+            out[k] = out.get(k, 0) + f * a
+    return den, {k: a for k, a in out.items() if a}
 
 
-def _spectral_levels(chain: DeathChain) -> list[tuple[int, dict[int, tuple[int, int]]]]:
-    """(den, {k: (A, B)}) for levels m = 0..m_max in lowest terms:
-    v(m, t) = sum_k (A + B t) e^{-kt/(d-1)} / den exactly.  Raises
-    ValueError for a rate that occurs three times, which needs t^2 terms."""
+def _spectral_levels(chain: DeathChain) -> list[tuple[int, dict[int, int]]]:
+    """(den, {k: A}) for levels m = 0..m_max in lowest terms:
+    v(m, t) = sum_k A e^{-kt/(d-1)} / den exactly.  Raises ValueError where
+    a level is forced at its own exit rate."""
     c1, c2 = chain.numerators()
-    q = chain.d - 1
     levels = [(1, {})]  # v(0, t) = 0
     for m in range(1, chain.m_max + 1):
         s = c1[m] + c2[m]
         den, force = _combine((c1[m], levels[m - 1]), (c2[m], levels[max(m - 2, 0)]))
-        scale = math.lcm(q if s in force else 1,
-                         *((s - k) ** (2 if b else 1) for k, (_, b) in force.items() if k != s))
-        terms = {}
-        for k, (a, b) in force.items():
-            if k == s:
-                if b:
-                    raise ValueError(f"exit rate {s}/{q} occurs three times by level {m}")
-                terms[k] = (0, a * (scale // q))
-            elif b:
-                g = scale // (s - k) ** 2
-                terms[k] = ((a * (s - k) - q * b) * g, b * (s - k) * g)
-            else:
-                terms[k] = (a * (scale // (s - k)), 0)
+        if s in force:
+            raise ValueError(f"level {m} is forced at its own exit rate {s}/{chain.d - 1}")
+        scale = math.lcm(*(s - k for k in force))
+        terms = {k: a * (scale // (s - k)) for k, a in force.items()}
         den *= scale
-        terms[s] = (den - sum(a for a, _ in terms.values()), terms.get(s, (0, 0))[1])
-        g = math.gcd(den, *(x for ab in terms.values() for x in ab))
-        levels.append((den // g, {k: (a // g, b // g) for k, (a, b) in terms.items() if a or b}))
+        terms[s] = den - sum(terms.values())
+        g = math.gcd(den, *terms.values())
+        levels.append((den // g, {k: a // g for k, a in terms.items() if a}))
     return levels
 
 
@@ -329,18 +325,14 @@ def _optimal_levels(d: int, m: int, top: int = _MAX_TRANSFORM_LEVEL):
 
 
 def _transform(level, q: int) -> RationalFn:
-    """Laplace transform in alpha of a ``_spectral_levels`` entry (den, {k: (A, B)}):
-    sum_k A q/(k + q alpha) + B q^2/(k + q alpha)^2, over den.  No key has
-    A = B = 0, so each is a pole of order 1 (B = 0) or 2 whose top
-    coefficient does not vanish there: num/prod is coprime as it stands."""
+    """Laplace transform in alpha of a ``_spectral_levels`` entry (den, {k: A}):
+    sum_k A q/(k + q alpha), over den.  No key has A = 0, so each is a simple
+    pole with a nonzero residue: num/prod is coprime as it stands."""
     den, terms = level
     num, prod = [0], [1]  # the sum so far is num/prod, ascending coefficients
-    for k, (a, b) in terms.items():
-        tops = (a * q, b * q * q) if b else (a * q,)
-        for top in tops:  # num <- num (k + q alpha) + top prod; num is at most one longer
-            num = [k * x + q * y + top * z for x, y, z in zip(num + [0], [0] + num, prod + [0, 0])]
-        for _ in tops:
-            prod = [k * x + q * y for x, y in zip(prod + [0], [0] + prod)]
+    for k, a in terms.items():  # num <- num (k + q alpha) + A q prod
+        num = [k * x + q * y + a * q * z for x, y, z in zip(num + [0], [0] + num, prod + [0])]
+        prod = [k * x + q * y for x, y in zip(prod + [0], [0] + prod)]
     return RationalFn._from_coprime(Poly(num), Poly(prod) * den)
 
 
@@ -509,35 +501,16 @@ def _no_root_in_unit_interval(p: Poly) -> bool:
     return False
 
 
-def _row_sign(terms: dict[int, tuple[int, int]], q: int) -> str:
-    """SignCert value of f(t) = sum_k (A + B t) e^{-kt/q} at every t > 0.
-
-    In x = e^{-t/q} on (0, 1), f = x^low (P(x) + ln(x) R(x)) with
-    P = sum A x^(k-low), R = -q sum B x^(k-low) and low the lowest key, whose
-    term sets the sign as t -> inf.  If R = 0, f keeps that sign when P has
-    no root on (0, 1).  Otherwise, when neither R nor W = x(P'R - PR') + R^2
-    has one, h = P/R + ln x has h' = W/(x R^2) of one sign, so f = x^low R h
-    has at most one zero, where it changes sign: none if f's sign as t -> 0+
-    agrees, that of the first nonzero q^j f^(j)(0) = sum (-k)^j A +
-    j q (-k)^(j-1) B (one of j < 2 len(terms) is, as f is nonzero).
-    """
+def _row_sign(terms: dict[int, int]) -> str:
+    """SignCert value of f(t) = sum_k A e^{-kt/q} at every t > 0 (any q > 0):
+    in x = e^{-t/q}, f = x^low P(x) with P = sum A x^(k-low), which keeps the
+    sign of the lowest key's A (its sign as t -> inf) if P has no root on (0, 1)."""
     if not terms:
         return SignCert.ZERO.value
-    low, keys = min(terms), range(min(terms), max(terms) + 1)
-    P = Poly([terms.get(k, (0, 0))[0] for k in keys])
-    R = Poly([-q * terms.get(k, (0, 0))[1] for k in keys])
-    at_inf = terms[low][1] or terms[low][0]
-    if R:
-        at_zero = next(filter(None, (sum((-k) ** j * a + j * q * b * (-k) ** max(j - 1, 0)
-                                         for k, (a, b) in terms.items()) for j in count())))
-        W = Poly([0, 1]) * (P.derivative() * R - P * R.derivative()) + R * R
-        signed = ((at_zero > 0) == (at_inf > 0) and _no_root_in_unit_interval(R)
-                  and _no_root_in_unit_interval(W))
-    else:
-        signed = _no_root_in_unit_interval(P)
-    if not signed:
+    low = min(terms)
+    if not _no_root_in_unit_interval(Poly([terms.get(k, 0) for k in range(low, max(terms) + 1)])):
         return SignCert.UNDETERMINED.value
-    return SignCert.POSITIVE.value if at_inf > 0 else SignCert.NEGATIVE.value
+    return SignCert.POSITIVE.value if terms[low] > 0 else SignCert.NEGATIVE.value
 
 
 @dataclass(frozen=True)
@@ -598,7 +571,7 @@ def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
     r_certs[[m - 1 for m in range(1, m_max + 1)
              if not _combine((1, v[m]), (-1, v[m - 1]))[1]]] = SignCert.ZERO.value
     r_certs[1:, at_zero] = SignCert.ZERO.value
-    signs = [_row_sign(_combine((2, v[m - 1]), (-1, v[m - 2]), (-1, v[m]))[1], d - 1)
+    signs = [_row_sign(_combine((2, v[m - 1]), (-1, v[m - 2]), (-1, v[m]))[1])
              for m in range(2, m_max + 1)]
     certs = np.repeat(np.array(signs, dtype=object).reshape(-1, 1), len(t_grid), axis=1)
     certs[:, at_zero] = SignCert.ZERO.value

@@ -163,7 +163,7 @@ def _dominance_sign(d: int, m: int, competitor: Strategy) -> str:
     """SignCert value of P(tau_c > t) - P(tau > t) at every t > 0 from N_0 = m,
     tau_c the coupling time of ``competitor``, off both spectral tables."""
     v_c, v_opt = (_spectral_levels(death_chain(s, d, m)) for s in (competitor, Strategy.OPTIMAL))
-    return _row_sign(_combine((1, v_c[m]), (-1, v_opt[m]))[1], d - 1)
+    return _row_sign(_combine((1, v_c[m]), (-1, v_opt[m]))[1])
 
 
 @dataclass(frozen=True)

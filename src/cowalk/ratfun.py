@@ -93,9 +93,6 @@ class Poly:
             acc = acc * value + c
         return acc
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self):
         return f"Poly({format_poly(self)})"
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .exact import _MAX_MEAN_LEVEL, _float_levels, _mean_levels, _start_law_tail, _time_grid
 from .simulate import SurvivalCurve
+from .strategies import _check_level
 
 __all__ = [
     "CoordinateLaw",
@@ -186,6 +187,7 @@ def survival_from_stationary(d: int, n: int, t_grid, eps: float = 1e-12) -> Surv
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_level(n, d)  # d >= 2 before 1 - 1/d
     t_grid, value = _start_law_tail(d, _binomial_weights(n, 1.0 - 1.0 / d), t_grid, eps)
     zeros = np.zeros_like(t_grid)
     return SurvivalCurve(t_grid=t_grid, value=value, half_width_95=zeros,
@@ -245,6 +247,7 @@ def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_level(n, d)  # d >= 2 before 1 - 1/d
     if exact is None:
         exact = n <= _MAX_MEAN_LEVEL
     if exact:

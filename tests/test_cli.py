@@ -308,7 +308,7 @@ def test_verify_reports_one_cell_per_distinct_time(capsys):
 
 
 def test_verify_verdicts_fail_where_no_row_is_signed(monkeypatch, capsys):
-    def undetermined(terms, q):
+    def undetermined(terms):
         return exact.SignCert.UNDETERMINED.value
 
     monkeypatch.setattr(exact, "_row_sign", undetermined)
@@ -575,6 +575,33 @@ def test_exact_mean_levels_are_bounded(argv, code, capsys):
         assert time.perf_counter() - start < 0.1
         assert captured.out == ""
         assert "exact means run to level at most 2000" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("limit --n 5 --d-list 0,10", "d must be >= 2, got 0"),
+    ("exact --d 2 --m 1 --t 1e9", "over 2^20"),
+    ("verify --d 3 --mmax 2 --t 1e9", "over 2^20"),
+    ("exact --d 3 --m 2 --t-spacing log --t-start 0 --t-stop 10 --t-points 5",
+     "log spacing needs t-start > 0"),
+    ("verify --d 3 --mmax 2 --t 0", "verify needs at least one positive time point"),
+    ("tv --d 3 --t 1", "missing required parameter --n"),
+])
+def test_refusals_exit_2_with_no_output(argv, message, capsys):
+    start = time.perf_counter()
+    assert main(argv.split()) == 2
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_exact_log_spacing_writes_the_geometric_grid(capsys):
+    argv = "exact --d 3 --m 2 --t-spacing log --t-start 0.01 --t-stop 10 --t-points 5"
+    assert main(argv.split()) == 0
+    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    table = survival_table(3, 2, np.geomspace(0.01, 10, 5))
+    assert [float(h.removeprefix("t=")) for h in header[1:]] == table.t_grid.tolist()
+    assert [[float(v) for v in row[1:]] for row in rows] == table.values.tolist()
 
 
 def test_verify_refuses_mmax_above_the_sign_table_bound(capsys):

@@ -111,6 +111,19 @@ def test_truncation_order_certified_at_large_lambda_t():
     assert k < 15000
 
 
+def test_tail_series_beyond_2_to_the_20_terms_is_refused():
+    # Lam t = 795,861 is the last product whose series fits in 2^20 terms;
+    # past it the table is refused before any allocation
+    from cowalk.exact import _truncation_order
+
+    assert _truncation_order(795_860.0, 1e-12) <= 2**20 < _truncation_order(795_862.0, 1e-12)
+    for t in (1e7, 1e9):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="over 2\\^20"):
+            survival_table(2, 1, [0.0, t])
+        assert time.perf_counter() - start < 0.1
+
+
 def test_invalid_args():
     with pytest.raises(ValueError):
         survival_table(4, 5, [0.5], eps=0.0)
@@ -589,17 +602,20 @@ def test_diff_table_small_t_signed_by_its_row():
 
 
 @pytest.mark.parametrize("terms, q, sign", [
-    ({1: (1, 0), 2: (-3, 0)}, 1, "undetermined"),  # e^-t - 3e^-2t: zero at t = ln 3
-    ({1: (-1, 0), 2: (3, 0)}, 2, "undetermined"),
-    ({1: (3, 0), 2: (-1, 0)}, 1, "positive"),
-    ({1: (1, -1)}, 1, "undetermined"),  # (1 - t) e^-t: zero at t = 1
-    ({1: (1, 1)}, 3, "positive"),
-    ({2: (0, -1), 5: (1, 0)}, 1, "undetermined"),  # -t e^-2t + e^-5t: one zero
-    ({1: (-1, -1)}, 2, "negative"),
+    ({1: 1, 2: -3}, 1, "undetermined"),  # e^-t - 3e^-2t: zero at t = ln 3
+    ({1: -1, 2: 3}, 2, "undetermined"),
+    ({1: 3, 2: -1}, 1, "positive"),
+    ({1: -1, 3: -2}, 2, "negative"),
     ({}, 1, "zero"),
 ])
 def test_row_sign_of_small_exponential_sums(terms, q, sign):
-    assert _row_sign(terms, q) == sign
+    # the sign does not depend on the time scale q; f = sum A e^{-kt/q} on a
+    # grid keeps it, and takes both signs where the row is undetermined
+    assert _row_sign(terms) == sign
+    t = np.linspace(0.01, 20.0, 400)
+    f = sum((a * np.exp(-k * t / q) for k, a in terms.items()), np.zeros_like(t))
+    assert {"positive": (f > 0).all(), "negative": (f < 0).all(), "zero": (f == 0).all(),
+            "undetermined": (f > 0).any() and (f < 0).any()}[sign]
 
 
 def test_descartes_passes_match_the_taylor_shift():
@@ -644,7 +660,7 @@ def test_every_r_cell_is_positive(d, m_max, eps):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 10])
 def test_spectral_table_matches_the_uniformized_tails(d):
-    # v(m, t) = sum_k (A + B t) e^{-kt/(d-1)} / den, evaluated at 40 digits
+    # v(m, t) = sum_k A e^{-kt/(d-1)} / den, evaluated at 40 digits
     mpmath = pytest.importorskip("mpmath")
     levels = _spectral_levels(death_chain(Strategy.OPTIMAL, d, 12))
     tails = survival_table(d, 12, GRID).values
@@ -652,8 +668,7 @@ def test_spectral_table_matches_the_uniformized_tails(d):
         for m, (den, terms) in enumerate(levels):
             for j, t in enumerate(GRID):
                 t = mpmath.mpf(float(t))
-                exact = sum((a + b * t) * mpmath.exp(-k * t / (d - 1))
-                            for k, (a, b) in terms.items()) / den
+                exact = sum(a * mpmath.exp(-k * t / (d - 1)) for k, a in terms.items()) / den
                 assert abs(exact - tails[m, j]) <= 1e-13, (m, j)
 
 
@@ -662,7 +677,7 @@ def test_spectral_table_has_no_all_zero_key():
     # spurious pole at -3
     for d in range(2, 13):
         for m, (_, terms) in enumerate(_spectral_levels(death_chain(Strategy.OPTIMAL, d, 40))):
-            assert all(a or b for a, b in terms.values()), (d, m)
+            assert all(terms.values()), (d, m)
     f = laplace_V(4, 3)
     assert (f.num, f.den) == (Poly([10, 3]), Poly([8, 10, 3]))
 
@@ -673,16 +688,15 @@ def test_spectral_table_of_the_independent_coupling(d):
     # key 2j with A/den = (-1)^(j+1) C(m, j)
     levels = _spectral_levels(death_chain(Strategy.INDEPENDENT, d, 40))
     for m, (den, terms) in enumerate(levels):
-        assert {k: Fraction(a, den) for k, (a, b) in terms.items()} \
+        assert {k: Fraction(a, den) for k, a in terms.items()} \
             == {2 * j: (-1) ** (j + 1) * comb(m, j) for j in range(1, m + 1)}, (d, m)
-        assert all(b == 0 for _, b in terms.values())
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 7, 10])
 def test_spectral_table_of_the_synchronous_coupling(d):
     # the unmatched count never moves, so every level's tail is 1
     levels = _spectral_levels(death_chain(Strategy.SYNCHRONOUS, d, 40))
-    assert levels[1:] == [(1, {0: (1, 0)})] * 40
+    assert levels[1:] == [(1, {0: 1})] * 40
 
 
 def test_spectral_tables_at_d2_match_the_optimal_one():
@@ -693,6 +707,23 @@ def test_spectral_tables_at_d2_match_the_optimal_one():
     independent = _spectral_levels(death_chain(Strategy.INDEPENDENT, 2, 40))
     assert independent[1] == optimal[1]
     assert all(independent[m] != optimal[m] for m in range(2, 41))
+
+
+def test_pairwise_classic_tables_build_where_its_rates_collide():
+    # at even d >= 4 level 2j (j odd) shares its exit rate with level
+    # j(d-1), but level 2j's own key has coefficient 0, so no level is
+    # forced at its own rate
+    for d in range(4, 101, 2):
+        levels = _spectral_levels(death_chain(Strategy.PAIRWISE_CLASSIC, d, 100))
+        assert levels[100][1], d
+
+
+def test_level_forced_at_its_own_rate_is_refused():
+    # level 2 exits at rate 2/2, the rate of level 1, which it reads: its
+    # tail would need a t e^{-t} term
+    chain = DeathChain(3, 2, np.array([0, 2, 2]), np.array([0, 0, 0]))
+    with pytest.raises(ValueError, match="level 2 is forced at its own exit rate 2/2"):
+        _spectral_levels(chain)
 
 
 def _absorbed_by(chain, t):

@@ -440,9 +440,12 @@ def test_bad_n_and_t_are_refused():
 
 @pytest.mark.parametrize("d", [1, 0, -3])
 def test_d_below_2_is_refused(d):
-    # K_1 has no move to make; death_chain refuses it too
+    # K_1 has no move to make; death_chain refuses it too.  The stationary
+    # layer refuses it before 1 - 1/d
     for call in (lambda: coordinate_law(d, 0.5), lambda: tv_exact(d, 10, 0.5),
-                 lambda: cutoff_time(d, 10), lambda: cutoff_profile(d, 10, [0.0])):
+                 lambda: cutoff_time(d, 10), lambda: cutoff_profile(d, 10, [0.0]),
+                 lambda: survival_from_stationary(d, 5, [1.0]),
+                 lambda: mean_tau_stationary(d, 3000), lambda: mean_tau_stationary(d, 3)):
         with pytest.raises(ValueError, match="d must be >= 2"):
             call()
 
