@@ -55,7 +55,7 @@ __all__ = [
     "r_diff_table",
 ]
 
-_BLOCK = 1 << 21  # most Poisson weights in one column block of ``_tail_sums``
+_BLOCK = 1 << 21  # most Poisson weights in a column block of the tail series
 _MAX_TERMS = 1 << 20  # longest series of ``_tail_sums``: Lam * t up to 795,861
 
 
@@ -178,10 +178,16 @@ def _time_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
+def _column_blocks(lam_t: np.ndarray, k_max: int) -> list[np.ndarray]:
+    """lam_t in blocks of at most about ``_BLOCK`` Poisson weights to order
+    k_max and of 2 or more columns unless lam_t has one (numpy normalises
+    each by the same sequential sum, so no bit changes)."""
+    return np.array_split(lam_t, -(-len(lam_t) // max(4, _BLOCK // (k_max + 1))))
+
+
 def _tail_sums(d: int, m_max: int, t_grid, eps: float):
     """(t_grid, values, chain, k_max): sum_k w_k(t) s_k over the survival
-    vectors of ``_steps``, |err| <= eps, in grid blocks of 2 or more columns
-    (numpy normalises each by the same sequential sum, so no bit changes)."""
+    vectors of ``_steps``, |err| <= eps, in ``_column_blocks`` of the grid."""
     t_grid = _time_grid(t_grid)
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
     lam = float(chain.lam_int)
@@ -190,10 +196,10 @@ def _tail_sums(d: int, m_max: int, t_grid, eps: float):
         raise ValueError(f"the tail series needs {k_max} terms, over 2^20: lower t or m_max")
     p1, p2 = chain.down1 / lam, chain.down2 / lam
     blocks = []
-    for times in np.array_split(t_grid, -(-len(t_grid) // max(4, _BLOCK // (k_max + 1)))):
-        w = _poisson_weights(lam * times, k_max)  # zipped first: no step past k_max is drawn
+    for lam_t in _column_blocks(lam * t_grid, k_max):
+        w = _poisson_weights(lam_t, k_max)  # zipped first: no step past k_max is drawn
         terms = (np.multiply.outer(s, w_k) for w_k, s in zip(w, _steps(1.0 - p1 - p2, p1, p2)))
-        blocks.append(_kahan(terms, np.zeros((m_max + 1, len(times)))))
+        blocks.append(_kahan(terms, np.zeros((m_max + 1, len(lam_t)))))
     return t_grid, np.clip(np.hstack(blocks), 0.0, 1.0), chain, k_max
 
 
@@ -203,9 +209,12 @@ def _start_law_tail(d: int, start: np.ndarray, t_grid, eps: float):
     (eps/64 in all), ``_push`` at the rate Lam of the rest up to max(ln 2,
     256/Lam), sum one Poisson series.  Steps are L1 non-expansive, so errors add.
 
-    A step only records its survival mass and adds its weighted law to the
-    segment's end law in place; each grid point's compensated sum over the
-    masses (``_kahan_columns``) runs once per segment, in step order."""
+    The segment's Poisson weights are built in ``_column_blocks``, the
+    block that ends at the segment's end first: its last column weights the
+    pushed laws (``_pushed_sums``).  Each grid point's compensated sum over
+    the survival masses (``_kahan_columns``) then runs once per segment, in
+    step order, a block at a time, so memory stays O(n + _BLOCK + k_s) for a
+    segment of k_s steps however many points it holds."""
     t_grid = _time_grid(t_grid)
     times, at = np.unique(t_grid, return_inverse=True)
     values = np.zeros(len(times))  # 0 once no live level is kept
@@ -219,16 +228,46 @@ def _start_law_tail(d: int, start: np.ndarray, t_grid, eps: float):
         j1 = int(np.searchsorted(times, t1, "right"))
         t1 = times[j1 - 1] if j1 > j else t1  # no point in reach: end between points
         trunc, share = (0.0, trunc) if j1 == len(times) else (trunc / 2, trunc / 2)
-        w = _poisson_weights(lam * (np.append(times[j:j1], t1) - t0),
-                             _truncation_order(lam * (t1 - t0), share))
+        k_max = _truncation_order(lam * (t1 - t0), share)
+        lam_t = lam * (np.append(times[j:j1], t1) - t0)
+        *heads, last = _column_blocks(lam_t, k_max)
+        w = _poisson_weights(last, k_max)
         p1, p2 = chain.down1 / lam, chain.down2 / lam
-        masses, end, tmp = [], np.zeros(len(p1)), np.empty(len(p1))
-        for wk, pk in zip(w[:, -1], _push(1.0 - p1 - p2, p1, p2, law[:len(p1)])):
-            masses.append(pk[1:].sum())
-            end += np.multiply(wk, pk, out=tmp)
-        values[j:j1] = _kahan_columns(np.array(masses)[:, None] * w[:, :-1])
-        law, t0, j = end, t1, j1
+        masses, law = _pushed_sums(1.0 - p1 - p2, p1, p2, law[:len(p1)], w[:, -1])
+        for block in heads:
+            values[j:j + len(block)] = _kahan_columns(
+                masses[:, None] * _poisson_weights(block, k_max))
+            j += len(block)
+        values[j:j1] = _kahan_columns(masses[:, None] * w[:, :-1])
+        t0, j = t1, j1
     return t_grid, np.clip(values, 0.0, 1.0)[at]
+
+
+_PUSH_TILE = 1 << 20  # bytes of pushed laws that ``_pushed_sums`` folds at once
+
+
+def _pushed_sums(stay, p1, p2, law, weights):
+    """(masses, end): the survival mass law_k[1:].sum() of each ``_push``
+    step k = 0..len(weights)-1, and the sum of weights[k] * law_k in step
+    order from 0.
+
+    The steps are copied into the rows of a tile of at most ``_PUSH_TILE``
+    bytes, and each full tile is folded at once: the row sums are the
+    pairwise sums of the 1-d laws, the rows are scaled by their weights in
+    one multiply, and one axis-0 reduction whose row 0 is the running end
+    adds them to it row by row.  So every bit is that of a step-by-step loop."""
+    rows = max(1, _PUSH_TILE // (8 * len(law)))
+    tile, end = np.empty((rows + 1, len(law))), np.zeros(len(law))  # tile row 0: end
+    masses = np.empty(len(weights))
+    for k, pk in zip(range(len(weights)), _push(stay, p1, p2, law)):
+        r = k % rows + 1
+        tile[r] = pk
+        if r == rows or k == len(weights) - 1:
+            tile[0] = end
+            masses[k + 1 - r:k + 1] = tile[1:r + 1, 1:].sum(axis=1)
+            tile[1:r + 1] *= weights[k + 1 - r:k + 1, None]
+            np.add.reduce(tile[:r + 1], axis=0, out=end)
+    return masses, end
 
 
 def _kahan(rows, zero):
@@ -352,29 +391,36 @@ def laplace_R(d: int, m: int) -> RationalFn:
 _MAX_MEAN_LEVEL = 2000  # deepest level of the exact means
 
 
-def _mean_levels(d: int, m_max: int):
-    """Yield (N_m, D_m, s_m) for m = 0..m_max: E[tau | N_0 = m] = N_m / D_m
-    exactly, over the running denominator D_m = s_1 ... s_m, s_m = c1 + c2.
+def _mean_levels(d: int, m_max: int, factor=None):
+    """Yield (G_m, H_m, s_m) for m = 0..m_max: E[tau | N_0 = m] = G_m / H_m
+    exactly, with G_m = F_m N_m and H_m = F_m D_m over the running
+    denominator D_m = s_1 ... s_m, s_m = c1 + c2, and the running weight
+    F_m = f_1 ... f_m of the factors f_m = factor(m) (1 if factor is None).
 
     Level m's generator equation at alpha = 0, times (d-1), is
     s_m E_m = (d-1) + c1 E_{m-1} + c2 E_{m-2}; times D_{m-1} it gives
-    N_m = (d-1) D_{m-1} + c1 N_{m-1} + c2 s_{m-1} N_{m-2} in integers, so no
-    level builds or reduces a fraction.  The numerators are read through
-    memoryviews, which yield Python ints without holding a list of them.
-    Levels above 2000 are refused with ValueError before any work: the
-    digits grow with m, so the cost grows about as m^2.
+    N_m = (d-1) D_{m-1} + c1 N_{m-1} + c2 s_{m-1} N_{m-2} in integers, and
+    times F_m, G_m = f_m [(d-1) H_{m-1} + c1 G_{m-1} + c2 s_{m-1} f_{m-1}
+    G_{m-2}] with H_m = f_m s_m H_{m-1}.  No level builds or reduces a
+    fraction, and every product takes one factor of a few digits.  The numerators are
+    read through memoryviews, which yield Python ints without holding a
+    list of them.  Levels above 2000 are refused with ValueError before any
+    work: the digits grow with m, so the cost grows about as m^2.
     """
     if m_max > _MAX_MEAN_LEVEL:
         raise ValueError(f"exact means run to level at most {_MAX_MEAN_LEVEL};"
                          f" level {m_max} was asked")
     chain = death_chain(Strategy.OPTIMAL, d, m_max)
-    n1, n2, den, s1 = 0, 0, 1, 0  # N_{m-1}, N_{m-2}, D_{m-1}, s_{m-1}
-    yield n1, den, s1
-    for c1, c2 in zip(memoryview(chain.c1)[1:], memoryview(chain.c2)[1:]):
+    g1, g2, h, s1, f1 = 0, 0, 1, 0, 1  # G_{m-1}, G_{m-2}, H_{m-1}, s_{m-1}, f_{m-1}
+    yield g1, h, s1
+    for m, (c1, c2) in enumerate(zip(memoryview(chain.c1)[1:], memoryview(chain.c2)[1:]), 1):
         s = c1 + c2
-        n1, n2 = (d - 1) * den + c1 * n1 + c2 * s1 * n2, n1
-        den, s1 = den * s, s
-        yield n1, den, s
+        f = 1 if factor is None else factor(m)
+        g1, g2 = (d - 1) * h + c1 * g1 + c2 * s1 * f1 * g2, g1
+        if f != 1:  # a big product: ``expected_tau``'s levels skip it
+            g1 *= f
+        h, s1, f1 = h * (f * s), s, f
+        yield g1, h, s
 
 
 def expected_tau(d: int, m: int) -> Fraction:
@@ -386,6 +432,7 @@ def expected_tau(d: int, m: int) -> Fraction:
 
 
 _MAX_FLOAT_LEVELS = 10**7  # deepest level of expected_tau_float
+_RATE_TILE = 1 << 17  # bytes of one float rate table in a tile of ``_float_levels``' steps
 
 
 def _float_levels(d: int, lo: int, hi: int) -> np.ndarray:
@@ -393,8 +440,11 @@ def _float_levels(d: int, lo: int, hi: int) -> np.ndarray:
     for bit.  Step j runs level k*size + 1 + j of every block k at once
     (rates clamped at level hi) on contiguous (3, blocks) rows: P from
     (E_{s-1}, E_{s-2}) = (0, 0) with the (d-1) term, H from (1, 0) and G
-    from (0, 1) without it.  Only the blocks that hold lo..hi keep their
-    rows; the chaining pass reads the others' last two steps alone."""
+    from (0, 1) without it.  The rates of a tile of steps (``_RATE_TILE``
+    bytes a table) come from one ``_numerators`` call, cast to float once,
+    which is exact below 2^53; each step then runs in place on its rows.
+    Only the blocks that hold lo..hi keep their rows; the chaining pass
+    reads the others' last two steps alone."""
     if not 0 <= hi <= _MAX_FLOAT_LEVELS:
         raise ValueError(f"the float level means run from level 0 to at most"
                          f" {_MAX_FLOAT_LEVELS}; level {hi} was asked")
@@ -405,14 +455,19 @@ def _float_levels(d: int, lo: int, hi: int) -> np.ndarray:
     kept = np.empty((size, 3, blocks - first))
     prev, cur, nxt = np.zeros((3, blocks)), np.zeros((3, blocks)), np.empty((3, blocks))
     cur[1] = prev[2] = 1.0
-    for j in range(size):
-        c1, c2 = _numerators(Strategy.OPTIMAL, np.minimum(lanes + j, hi), d)
-        np.multiply(c1, cur, out=nxt)
-        nxt += c2 * prev
-        nxt[0] += d - 1
-        nxt /= c1 + c2
-        kept[j] = nxt[:, first:]
-        prev, cur, nxt = cur, nxt, prev
+    tmp = np.empty((3, blocks))
+    tile = max(1, _RATE_TILE // (8 * max(blocks, 1)))  # steps whose rates are built at once
+    for j0 in range(0, size, tile):
+        steps = np.arange(j0, min(j0 + tile, size))[:, None]
+        c1, c2 = _numerators(Strategy.OPTIMAL, np.minimum(lanes + steps, hi), d)
+        s, c1, c2 = (c1 + c2).astype(float), c1.astype(float), c2.astype(float)  # exact
+        for j in range(len(s)):
+            np.multiply(c1[j], cur, out=nxt)
+            nxt += np.multiply(c2[j], prev, out=tmp)
+            nxt[0] += d - 1
+            nxt /= s[j]
+            kept[j0 + j] = nxt[:, first:]
+            prev, cur, nxt = cur, nxt, prev
     x, y = np.zeros(blocks), np.zeros(blocks)  # level 1 never reads E_{-1}
     ends = zip(prev.T[:-1].tolist(), cur.T[:-1].tolist())  # (P, H, G) at the last two steps
     for k, ((p2, h2, g2), (p1, h1, g1)) in enumerate(ends):
@@ -446,9 +501,9 @@ def expected_tau_float(d: int, m_max: int) -> np.ndarray:
     of its exact value, the bound of the sequential loop (4m) plus the
     block joins (while the rates' numerators stay below 2^53).  Raises
     ValueError beyond level 10^7 or where m_max * d reaches 2^53, before any
-    work.  At that cap, d = 5 takes 0.8-1.1 s and peaks at 337 MB in a fresh
+    work.  At that cap, d = 5 takes 0.6-0.9 s and peaks at 337 MB in a fresh
     process (Xeon, 2 cores): the output and the scan's rows, 4 floats a
-    level; the rates are built a step at a time.
+    level; the rates are built a tile of steps at a time, in 128 kB tables.
     """
     return _float_levels(d, 0, m_max)
 

@@ -179,14 +179,23 @@ def _binomial_weights(n: int, p: float, lo: int = 0, hi: int | None = None) -> n
     return w
 
 
+_STATIONARY_MAX_N = 50_000  # largest n of survival_from_stationary
+
+
 def survival_from_stationary(d: int, n: int, t_grid, eps: float = 1e-12) -> SurvivalCurve:
     """Exact tail of the optimal coupling time, X_0 = 0 and Y_0 uniform.
 
     The initial unmatched count is Binomial(n, 1 - 1/d); its law is pushed
     forward by adaptive uniformization (``exact._start_law_tail``), |err| <= eps.
+    n above 5*10^4 is refused with ValueError before any work: the cost
+    grows about as n^2.3, and n = 5*10^4 already takes about 10 s at d = 5
+    and 16-20 s at d = 2 and 50 on 50 points over [0, 12] (Xeon).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _STATIONARY_MAX_N:
+        raise ValueError(f"the stationary tail runs to n at most {_STATIONARY_MAX_N};"
+                         f" n = {n} was asked")
     _check_level(n, d)  # d >= 2 before 1 - 1/d
     t_grid, value = _start_law_tail(d, _binomial_weights(n, 1.0 - 1.0 / d), t_grid, eps)
     zeros = np.zeros_like(t_grid)
@@ -233,17 +242,19 @@ def dinfty_convergence(n: int, d_list, t_grid, eps: float = 1e-12) -> list[GapEn
 def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
     """E[coupling time] with Y_0 uniform: binomial mixture of per-level means.
 
-    Exact rational up to n = 2000, the default there: the exact path sums
-    the integer numerators of ``exact._mean_levels`` over their last
-    running denominator, reduces once, and refuses a larger n with
-    ValueError.  Above it the binomial weights are float64 over
-    ``_binomial_window`` (which drops under 1e-24 of the mass), and
-    ``exact._float_levels`` gives the level means of that window only: it
-    scans the levels up to the window's top but keeps the rows of the
-    window's blocks alone, each level equal to ``expected_tau_float``'s.
-    Every weight and level is nonnegative, so the dot product stays
-    relatively accurate.  The float path refuses n whose window reaches past level 10^7 (n above
-    about 10^7 d/(d-1)) with ValueError.  Returns a Fraction or a float accordingly.
+    Exact rational up to n = 2000, the default there: the exact path runs
+    ``exact._mean_levels`` with the binomial weight folded in, level m's
+    factor (n-m+1)(d-1), sums its integer numerators by Horner over
+    prod (m s_m), reduces once, and refuses a larger n with ValueError;
+    every product takes one factor of a few digits.  Above it the binomial
+    weights are float64 over ``_binomial_window`` (which drops under 1e-24
+    of the mass), and ``exact._float_levels`` gives the level means of that
+    window only: it scans the levels up to the window's top but keeps the
+    rows of the window's blocks alone, each level equal to
+    ``expected_tau_float``'s.  Every weight and level is nonnegative, so the
+    dot product stays relatively accurate.  The float path refuses n whose
+    window reaches past level 10^7 (n above about 10^7 d/(d-1)) with
+    ValueError.  Returns a Fraction or a float accordingly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -251,12 +262,14 @@ def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
     if exact is None:
         exact = n <= _MAX_MEAN_LEVEL
     if exact:
-        # Horner over the running denominators: total = sum_m w_m N_m D_n / D_m
-        total = w = 0  # w: C(n, m) (d-1)^m, the weight of level m times d^n
-        for m, (num, den, s) in enumerate(_mean_levels(d, n)):
-            w = w * (n - m + 1) * (d - 1) // m if m else 1
-            total = total * s + w * num
-        return Fraction(total, den * d**n)
+        # with f_m = (n-m+1)(d-1), G_m / (m! D_m) = C(n, m) (d-1)^m E_m, so
+        # Horner over Q_m = m! D_m gives total / Q_n = sum_m G_m / Q_m
+        levels = _mean_levels(d, n, lambda m: (n - m + 1) * (d - 1))
+        next(levels)  # level 0: G_0 = 0
+        total, q = 0, 1
+        for m, (g, _, s) in enumerate(levels, 1):
+            total, q = total * (m * s) + g, q * (m * s)
+        return Fraction(total, q * d**n)
     p = 1.0 - 1.0 / d
     lo, hi = _binomial_window(n, p)
     return float(_binomial_weights(n, p, lo, hi) @ _float_levels(d, lo, hi))

@@ -579,6 +579,7 @@ def test_exact_mean_levels_are_bounded(argv, code, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     ("limit --n 5 --d-list 0,10", "d must be >= 2, got 0"),
+    ("limit --n 50001 --d-list 10", "stationary tail runs to n at most 50000"),
     ("exact --d 2 --m 1 --t 1e9", "over 2^20"),
     ("verify --d 3 --mmax 2 --t 1e9", "over 2^20"),
     ("exact --d 3 --m 2 --t-spacing log --t-start 0 --t-stop 10 --t-points 5",

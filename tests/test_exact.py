@@ -444,6 +444,9 @@ def test_exact_means_equal_the_fraction_recursion(d):
         den0 = den
     for m in (0, 1, 2, 3, 10, 399, 2000):
         assert expected_tau(d, m) == levels[m]
+    # a weight factor scales G_m and H_m alike, so every level keeps its mean
+    for m, (g, h, _) in enumerate(exact._mean_levels(d, 60, lambda m: (61 - m) * (d - 1))):
+        assert g * levels[m].denominator == levels[m].numerator * h
     for n in (1, 2, 3, 10, 400, 2000):
         total, w = Fraction(0), 1
         for m in range(n + 1):
@@ -522,6 +525,85 @@ def test_float_levels_window_equals_full_scan():
             for lo in sorted(lo for lo in los if 0 <= lo <= hi):
                 got = exact._float_levels(d, lo, hi)
                 assert got.tobytes() == full[lo:].tobytes(), (d, lo, hi)
+
+
+def _float_levels_per_step(d, lo, hi):
+    """``exact._float_levels`` with the rates built a step at a time, as the
+    scan first ran: each step reads its integer numerators and rounds
+    c1 * E_{s-1} + c2 * E_{s-2} (+ (d-1) in row P) over c1 + c2."""
+    size = isqrt(hi) + 1
+    lanes = np.arange(1, hi + 1, size)
+    blocks, first = lanes.size, max(lo - 1, 0) // size
+    kept = np.empty((size, 3, blocks - first))
+    prev, cur, nxt = np.zeros((3, blocks)), np.zeros((3, blocks)), np.empty((3, blocks))
+    cur[1] = prev[2] = 1.0
+    chain = death_chain(Strategy.OPTIMAL, d, hi)
+    for j in range(size):
+        c1, c2 = chain.c1[np.minimum(lanes + j, hi)], chain.c2[np.minimum(lanes + j, hi)]
+        np.multiply(c1, cur, out=nxt)
+        nxt += c2 * prev
+        nxt[0] += d - 1
+        nxt /= c1 + c2
+        kept[j] = nxt[:, first:]
+        prev, cur, nxt = cur, nxt, prev
+    x, y = np.zeros(blocks), np.zeros(blocks)
+    for k, ((p2, h2, g2), (p1, h1, g1)) in enumerate(zip(prev.T[:-1].tolist(),
+                                                         cur.T[:-1].tolist())):
+        x[k + 1] = p1 + x[k] * h1 + y[k] * g1
+        y[k + 1] = p2 + x[k] * h2 + y[k] * g2
+    levels = np.zeros((blocks - first) * size + 1)
+    out = levels[1:].reshape(-1, size)
+    p, h, g = kept.transpose(1, 2, 0)
+    np.multiply(h, x[first:, None], out=out)
+    out += p
+    g *= y[first:, None]
+    out += g
+    return levels[lo - first * size:hi - first * size + 1]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 50])
+def test_float_levels_rate_tiles_change_no_bit(d, monkeypatch):
+    # hi = 0, 1, 2 and scans of 11 and 45 steps (10 and 45 blocks) in rate
+    # tiles of one step, of one fewer step than the scan, of the scan's
+    # steps, of one more, and of the default byte bound
+    for hi in (0, 1, 2, 100, 2000):
+        size = isqrt(hi) + 1
+        blocks = -(-hi // size)
+        for tile in (None, 1, size - 1, size, size + 1):
+            if tile is not None:
+                monkeypatch.setattr(exact, "_RATE_TILE", 8 * max(blocks, 1) * max(tile, 1))
+            for lo in sorted(lo for lo in {0, 1, hi // 2, hi} if lo <= hi):
+                assert (exact._float_levels(d, lo, hi).tobytes()
+                        == _float_levels_per_step(d, lo, hi).tobytes()), (hi, tile, lo)
+
+
+def _pushed_sums_per_step(stay, p1, p2, law, weights):
+    """``exact._pushed_sums`` as a step-by-step loop: each step's 1-d mass
+    sum, then its weighted law added to the end law."""
+    masses, end, tmp = [], np.zeros(len(law)), np.empty(len(law))
+    for wk, pk in zip(weights, exact._push(stay, p1, p2, law)):
+        masses.append(pk[1:].sum())
+        end += np.multiply(wk, pk, out=tmp)
+    return np.array(masses), end
+
+
+@pytest.mark.parametrize("levels", [2, 3, 40, 1001])
+def test_pushed_sums_tiles_change_no_bit(levels, monkeypatch):
+    # tiles of 4 laws: runs of 1, 3, 4, 5 and 9 steps; and the default bound
+    chain = death_chain(Strategy.OPTIMAL, 5, levels - 1)
+    lam = float(chain.lam_int)
+    p1, p2 = chain.down1 / lam, chain.down2 / lam
+    law = np.random.default_rng(levels).dirichlet(np.ones(levels))
+    for tile in (None, 8 * levels * 4):
+        if tile is not None:
+            monkeypatch.setattr(exact, "_PUSH_TILE", tile)
+        for steps in (1, 3, 4, 5, 9, 700):
+            weights = np.random.default_rng(steps).uniform(0.0, 1.0, steps)
+            args = (1.0 - p1 - p2, p1, p2, law, weights)
+            masses, end = exact._pushed_sums(*args)
+            ref_masses, ref_end = _pushed_sums_per_step(*args)
+            assert masses.tobytes() == ref_masses.tobytes(), (tile, steps)
+            assert end.tobytes() == ref_end.tobytes(), (tile, steps)
 
 
 def test_expected_tau_float_at_the_int64_bound():

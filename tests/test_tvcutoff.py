@@ -373,6 +373,95 @@ def test_stationary_tail_bits_are_pinned(d, n, points, sha256):
     assert hashlib.sha256(value.tobytes()).hexdigest() == sha256
 
 
+def _start_law_tail_per_step(d, start, t_grid, eps):
+    """``exact._start_law_tail`` as it first ran: each segment's weights
+    built at once, and each step's mass and weighted law taken one at a time."""
+    times, at = np.unique(np.atleast_1d(np.asarray(t_grid, dtype=float)), return_inverse=True)
+    values = np.zeros(len(times))
+    law, t0, j, trunc, drop = start, 0.0, 0, eps, eps / 64
+    while j < len(times) and len(law) > 1:
+        top = len(law) - 1 - int(np.searchsorted(np.cumsum(law[:0:-1]), drop / 2, "right"))
+        drop -= law[top + 1:].sum()
+        chain = death_chain(Strategy.OPTIMAL, d, top)
+        lam = float(chain.lam_int)
+        t1 = t0 + max(math.log(2), 256 / lam)
+        j1 = int(np.searchsorted(times, t1, "right"))
+        t1 = times[j1 - 1] if j1 > j else t1
+        trunc, share = (0.0, trunc) if j1 == len(times) else (trunc / 2, trunc / 2)
+        w = exact._poisson_weights(lam * (np.append(times[j:j1], t1) - t0),
+                                   exact._truncation_order(lam * (t1 - t0), share))
+        p1, p2 = chain.down1 / lam, chain.down2 / lam
+        masses, end, tmp = [], np.zeros(len(p1)), np.empty(len(p1))
+        for wk, pk in zip(w[:, -1], exact._push(1.0 - p1 - p2, p1, p2, law[:len(p1)])):
+            masses.append(pk[1:].sum())
+            end += np.multiply(wk, pk, out=tmp)
+        values[j:j1] = exact._kahan_columns(np.array(masses)[:, None] * w[:, :-1])
+        law, t0, j = end, t1, j1
+    return np.clip(values, 0.0, 1.0)[at]
+
+
+def _segment_sizes(monkeypatch):
+    """Wrap ``exact._pushed_sums``: the returned list gets (levels, steps)
+    per segment."""
+    sizes, pushed_sums = [], exact._pushed_sums
+
+    def recorded(stay, p1, p2, law, weights):
+        sizes.append((len(law), len(weights)))
+        return pushed_sums(stay, p1, p2, law, weights)
+
+    monkeypatch.setattr(exact, "_pushed_sums", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("d", [2, 5, 10])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_stationary_tail_tiles_change_no_bit(d, n, monkeypatch):
+    # one segment on [0, 1], several on [0, 12], a lone far point and a
+    # point between segment ends; then tiles of 1 step, of one fewer step
+    # than the first segment (a last tile of 1 step) and of all its steps,
+    # the last with column blocks of 2-4 points
+    start = _binomial_weights(n, 1.0 - 1.0 / d)
+    grids = [np.linspace(0.0, 1.0, 7), np.linspace(0.0, 12.0, 50), [9.0], [0.0, 5.0]]
+    sizes = _segment_sizes(monkeypatch)
+    for grid in grids:
+        assert (exact._start_law_tail(d, start, grid, 1e-12)[1].tobytes()
+                == _start_law_tail_per_step(d, start, grid, 1e-12).tobytes())
+    levels, steps = sizes[0]
+    for rows, block in ((1, exact._BLOCK), (steps - 1, exact._BLOCK), (steps, 1)):
+        monkeypatch.setattr(exact, "_PUSH_TILE", 8 * levels * rows)
+        monkeypatch.setattr(exact, "_BLOCK", block)
+        for grid in grids:
+            assert (exact._start_law_tail(d, start, grid, 1e-12)[1].tobytes()
+                    == _start_law_tail_per_step(d, start, grid, 1e-12).tobytes()), rows
+
+
+def test_stationary_tail_memory_is_bounded_in_the_grid(monkeypatch):
+    # n = 1000 on [0, 0.6]: one segment holds all 80,000 points, whose
+    # weights, built at once, took 1,592 MB (traced); in column blocks of at
+    # most 2^21 weights the traced peak is about 69 MB, and smaller blocks
+    # change no bit
+    grid = np.linspace(0.0, 0.6, 80_000)
+    sizes = _segment_sizes(monkeypatch)
+    tracemalloc.start()
+    try:
+        value = survival_from_stationary(5, 1000, grid).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == 1
+    assert peak < 100 * 2**20
+    monkeypatch.setattr(exact, "_BLOCK", 1 << 18)
+    assert survival_from_stationary(5, 1000, grid).value.tobytes() == value.tobytes()
+
+
+def test_stationary_tail_refuses_n_past_its_bound():
+    # n = 5*10^4 takes about 10 s at d = 5; a larger n is refused at once
+    for call in (lambda: survival_from_stationary(5, 50_001, [1.0]),
+                 lambda: dinfty_convergence(50_001, [10, 100], [1.0])):
+        with pytest.raises(ValueError, match="stationary tail runs to n at most 50000"):
+            call()
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 10])
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
 def test_survival_from_stationary_is_the_binomial_mixture_of_level_tails(d, n):
@@ -514,7 +603,7 @@ def test_mean_tau_stationary_monotone_in_n():
 
 
 def test_mean_tau_stationary_equals_per_level_sum():
-    for d in (2, 3, 5, 10):
+    for d in (2, 3, 5, 10, 50):
         levels = [expected_tau(d, m) for m in range(61)]
         for n in range(1, 61):
             direct = sum((Fraction(math.comb(n, m) * (d - 1) ** m, d**n) * levels[m]
