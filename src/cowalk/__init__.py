@@ -25,13 +25,11 @@ from .simulate import (
     sample_coupling_times,
     validate_marginals,
 )
-from .states import PairConfig, WalkParams, hamming
+from .states import WalkParams
 from .strategies import (
     RateSchedule,
     Regime,
     Strategy,
-    build_q_matrix,
-    lump_rates,
     rates_for,
     regime,
 )
@@ -52,15 +50,11 @@ __all__ = [
     "__version__",
     "backend_name",
     "WalkParams",
-    "PairConfig",
-    "hamming",
     "Strategy",
     "Regime",
     "RateSchedule",
     "regime",
     "rates_for",
-    "build_q_matrix",
-    "lump_rates",
     "SurvivalCurve",
     "sample_coupling_times",
     "estimate_survival",

@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ValueError("t-spacing must be linear or log")
         if self.t_points < 1:
             raise ValueError("t-points must be >= 1")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_stop)):
+            raise ValueError("t-start and t-stop must be finite")
         if self.t_values is not None and not self.t_values:
             raise ValueError("t must list at least one time point")
         if self.theta is not None and not self.theta:

@@ -4,8 +4,8 @@ For every built-in strategy the unmatched count N is an autonomous Markov
 chain, so coupling times are sampled from the lumped jump chain of N; the
 full-coordinate construction (explicit state vectors, one event per accepted
 Poisson mark) is retained for validating that each chain's marginal law is a
-correct random walk.  Equivalence of the two views is a tested property via
-``strategies.lump_rates``.
+correct random walk.  That the control matrix of each strategy lumps to the
+chain of N is checked in the tests, against a coordinate-level reference.
 
 Randomness contract: a master seed is split per replicate chunk through
 ``numpy.random.SeedSequence``; inside a chunk, replicate r owns row r of a
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .exact import _time_grid
-from .states import WalkParams, hamming
+from .states import WalkParams
 from .strategies import Strategy, death_chain, rate_table
 
 __all__ = [
@@ -65,6 +65,15 @@ def _chunk_bounds(replicates: int, m0: int):
     return [(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
 
 
+def _start_level(m0) -> int:
+    """The start level as an int: an int or numpy integer >= 0."""
+    if isinstance(m0, bool) or not isinstance(m0, (int, np.integer)):
+        raise ValueError(f"the start level must be an integer, got {m0!r}")
+    if m0 < 0:
+        raise ValueError("m0 must be >= 0")
+    return int(m0)
+
+
 def _run_lumped_chunk(seed, index, lo, hi, total, p2, m0, t_max):
     # sub-blocks draw the chunk's stream in order, so they change no value
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
@@ -97,8 +106,7 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
     """Coupling times (and N-jump counts) of ``replicates`` independent runs
     started at unmatched count m0.  Censored runs (no possible move, or
     absorption after t_max) carry tau = +inf."""
-    if m0 < 0:
-        raise ValueError("m0 must be >= 0")
+    m0 = _start_level(m0)
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     if not t_max > 0:  # also refuses nan
@@ -120,16 +128,15 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
 
 def estimate_survival(strategy: Strategy, d: int, start, t_grid, replicates: int,
                       seed: int, n_workers: int | None = None) -> SurvivalCurve:
-    """Empirical survival curve of the coupling time.
-
-    ``start`` is either an initial unmatched count m0 or a pair of states
-    (x0, y0).  Runs not absorbed by max(t_grid) are censored, which still
-    gives unbiased pointwise estimates on the grid.
+    """Empirical survival curve of the coupling time from ``start``
+    unmatched coordinates (an int or numpy integer >= 0).  Runs not absorbed
+    by max(t_grid) are censored, which still gives unbiased pointwise
+    estimates on the grid.
     """
     t_grid = _time_grid(t_grid)
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
-    m0 = int(start) if isinstance(start, (int, np.integer)) else hamming(*start)
+    m0 = _start_level(start)
     t_max = float(t_grid.max())
     tau, _ = sample_coupling_times(strategy, d, m0, replicates, seed,
                                    t_max=np.inf if t_max == 0 else t_max * (1 + 1e-12),

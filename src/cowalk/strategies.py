@@ -1,14 +1,12 @@
 """Coupling strategies for a pair of walks on the product of complete graphs.
 
-A co-adapted strategy is realized by an (n*d) x (n*d) doubly-stochastic
-control matrix Q: independent Poisson streams of rate 1/(d-1) propose joint
-moves "coordinate i of X to value k, coordinate j of Y to value l", and the
-proposal is accepted with probability q[(i,k),(j,l)].  Row/column sums equal
-to one guarantee that each chain, viewed alone, is a correct simple random
-walk.  For the built-in strategies the number of unmatched coordinates N is
-itself a Markov chain; its jump rates (the "lumped" rates) are what the
-analysis engine and simulator consume.  They are stated once, as integer
-numerators over (d-1) of the -1 and -2 jump rates: ``death_chain``
+A co-adapted strategy is defined by a doubly-stochastic control matrix Q
+over (coordinate, value) pairs, but for the built-in strategies the number
+of unmatched coordinates N is itself a Markov chain, a pure-death chain,
+and the library runs on N alone; the tests check at every state pair of
+small (d, n) that Q lumps to it.  Its jump rates (the "lumped" rates) are
+what the analysis engine and simulator consume.  They are stated once, as
+integer numerators over (d-1) of the -1 and -2 jump rates: ``death_chain``
 tabulates them for levels 0..m_max as a ``DeathChain``, and every schedule,
 rate table, kernel, transform and mean is read from that chain or from the
 same per-level rule.
@@ -34,8 +32,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .states import PairConfig
-
 __all__ = [
     "Strategy",
     "Regime",
@@ -45,8 +41,6 @@ __all__ = [
     "regime",
     "rates_for",
     "rate_table",
-    "build_q_matrix",
-    "lump_rates",
 ]
 
 
@@ -69,8 +63,8 @@ class Regime(enum.Enum):
 class RateSchedule:
     """Jump rates of the unmatched count N from level m: lam(m, m+s).
 
-    Rates are exact ``Fraction`` values when built from integer (m, d);
-    ``lump_rates`` produces float-valued schedules from a float Q matrix.
+    Rates are exact ``Fraction`` values from ``rates_for``; a schedule may
+    hold floats too, as ``optimality.sample_feasible_schedules`` draws them.
     """
 
     down2: Fraction | float = 0
@@ -219,81 +213,3 @@ def rate_table(strategy: Strategy, d: int, m_max: int):
     exits = chain.c1 + chain.c2
     p2 = np.divide(chain.c2, exits, out=np.zeros(m_max + 1), where=exits > 0)
     return chain.exit_rate, p2
-
-
-def build_q_matrix(strategy: Strategy, cfg: PairConfig, d: int) -> np.ndarray:
-    """Doubly-stochastic control matrix realizing ``strategy`` at ``cfg``.
-
-    Rows/columns are indexed by (coordinate, value) as i*d + k.
-    Synchronous moves every coordinate with the common increment y(i) - x(i)
-    (0 where matched).  Otherwise the matrix starts from the identity, which
-    keeps matched coordinates (no match is ever broken) and is the whole of
-    singles mode.  Paired mode clears the (i, x(i)) and (i, y(i)) diagonals
-    of each unmatched coordinate i and pairs the matching move of X(i) with
-    that of Y(j), q[(i, y(i)), (j, x(j))] = w, completed by the no-op mass
-    q[(i, x(i)), (j, y(j))] = w, which changes neither chain and keeps the
-    matrix doubly stochastic.  The optimal strategy pairs i with every
-    other unmatched j at w = 1/(N-1) (N >= 2 there, as N = 1 is singles
-    mode); pairwise-classic pairs consecutive unmatched coordinates at w = 1.
-
-    Only optimal, synchronous, and even-count pairwise-classic have a cheap
-    full-matrix realization; the independent baseline is simulated directly.
-    """
-    strategy = Strategy(strategy)
-    x, y = cfg.x, cfg.y
-    if (x >= d).any() or (y >= d).any():
-        raise ValueError("state values exceed d")
-    if strategy is Strategy.SYNCHRONOUS:
-        # common-increment pairing: X(i) -> k goes with Y(i) -> k + (y-x)
-        rows = np.arange(cfg.n * d)
-        i, k = np.divmod(rows, d)
-        q = np.zeros((cfg.n * d, cfg.n * d))
-        q[rows, i * d + (k + y[i] - x[i]) % d] = 1.0
-        return q
-    q = np.eye(cfg.n * d)
-    u = cfg.unmatched
-    m = len(u)
-    if m == 0 or (strategy is Strategy.OPTIMAL and _singles_mode(m, d)):
-        return q
-    if strategy is Strategy.PAIRWISE_CLASSIC and m % 2 == 1:
-        raise ValueError(
-            "pairwise-classic has a full-matrix realization only at even "
-            "unmatched counts (odd counts behave independently)"
-        )
-    if strategy is Strategy.OPTIMAL:
-        i, j = np.repeat(u, m), np.tile(u, m)
-        i, j, w = i[i != j], j[i != j], 1.0 / (m - 1)
-    elif strategy is Strategy.PAIRWISE_CLASSIC:
-        i, j, w = u, u.reshape(-1, 2)[:, ::-1].ravel(), 1.0
-    else:
-        raise ValueError(f"no full-matrix realization for strategy {strategy!r}")
-    q[u * d + x[u], u * d + x[u]] = q[u * d + y[u], u * d + y[u]] = 0.0
-    q[i * d + y[i], j * d + x[j]] = w  # matching move of X(i) paired with one of Y(j)
-    q[i * d + x[i], j * d + y[j]] = w  # no-op completion row/column
-    return q
-
-
-def lump_rates(q: np.ndarray, cfg: PairConfig, d: int) -> RateSchedule:
-    """Rates of the unmatched count induced by a control matrix.
-
-    Every transition ((i,k),(j,l)) fires at rate q/(d-1); it sets X(i)=k and
-    Y(j)=l (both on coordinate i when i == j) and is classified by its effect
-    on the number of unmatched coordinates.
-    """
-    x, y = cfg.x, cfg.y
-    n = cfg.n
-    if q.shape != (n * d, n * d):
-        raise ValueError(f"expected matrix shape {(n * d, n * d)}, got {q.shape}")
-    m0 = cfg.n_unmatched
-    lam = {s: 0.0 for s in (-2, -1, 0, 1, 2)}
-    rows, cols = np.nonzero(q)
-    for r, c in zip(rows, cols):
-        i, k = divmod(int(r), d)
-        j, l = divmod(int(c), d)
-        x2 = x.copy()
-        y2 = y.copy()
-        x2[i] = k
-        y2[j] = l
-        delta = int(np.count_nonzero(x2 != y2)) - m0
-        lam[delta] += q[r, c] / (d - 1)
-    return RateSchedule(down2=lam[-2], down1=lam[-1], up1=lam[1], up2=lam[2])

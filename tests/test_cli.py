@@ -484,6 +484,22 @@ def test_non_finite_horizon_is_refused(horizon, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "tv --d 3 --n 10 --t-points 2",
+    "exact --d 3 --m 2 --t-points 2",
+    "simulate --d 3 --m 2 --strategy optimal -R 100 --t-points 2",
+    "verify --d 3 --mmax 2 --t-points 2",
+    "limit --n 3 --t-points 2",
+])
+@pytest.mark.parametrize("bound", ["--t-stop inf", "--t-stop nan", "--t-start=-inf"])
+def test_non_finite_grid_ends_are_refused(argv, bound, capsys):
+    # refused before the grid is built, so numpy warns of no inf * 0
+    assert main([*argv.split(), *bound.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid configuration: t-start and t-stop must be finite" in captured.err
+
+
 def test_config_file_workers_below_one_is_refused(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 0}))

@@ -21,13 +21,13 @@ from cowalk.simulate import (
     sample_coupling_times,
     validate_marginals,
 )
-from cowalk.states import WalkParams, hamming
+from cowalk.states import WalkParams
 from cowalk.strategies import Strategy, death_chain, rate_table
 
 
 def test_trivial_coupling_from_equal_states():
     x = np.zeros(6, dtype=int)
-    tau, nj = sample_coupling_times(Strategy.OPTIMAL, 4, hamming(x, x), 1, seed=1)
+    tau, nj = sample_coupling_times(Strategy.OPTIMAL, 4, np.count_nonzero(x != x), 1, seed=1)
     assert tau.tolist() == [0.0] and nj.tolist() == [0]
 
 
@@ -114,13 +114,25 @@ def test_estimate_survival_trivial_points():
     assert (sync.value == 1.0).all()
 
 
-def test_estimate_survival_accepts_state_pairs():
-    x = np.array([0, 0, 0, 0])
-    y = np.array([1, 2, 0, 0])
-    grid = np.array([0.5])
-    a = estimate_survival(Strategy.OPTIMAL, 3, (x, y), grid, 500, seed=8)
-    b = estimate_survival(Strategy.OPTIMAL, 3, 2, grid, 500, seed=8)
-    assert (a.value == b.value).all()
+@pytest.mark.parametrize("start", [6.5, 3.0, True, (np.array([0, 0]), np.array([1, 0]))])
+def test_non_integer_start_level_is_refused(monkeypatch, start):
+    def no_draws(*args):
+        raise AssertionError("a refused start level drew")
+
+    monkeypatch.setattr(simulate, "_run_lumped_chunk", no_draws)
+    with pytest.raises(ValueError, match="start level must be an integer"):
+        sample_coupling_times("optimal", 3, start, 100, 1)
+    with pytest.raises(ValueError, match="start level must be an integer"):
+        estimate_survival("optimal", 3, start, [0.5], 100, 1)
+
+
+def test_numpy_integer_start_level_is_accepted():
+    for a, b in zip(sample_coupling_times("optimal", 3, np.int64(3), 100, 1),
+                    sample_coupling_times("optimal", 3, 3, 100, 1)):
+        assert a.tobytes() == b.tobytes()
+    a = estimate_survival("optimal", 3, np.int64(3), [0.5, 1.0], 100, 1)
+    b = estimate_survival("optimal", 3, 3, [0.5, 1.0], 100, 1)
+    assert a.value.tobytes() == b.value.tobytes()
 
 
 def test_reproducibility_and_seed_sensitivity():
@@ -140,7 +152,8 @@ def test_worker_count_does_not_change_results():
 
 
 def test_simulate_coupling_censoring_sentinel():
-    m0 = hamming(np.zeros(5, dtype=int), np.array([1, 2, 3, 1, 2]))
+    x, y = np.zeros(5, dtype=int), np.array([1, 2, 3, 1, 2])
+    m0 = np.count_nonzero(x != y)
     tau, _ = sample_coupling_times(Strategy.OPTIMAL, 4, m0, 1, seed=3, t_max=1e-9)
     assert np.isinf(tau[0])
     tau, nj = sample_coupling_times(Strategy.OPTIMAL, 4, m0, 1, seed=3)

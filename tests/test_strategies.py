@@ -8,18 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cowalk.states import PairConfig
 from cowalk.strategies import (
     RateSchedule,
     Regime,
     Strategy,
-    build_q_matrix,
     death_chain,
-    lump_rates,
     rate_table,
     rates_for,
     regime,
 )
+from references import build_q_matrix, lump_rates
 
 
 # --- regime thresholds ------------------------------------------------------
@@ -183,8 +181,7 @@ def _doubly_stochastic(q):
 
 def test_q_identity_when_fully_matched():
     x = np.array([0, 1, 2])
-    cfg = PairConfig(x, x)
-    q = build_q_matrix(Strategy.OPTIMAL, cfg, 4)
+    q = build_q_matrix(Strategy.OPTIMAL, x, x, 4)
     assert (q == np.eye(12)).all()
 
 
@@ -192,8 +189,7 @@ def test_q_paired_entry_value():
     # two unmatched coordinates: the pairing entry carries weight 1/(N-1) = 1
     x = np.array([0, 0, 0])
     y = np.array([1, 2, 0])
-    cfg = PairConfig(x, y)
-    q = build_q_matrix(Strategy.OPTIMAL, cfg, 4)
+    q = build_q_matrix(Strategy.OPTIMAL, x, y, 4)
     row = 0 * 4 + int(y[0])   # (coordinate 0, Y-value) pairing row
     col = 1 * 4 + int(x[1])
     assert q[row, col] == 1.0
@@ -208,18 +204,17 @@ def test_q_paired_entry_value():
     (Strategy.PAIRWISE_CLASSIC, 5, [0, 0, 1], [2, 3, 1]),
 ])
 def test_q_doubly_stochastic(strategy, d, x, y):
-    cfg = PairConfig(np.array(x), np.array(y))
-    q = build_q_matrix(strategy, cfg, d)
+    q = build_q_matrix(strategy, np.array(x), np.array(y), d)
     assert _doubly_stochastic(q)
     assert (q >= 0).all() and (q <= 1 + 1e-15).all()
 
 
 def test_q_errors():
-    cfg = PairConfig(np.array([0, 0]), np.array([1, 0]))
+    x, y = np.array([0, 0]), np.array([1, 0])
     with pytest.raises(ValueError):
-        build_q_matrix(Strategy.PAIRWISE_CLASSIC, cfg, 4)  # odd unmatched count
+        build_q_matrix(Strategy.PAIRWISE_CLASSIC, x, y, 4)  # odd unmatched count
     with pytest.raises(ValueError):
-        build_q_matrix(Strategy.INDEPENDENT, cfg, 4)  # no cheap realization
+        build_q_matrix(Strategy.INDEPENDENT, x, y, 4)  # no cheap realization
 
 
 @pytest.mark.parametrize("d, n, sha256", [
@@ -237,7 +232,7 @@ def test_q_matrices_are_pinned(d, n, sha256):
         for x in itertools.product(range(d), repeat=n):
             for y in itertools.product(range(d), repeat=n):
                 try:
-                    q = build_q_matrix(strategy, PairConfig(np.array(x), np.array(y)), d)
+                    q = build_q_matrix(strategy, np.array(x), np.array(y), d)
                 except ValueError as err:
                     digest.update(str(err).encode())
                 else:
@@ -245,17 +240,35 @@ def test_q_matrices_are_pinned(d, n, sha256):
     assert digest.hexdigest() == sha256
 
 
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (4, 2), (5, 2)])
+def test_q_lumps_to_the_death_chain_at_every_state_pair(d, n):
+    # the library runs on N alone: at every (x, y) the control matrix moves
+    # N down only, at exactly the death chain's rates of level #{x != y}
+    chains = {s: death_chain(s, d, n) for s in
+              (Strategy.OPTIMAL, Strategy.SYNCHRONOUS, Strategy.PAIRWISE_CLASSIC)}
+    for x in itertools.product(range(d), repeat=n):
+        for y in itertools.product(range(d), repeat=n):
+            x_, y_ = np.array(x), np.array(y)
+            m = np.count_nonzero(x_ != y_)
+            for strategy, chain in chains.items():
+                if strategy is Strategy.PAIRWISE_CLASSIC and m % 2 == 1:
+                    continue
+                lumped = lump_rates(build_q_matrix(strategy, x_, y_, d), x_, y_, d)
+                assert lumped.up1 == 0 and lumped.up2 == 0
+                assert lumped.down1 == chain.c1[m] / (d - 1)
+                assert lumped.down2 == chain.c2[m] / (d - 1)
+
+
 def test_lump_rates_of_optimal_matches_schedule():
     rng = np.random.default_rng(3)
     for d, n in [(2, 6), (3, 5), (4, 5), (7, 6)]:
         x = rng.integers(0, d, size=n)
         y = rng.integers(0, d, size=n)
-        cfg = PairConfig(x, y)
-        m = cfg.n_unmatched
+        m = np.count_nonzero(x != y)
         if m == 0:
             continue
-        q = build_q_matrix(Strategy.OPTIMAL, cfg, d)
-        lumped = lump_rates(q, cfg, d)
+        q = build_q_matrix(Strategy.OPTIMAL, x, y, d)
+        lumped = lump_rates(q, x, y, d)
         expected = rates_for(Strategy.OPTIMAL, m, d)
         for field in ("down2", "down1", "up1", "up2"):
             assert getattr(lumped, field) == pytest.approx(
@@ -266,10 +279,9 @@ def test_lump_rates_of_pairwise_matches_schedule():
     x = np.array([0, 0, 1, 4])
     y = np.array([2, 3, 1, 0])   # unmatched count 3... make it even
     y[3] = 4
-    cfg = PairConfig(x, y)
-    assert cfg.n_unmatched == 2
-    q = build_q_matrix(Strategy.PAIRWISE_CLASSIC, cfg, 5)
-    lumped = lump_rates(q, cfg, 5)
+    assert np.count_nonzero(x != y) == 2
+    q = build_q_matrix(Strategy.PAIRWISE_CLASSIC, x, y, 5)
+    lumped = lump_rates(q, x, y, 5)
     expected = rates_for(Strategy.PAIRWISE_CLASSIC, 2, 5)
     assert lumped.down2 == pytest.approx(float(expected.down2), abs=1e-12)
     assert lumped.down1 == pytest.approx(float(expected.down1), abs=1e-12)
@@ -282,12 +294,11 @@ def test_lump_rates_identity_matrix_oracle():
     d, n = 4, 3
     x = np.array([0, 0, 0])
     y = np.array([1, 2, 0])
-    cfg = PairConfig(x, y)
     q = np.eye(n * d)
-    lumped = lump_rates(q, cfg, d)
-    m = cfg.n_unmatched
+    lumped = lump_rates(q, x, y, d)
+    m = np.count_nonzero(x != y)
     # oracle: the first sum of the level-decrease rate evaluated directly
-    first_sum = sum(1.0 for i in cfg.unmatched for k in range(d))
+    first_sum = sum(1.0 for i in np.flatnonzero(x != y) for k in range(d))
     assert first_sum == m * d
     assert lumped.down1 == pytest.approx(m * d / (d - 1), abs=1e-12)
     assert lumped.down2 == 0 and lumped.up1 == 0 and lumped.up2 == 0
@@ -299,15 +310,14 @@ def test_lump_rates_budget_bound_random_doubly_stochastic():
     d, n = 3, 4
     x = rng.integers(0, d, size=n)
     y = rng.integers(0, d, size=n)
-    cfg = PairConfig(x, y)
-    m = cfg.n_unmatched
+    m = np.count_nonzero(x != y)
     for _ in range(20):
         # random doubly stochastic by Sinkhorn iteration
         q = rng.random((n * d, n * d))
         for _ in range(200):
             q /= q.sum(axis=1, keepdims=True)
             q /= q.sum(axis=0, keepdims=True)
-        lumped = lump_rates(q, cfg, d)
+        lumped = lump_rates(q, x, y, d)
         assert lumped.down1 + 2 * lumped.down2 <= m * d / (d - 1) + 1e-9
 
 
@@ -318,9 +328,8 @@ def test_marginal_rate_contract():
     d = 5
     x = np.array([0, 1, 2, 3])
     y = np.array([4, 3, 2, 1])
-    cfg = PairConfig(x, y)
     for strategy in (Strategy.OPTIMAL, Strategy.SYNCHRONOUS):
-        q = build_q_matrix(strategy, cfg, d)
+        q = build_q_matrix(strategy, x, y, d)
         for i in range(4):
             for k in range(d):
                 if k != x[i]:
