@@ -32,6 +32,7 @@ from .states import WalkParams
 from .strategies import Strategy
 
 _STRATEGY_NAMES = [s.value for s in Strategy]
+_MAX_T_POINTS = 10_000  # most points of a grid built from --t-start/--t-stop
 
 
 @dataclass
@@ -79,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("t-spacing must be linear or log")
         if self.t_points < 1:
             raise ValueError("t-points must be >= 1")
+        if self.t_points > _MAX_T_POINTS:
+            raise ValueError(f"t-points must be <= {_MAX_T_POINTS}")
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_stop)):
             raise ValueError("t-start and t-stop must be finite")
         if self.t_values is not None and not self.t_values:
@@ -92,13 +95,16 @@ class ExperimentConfig:
         return self
 
     def t_grid(self) -> np.ndarray:
+        """--t, or the grid the grid flags build, under ``exact._time_grid``'s rule."""
         if self.t_values is not None:
-            return np.asarray(self.t_values, dtype=float)
-        if self.t_spacing == "log":
+            grid = self.t_values
+        elif self.t_spacing == "log":
             if self.t_start <= 0:
                 raise ValueError("log spacing needs t-start > 0")
-            return np.geomspace(self.t_start, self.t_stop, self.t_points)
-        return np.linspace(self.t_start, self.t_stop, self.t_points)
+            grid = np.geomspace(self.t_start, self.t_stop, self.t_points)
+        else:
+            grid = np.linspace(self.t_start, self.t_stop, self.t_points)
+        return exact._time_grid(grid)
 
 
 def float_list(text: str) -> list[float]:
@@ -344,7 +350,7 @@ _FLAGS = {
                     "help": "comma-separated time points (overrides grid flags)"}),
     "t-start": (["--t-start"], {"type": float}),
     "t-stop": (["--t-stop"], {"type": float}),
-    "t-points": (["--t-points"], {"type": int}),
+    "t-points": (["--t-points"], {"type": int, "help": f"grid points, 1 to {_MAX_T_POINTS}"}),
     "t-spacing": (["--t-spacing"], {"choices": ["linear", "log"]}),
 }
 _GRID = "t t-start t-stop t-points t-spacing"
@@ -366,12 +372,6 @@ _COMMANDS = {
                            "d n strategy horizon replicates seed", _cmd_validate_marginals),
 }
 
-# flags that read differently on one subcommand
-_VARIANTS = {
-    ("validate-marginals", "strategy"):
-        (["--strategy"], {"choices": ["optimal", "independent", "synchronous"]}),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_text, names, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name in names.split() + ["config", "out"]:
-            opts, kwargs = _VARIANTS.get((command, name), _FLAGS[name])
+            opts, kwargs = _FLAGS[name]
             p.add_argument(*opts, **kwargs)
     return parser
 

@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 21  # most Poisson weights in a column block of the tail series
-_MAX_TERMS = 1 << 20  # longest series of ``_tail_sums``: Lam * t up to 795,861
+_MAX_TERMS = 1 << 20  # longest series of ``survival_table``: Lam * t up to 795,861
 
 
 # ---------------------------------------------------------------------------
@@ -185,24 +185,6 @@ def _column_blocks(lam_t: np.ndarray, k_max: int) -> list[np.ndarray]:
     return np.array_split(lam_t, -(-len(lam_t) // max(4, _BLOCK // (k_max + 1))))
 
 
-def _tail_sums(d: int, m_max: int, t_grid, eps: float):
-    """(t_grid, values, chain, k_max): sum_k w_k(t) s_k over the survival
-    vectors of ``_steps``, |err| <= eps, in ``_column_blocks`` of the grid."""
-    t_grid = _time_grid(t_grid)
-    chain = death_chain(Strategy.OPTIMAL, d, m_max)
-    lam = float(chain.lam_int)
-    k_max = _truncation_order(lam * t_grid.max(), eps)
-    if k_max > _MAX_TERMS:  # before any allocation
-        raise ValueError(f"the tail series needs {k_max} terms, over 2^20: lower t or m_max")
-    p1, p2 = chain.down1 / lam, chain.down2 / lam
-    blocks = []
-    for lam_t in _column_blocks(lam * t_grid, k_max):
-        w = _poisson_weights(lam_t, k_max)  # zipped first: no step past k_max is drawn
-        terms = (np.multiply.outer(s, w_k) for w_k, s in zip(w, _steps(1.0 - p1 - p2, p1, p2)))
-        blocks.append(_kahan(terms, np.zeros((m_max + 1, len(lam_t)))))
-    return t_grid, np.clip(np.hstack(blocks), 0.0, 1.0), chain, k_max
-
-
 def _start_law_tail(d: int, start: np.ndarray, t_grid, eps: float):
     """(t_grid, P(N_t > 0)) of the optimal chain from N_0 ~ start by adaptive
     uniformization (van Moorsel & Sanders 1994).  Per segment: drop top levels
@@ -292,10 +274,23 @@ def _kahan_columns(terms: np.ndarray):
 
 
 def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
-    """Tail probabilities P(tau > t | N_0 = m) for m = 0..m_max, |err| <= eps."""
-    t_grid, values, chain, k_max = _tail_sums(d, m_max, t_grid, eps)
-    return TailTable(d=d, m_max=m_max, t_grid=t_grid, values=values, eps=eps,
-                     uniformization_rate=chain.lam_int, n_terms=k_max)
+    """Tail probabilities P(tau > t | N_0 = m) for m = 0..m_max, |err| <= eps:
+    sum_k w_k(t) s_k over the survival vectors of ``_steps``, in
+    ``_column_blocks`` of the grid."""
+    t_grid = _time_grid(t_grid)
+    chain = death_chain(Strategy.OPTIMAL, d, m_max)
+    lam = float(chain.lam_int)
+    k_max = _truncation_order(lam * t_grid.max(), eps)
+    if k_max > _MAX_TERMS:  # before any allocation
+        raise ValueError(f"the tail series needs {k_max} terms, over 2^20: lower t or m_max")
+    p1, p2 = chain.down1 / lam, chain.down2 / lam
+    blocks = []
+    for lam_t in _column_blocks(lam * t_grid, k_max):
+        w = _poisson_weights(lam_t, k_max)  # zipped first: no step past k_max is drawn
+        terms = (np.multiply.outer(s, w_k) for w_k, s in zip(w, _steps(1.0 - p1 - p2, p1, p2)))
+        blocks.append(_kahan(terms, np.zeros((m_max + 1, len(lam_t)))))
+    return TailTable(d=d, m_max=m_max, t_grid=t_grid, values=np.clip(np.hstack(blocks), 0.0, 1.0),
+                     eps=eps, uniformization_rate=chain.lam_int, n_terms=k_max)
 
 
 def survival_exact(d: int, m: int, t_grid, eps: float = 1e-12) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import shlex
 import time
 from pathlib import Path
@@ -548,6 +549,69 @@ def test_non_finite_time_is_refused(t, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "t_grid must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, t, message", [
+    ("verify --d 4 --mmax 3", [math.nan, 1.0], "t_grid must be finite"),
+    ("verify --d 4 --mmax 3", [-2.0, 1.0], "t_grid must be nonnegative"),
+    ("tv --d 3 --n 5", [math.inf], "t_grid must be finite"),
+    ("tv --d 3 --n 5", [-1.0], "t_grid must be nonnegative"),
+    ("limit --n 3", [math.inf], "t_grid must be finite"),
+    ("limit --n 3 --d-list 10", [math.inf], "t_grid must be finite"),
+    ("limit --n 3", [1.0, -0.5], "t_grid must be nonnegative"),
+    ("limit --n 3 --d-list 10", [1.0, -0.5], "t_grid must be nonnegative"),
+    ("exact --d 3 --m 2", [-1.0], "t_grid must be nonnegative"),
+    ("simulate --d 3 --m 2 --strategy optimal -R 100", [math.nan], "t_grid must be finite"),
+])
+def test_every_time_grid_passes_one_rule(argv, t, message, tmp_path, capsys):
+    # the same refusal from --t and from a config file's t_values
+    assert main([*argv.split(), "--t=" + ",".join(map(str, t))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_values": t}))  # nan and inf written as NaN / Infinity
+    assert main([*argv.split(), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_verify_drops_t_0_after_the_grid_rule(capsys):
+    assert main("verify --d 4 --mmax 3 --t 0,1".split()) == 0
+    with_zero = capsys.readouterr().out
+    assert main("verify --d 4 --mmax 3 --t 1".split()) == 0
+    assert with_zero == capsys.readouterr().out
+    assert set(json.loads(with_zero)["argmax"]["cells"]) == {f"m={m},t=1.0" for m in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("argv", [
+    "exact --d 3 --m 2",
+    "simulate --d 3 --m 2 --strategy optimal -R 100",
+    "tv --d 3 --n 10",
+    "limit --n 3",
+    "verify --d 3 --mmax 2",
+])
+def test_generated_grids_hold_at_most_10000_points(argv, capsys):
+    assert main([*argv.split(), "--t-stop", "1", "--t-points", "10000"]) == 0
+    capsys.readouterr()
+    for points in ("10001", "1000000000"):  # refused before the grid is allocated
+        assert main([*argv.split(), "--t-points", points]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid configuration: t-points must be <= 10000" in captured.err
+
+
+def test_validate_marginals_refuses_pairwise_classic_before_any_draw(monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    argv = "validate-marginals --d 4 --n 5 --strategy pairwise-classic"
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: pairwise-classic has no full-coordinate realization" in captured.err
 
 
 def test_float_mean_beyond_its_level_cap_is_refused(capsys):

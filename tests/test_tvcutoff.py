@@ -480,7 +480,7 @@ def test_survival_from_stationary_is_the_binomial_mixture_of_level_tails(d, n):
 def test_non_finite_times_are_refused(bad):
     grid = [0.5, bad]
     for call in (lambda: survival_table(3, 3, grid), lambda: r_diff_table(3, 3, grid),
-                 lambda: survival_from_stationary(3, 3, grid)):
+                 lambda: survival_from_stationary(3, 3, grid), lambda: limit_tail(3, grid)):
         with pytest.raises(ValueError, match="t_grid must be finite"):
             call()
 
@@ -494,6 +494,7 @@ GRID_ENTRY_POINTS = {
     "dominance_test": lambda grid: dominance_test(4, 3, "independent", grid, 100, 1),
     "survival_from_stationary": lambda grid: survival_from_stationary(4, 3, grid),
     "dinfty_convergence": lambda grid: dinfty_convergence(3, [10, 100], grid),
+    "limit_tail": lambda grid: limit_tail(3, grid),
 }
 
 
@@ -520,11 +521,30 @@ def test_bad_n_and_t_are_refused():
             limit_tail(n, 1.0)
         with pytest.raises(ValueError, match="n must be >= 1"):
             survival_from_stationary(5, n, [1.0])
-    for call in (lambda: limit_tail(3, math.nan), lambda: limit_tail(3, [1.0, math.nan]),
-                 lambda: coordinate_law(5, math.nan), lambda: tv_exact(5, 3, math.nan),
+    for call in (lambda: limit_tail(3, math.nan), lambda: limit_tail(3, [1.0, math.nan])):
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            call()
+    for call in (lambda: coordinate_law(5, math.nan), lambda: tv_exact(5, 3, math.nan),
                  lambda: cutoff_profile(5, 10, [math.nan])):
         with pytest.raises(ValueError, match="t must be >= 0"):
             call()
+
+
+@pytest.mark.parametrize("t, message", [
+    (math.inf, "t_grid must be finite"),
+    (-0.5, "t_grid must be nonnegative"),
+    ([], "t_grid must be nonempty"),
+])
+def test_limit_tail_takes_the_time_grid_rule(t, message):
+    with pytest.raises(ValueError, match=message):
+        limit_tail(3, t)
+
+
+def test_limit_tail_of_a_scalar_is_a_float():
+    value = limit_tail(3, 1.0)
+    assert type(value) is float
+    assert value == limit_tail(3, [1.0])[0]
+    assert value == pytest.approx(1.0 - (1.0 - math.exp(-1.0)) ** 3, rel=1e-15)
 
 
 @pytest.mark.parametrize("d", [1, 0, -3])
