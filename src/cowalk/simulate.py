@@ -45,6 +45,9 @@ _MAX_REPLICATE_EVENTS = _BLOCK // 8
 _MAX_EVENTS = 1 << 30
 _LUMPED_BLOCK = 1 << 17  # replicate-steps per lumped sub-block: fits in cache
 _LUMPED_ROWS = 1024  # rows per sub-block at least, up to 16 blocks (32 MB of uniforms)
+# deepest start level: the rate tables hold m0 + 1 levels, and m0 = 10^6
+# already takes about 5 s and 144 MB at two replicates (Xeon)
+_MAX_START_LEVEL = 10**6
 
 
 @dataclass(frozen=True)
@@ -66,11 +69,14 @@ def _chunk_bounds(replicates: int, m0: int):
 
 
 def _start_level(m0) -> int:
-    """The start level as an int: an int or numpy integer >= 0."""
+    """The start level as an int: an int or numpy integer in [0, 10^6]."""
     if isinstance(m0, bool) or not isinstance(m0, (int, np.integer)):
         raise ValueError(f"the start level must be an integer, got {m0!r}")
     if m0 < 0:
         raise ValueError("m0 must be >= 0")
+    if m0 > _MAX_START_LEVEL:  # before any rate table is allocated
+        raise ValueError(f"the lumped sampler starts at level at most {_MAX_START_LEVEL};"
+                         f" level {m0} was asked")
     return int(m0)
 
 
@@ -129,7 +135,7 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
 def estimate_survival(strategy: Strategy, d: int, start, t_grid, replicates: int,
                       seed: int, n_workers: int | None = None) -> SurvivalCurve:
     """Empirical survival curve of the coupling time from ``start``
-    unmatched coordinates (an int or numpy integer >= 0).  Runs not absorbed
+    unmatched coordinates (an int or numpy integer in [0, 10^6]).  Runs not absorbed
     by max(t_grid) are censored, which still gives unbiased pointwise
     estimates on the grid.
     """

@@ -50,11 +50,11 @@ class CoordinateLaw:
 
 
 def coordinate_law(d: int, t: float) -> CoordinateLaw:
-    """Spectral solution of the rate-1 walk on K_d (relaxation rate d/(d-1))."""
+    """Spectral solution of the rate-1 walk on K_d (relaxation rate d/(d-1));
+    t passes ``_time_grid``."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if not t >= 0:
-        raise ValueError("t must be >= 0")
+    _time_grid(t)
     a = 1.0 / d + (1.0 - 1.0 / d) * math.exp(-d * t / (d - 1))
     return CoordinateLaw(d=d, t=t, a=a, b=(1.0 - a) / (d - 1))
 

@@ -92,12 +92,18 @@ def test_exact_at_level_0_is_the_level_0_chain(capsys):
     # level-0 chain's own uniformization rate
     argv = ["exact", "--d", "3", "--m", "0", "--t", "0.5,1"]
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
         "3e971b1af562abe5aaa87883e45a3343a74d04170b5ff7db4c48f7595b959785")
     assert main([*argv, "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    json_out = capsys.readouterr().out
+    doc = json.loads(json_out)
     assert doc["m_max"] == 0 and doc["uniformization_rate"] == 1
     assert doc["values"] == [[0.0, 0.0]]
+    # --mmax 0 asks for the same table
+    by_mmax = ["exact", "--d", "3", "--mmax", "0", "--t", "0.5,1"]
+    assert main(by_mmax) == 0 and capsys.readouterr().out == out
+    assert main([*by_mmax, "--format", "json"]) == 0 and capsys.readouterr().out == json_out
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -457,7 +463,7 @@ def test_csv_out_file_equals_stdout(command, tmp_path, capsys):
 ])
 def test_samples_and_workers_are_bounded_below(command, extra, code, capsys):
     assert main([command, *BASE_ARGV[command].split(), *extra.split()]) == code
-    assert ("invalid configuration" in capsys.readouterr().err) == (code == 2)
+    assert ("error: n_workers must be >= 1" in capsys.readouterr().err) == (code == 2)
 
 
 def test_samples_flag_and_config_key_are_refused(tmp_path, capsys):
@@ -474,7 +480,7 @@ def test_samples_flag_and_config_key_are_refused(tmp_path, capsys):
 @pytest.mark.parametrize("horizon", ["nan", "inf"])
 def test_non_finite_horizon_is_refused(horizon, tmp_path, capsys):
     argv = "validate-marginals --d 2 --n 2 --strategy synchronous -R 100".split()
-    message = "invalid configuration: horizon must be positive and finite"
+    message = "error: horizon must be positive and finite"
     assert main([*argv, "-T", horizon]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -517,7 +523,7 @@ def test_empty_time_grid_is_refused(argv, capsys):
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "invalid configuration: t must list at least one time point" in captured.err
+    assert "error: t_grid must be nonempty" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -666,6 +672,11 @@ def test_exact_mean_levels_are_bounded(argv, code, capsys):
      "log spacing needs t-start > 0"),
     ("verify --d 3 --mmax 2 --t 0", "verify needs at least one positive time point"),
     ("tv --d 3 --t 1", "missing required parameter --n"),
+    ("cutoff --d 5 --n 100 --theta inf", "t_grid must be finite"),
+    ("cutoff --d 5 --n 100 --theta nan", "t_grid must be finite"),
+    ("cutoff --d 5 --n 100 --theta 0,inf", "t_grid must be finite"),
+    ("simulate --d 4 --m 1000001 --strategy optimal --t 1",
+     "starts at level at most 1000000; level 1000001 was asked"),
 ])
 def test_refusals_exit_2_with_no_output(argv, message, capsys):
     start = time.perf_counter()
@@ -674,6 +685,56 @@ def test_refusals_exit_2_with_no_output(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+_RULE_FLAGS = {"d": "--d", "n": "--n", "m": "--m", "m_max": "--mmax", "workers": "--workers",
+               "horizon": "-T", "t_values": "--t"}
+_VM = "validate-marginals"
+# every parameter rule the CLI leaves to the library, on each subcommand
+# that reads the flag: (subcommand, its other flags, config key, value,
+# the library's message)
+LIBRARY_RULES = [
+    *[(command, rest, "d", 1, "d must be >= 2, got 1") for command, rest in [
+        ("simulate", "--m 2 --strategy optimal -R 100 --t 1"), ("exact", "--m 2 --t 1"),
+        ("laplace", "--m 3"), ("mean-tau", "--m 2 --n 10"), ("tv", "--n 5 --t 1"),
+        ("cutoff", "--n 10"), ("verify", "--mmax 3 --t 1"),
+        (_VM, "--n 2 --strategy synchronous -T 1 -R 100")]],
+    ("mean-tau", "--d 5 --m 2", "n", 0, "n must be >= 1"),
+    ("tv", "--d 3 --t 1", "n", 0, "n must be in [1, 10000000000]"),
+    ("cutoff", "--d 3", "n", 0, "n must be >= 2"),
+    ("limit", "--d-list 10 --t 1", "n", 0, "n must be >= 1"),
+    (_VM, "--d 2 --strategy synchronous -T 1 -R 100", "n", 0, "n must be >= 1, got 0"),
+    ("simulate", "--d 3 --strategy optimal -R 100 --t 1", "m", -1, "m0 must be >= 0"),
+    *[(command, rest, "m", -1, "m must be >= 0, got -1")
+      for command, rest in [("exact", "--d 3 --t 1"), ("laplace", "--d 5"),
+                            ("mean-tau", "--d 5 --n 10")]],
+    ("exact", "--d 3 --t 1", "m_max", -1, "m must be >= 0, got -1"),
+    ("verify", "--d 4 --t 1", "m_max", -1, "m_max must be >= 1"),
+    ("verify", "--d 4 --t 1", "m_max", 0, "m_max must be >= 1"),
+    ("simulate", "--d 3 --m 2 --strategy optimal -R 100 --t 1", "workers", 0,
+     "n_workers must be >= 1"),
+    *[(_VM, "--d 2 --n 2 --strategy synchronous -R 100", "horizon", value,
+       "horizon must be positive and finite") for value in (math.nan, math.inf)],
+    *[(command, rest, "t_values", [], "t_grid must be nonempty") for command, rest in [
+        ("simulate", "--d 3 --m 2 --strategy optimal -R 100"), ("exact", "--d 3 --m 2"),
+        ("tv", "--d 3 --n 5"), ("limit", "--n 5 --d-list 10"), ("verify", "--d 4 --mmax 3")]],
+]
+
+
+@pytest.mark.parametrize("command, rest, key, value, message", LIBRARY_RULES)
+def test_library_rules_exit_2_from_a_flag_and_a_config_key(command, rest, key, value, message,
+                                                           tmp_path, capsys):
+    flag = [_RULE_FLAGS[key], "," if key == "t_values" else str(value)]  # "," lists no time
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))  # nan and inf written as NaN / Infinity
+    for argv in ([command, *rest.split(), *flag], [command, *rest.split(), "--config", str(cfg)]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+        assert "invalid configuration" not in captured.err
 
 
 def test_exact_log_spacing_writes_the_geometric_grid(capsys):

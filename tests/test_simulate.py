@@ -126,6 +126,22 @@ def test_non_integer_start_level_is_refused(monkeypatch, start):
         estimate_survival("optimal", 3, start, [0.5], 100, 1)
 
 
+def test_start_level_is_bounded(monkeypatch):
+    # synchronous runs at d = 4 cannot move: inf at once, just inside the bound
+    tau, jumps = sample_coupling_times("synchronous", 4, 10**6, 1, 0)
+    assert tau.tolist() == [np.inf] and jumps.tolist() == [0]
+
+    def no_table(*args):
+        raise AssertionError("a refused start level built a rate table")
+
+    monkeypatch.setattr(simulate, "rate_table", no_table)
+    for start in (10**6 + 1, np.int64(10**8)):
+        with pytest.raises(ValueError, match="starts at level at most 1000000"):
+            sample_coupling_times("synchronous", 4, start, 1, 0)
+        with pytest.raises(ValueError, match="starts at level at most 1000000"):
+            estimate_survival("optimal", 4, start, [0.5], 100, 1)
+
+
 def test_numpy_integer_start_level_is_accepted():
     for a, b in zip(sample_coupling_times("optimal", 3, np.int64(3), 100, 1),
                     sample_coupling_times("optimal", 3, 3, 100, 1)):

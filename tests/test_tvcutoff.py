@@ -524,9 +524,13 @@ def test_bad_n_and_t_are_refused():
     for call in (lambda: limit_tail(3, math.nan), lambda: limit_tail(3, [1.0, math.nan])):
         with pytest.raises(ValueError, match="t_grid must be finite"):
             call()
-    for call in (lambda: coordinate_law(5, math.nan), lambda: tv_exact(5, 3, math.nan),
-                 lambda: cutoff_profile(5, 10, [math.nan])):
-        with pytest.raises(ValueError, match="t must be >= 0"):
+    for t in (math.nan, math.inf):
+        for call in (lambda: coordinate_law(5, t), lambda: tv_exact(5, 3, t),
+                     lambda: cutoff_profile(5, 10, [0.0, t])):
+            with pytest.raises(ValueError, match="t_grid must be finite"):
+                call()
+    for call in (lambda: coordinate_law(5, -0.5), lambda: tv_exact(5, 3, -0.5)):
+        with pytest.raises(ValueError, match="t_grid must be nonnegative"):
             call()
 
 
