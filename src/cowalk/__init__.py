@@ -26,13 +26,7 @@ from .simulate import (
     validate_marginals,
 )
 from .states import WalkParams
-from .strategies import (
-    RateSchedule,
-    Regime,
-    Strategy,
-    rates_for,
-    regime,
-)
+from .strategies import RateSchedule, Strategy
 from .tvcutoff import (
     CoordinateLaw,
     CutoffPoint,
@@ -51,10 +45,7 @@ __all__ = [
     "backend_name",
     "WalkParams",
     "Strategy",
-    "Regime",
     "RateSchedule",
-    "regime",
-    "rates_for",
     "SurvivalCurve",
     "sample_coupling_times",
     "estimate_survival",

@@ -332,7 +332,7 @@ def _spectral_levels(chain: DeathChain) -> list[tuple[int, dict[int, int]]]:
     """(den, {k: A}) for levels m = 0..m_max in lowest terms:
     v(m, t) = sum_k A e^{-kt/(d-1)} / den exactly.  Raises ValueError where
     a level is forced at its own exit rate."""
-    c1, c2 = chain.numerators()
+    c1, c2 = chain.c1.tolist(), chain.c2.tolist()  # Python ints: products never wrap
     levels = [(1, {})]  # v(0, t) = 0
     for m in range(1, chain.m_max + 1):
         s = c1[m] + c2[m]

@@ -21,8 +21,8 @@ import numpy as np
 from .exact import (RDiffTable, SignCert, _combine, _row_sign, _spectral_levels, _time_grid,
                     r_diff_table, survival_exact, survival_table)
 from .simulate import SurvivalCurve, estimate_survival
-from .strategies import (RateSchedule, Strategy, _check_level, _numerators, _paired,
-                         _singles, _singles_mode, death_chain)
+from .strategies import (RateSchedule, Strategy, _check_level, _paired, _singles,
+                         _singles_mode, death_chain)
 
 __all__ = [
     "BellmanCell",
@@ -62,7 +62,8 @@ def bellman_gap(d: int, m: int, t: float, schedule: RateSchedule,
     dm2, dm1, dp1, dp2 = v[0] - v[2], v[1] - v[2], v[3] - v[2], v[4] - v[2]
     mine = (float(schedule.down2) * dm2 + float(schedule.down1) * dm1
             + float(schedule.up1) * dp1 + float(schedule.up2) * dp2)
-    c1, c2 = _numerators(Strategy.OPTIMAL, m, d)
+    k1, k2 = _singles(d) if _singles_mode(m, d) else _paired(d)
+    c1, c2 = m * k1, m * k2
     best = c2 / (d - 1) * dm2 + c1 / (d - 1) * dm1 + 0.0 * dp1 + 0.0 * dp2
     # maximizing the coupling rate = maximizing -A v, so compare negatives
     return (-mine) - (-best)
@@ -138,7 +139,7 @@ def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> Argmax
     r(m-1,t) - r(m,t) decides the LP: the paired vertex if positive, the
     singles vertex if negative.  At m = 1 it is -r(1,t) < 0 (R(1) =
     (d-1)/(d+(d-1)alpha) is nonzero): the singles vertex.  The built-in
-    rates are the singles vertex where the regime rule picks singles mode
+    rates are the singles vertex where ``_singles_mode`` picks singles mode
     and the paired vertex elsewhere (the two differ in the -2 rate at every
     m >= 1), so a cell matches where its sign is the one of its level's mode
     and is a violation where it is the other.  A tie is a cell whose sign is

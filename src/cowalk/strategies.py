@@ -11,7 +11,7 @@ tabulates them for levels 0..m_max as a ``DeathChain``, and every schedule,
 rate table, kernel, transform and mean is read from that chain or from the
 same per-level rule.
 
-The optimal strategy runs in two modes, decided by ``regime``:
+The optimal strategy runs in two modes, decided by ``_singles_mode``:
 
 * C2 (paired mode): applied when N is even or N*(d-2) >= 2*(d-1).  Each
   unmatched coordinate of X pairs its matching move with a matching move of
@@ -34,12 +34,9 @@ import numpy as np
 
 __all__ = [
     "Strategy",
-    "Regime",
     "RateSchedule",
     "DeathChain",
     "death_chain",
-    "regime",
-    "rates_for",
     "rate_table",
 ]
 
@@ -53,18 +50,13 @@ class Strategy(str, enum.Enum):
     PAIRWISE_CLASSIC = "pairwise-classic"
 
 
-class Regime(enum.Enum):
-    ABSORBED = "absorbed"
-    C2 = "c2"
-    C3 = "c3"
-
-
 @dataclass(frozen=True)
 class RateSchedule:
     """Jump rates of the unmatched count N from level m: lam(m, m+s).
 
-    Rates are exact ``Fraction`` values from ``rates_for``; a schedule may
-    hold floats too, as ``optimality.sample_feasible_schedules`` draws them.
+    Rates are exact ``Fraction`` values at the LP vertices of
+    ``optimality._lp_vertices``; a schedule may hold floats too, as
+    ``optimality.sample_feasible_schedules`` draws them.
     """
 
     down2: Fraction | float = 0
@@ -94,14 +86,6 @@ def _singles_mode(m, d: int):
     m odd and m(d-2) < 2(d-1), compared in integers.  ``m`` is an int or an
     integer array."""
     return (m % 2 == 1) & (m * (d - 2) < 2 * (d - 1))
-
-
-def regime(m: int, d: int) -> Regime:
-    """Mode of the optimal strategy at unmatched count m."""
-    _check_level(m, d)
-    if m == 0:
-        return Regime.ABSORBED
-    return Regime.C3 if _singles_mode(m, d) else Regime.C2
 
 
 # (c1, c2) per unmatched coordinate: the rates of the -1 and -2 jumps at
@@ -143,22 +127,14 @@ class DeathChain:
         return self.c2 / (self.d - 1)
 
     @property
-    def exit_rate(self) -> np.ndarray:
-        return (self.c1 + self.c2) / (self.d - 1)
-
-    @property
     def lam_int(self) -> int:
         """Integer uniformization rate: the ceiling of the largest exit rate
         (at least 1)."""
         return max(1, -(-int((self.c1 + self.c2).max()) // (self.d - 1)))
 
-    def numerators(self) -> tuple[list[int], list[int]]:
-        """(c1, c2) as lists of Python ints, safe to multiply without bound."""
-        return self.c1.tolist(), self.c2.tolist()
-
 
 def _numerators(strategy: Strategy, m, d: int):
-    """(c1, c2) of ``strategy`` at level(s) m, an int or an int64 array.
+    """(c1, c2) of ``strategy`` at levels m, an int64 array.
 
     Optimal: singles mode where ``_singles_mode`` holds, paired mode
     elsewhere.  Independent: unmatched coordinates of X and Y each jump alone
@@ -176,9 +152,6 @@ def _numerators(strategy: Strategy, m, d: int):
         alone, other = True, _independent(d)
     else:
         alone, other = True, (0, 0)
-    if not isinstance(m, np.ndarray):
-        k1, k2 = other if alone else _paired(d)
-        return m * k1, m * k2
     # each table is its mode's coefficient scaled by m in place, so besides
     # m only the two tables and the mode mask span the level range
     alone = np.broadcast_to(alone, m.shape)
@@ -195,14 +168,6 @@ def death_chain(strategy: Strategy, d: int, m_max: int) -> DeathChain:
     return DeathChain(d, m_max, c1, c2)
 
 
-def rates_for(strategy: Strategy, m: int, d: int) -> RateSchedule:
-    """Lumped rates of ``strategy`` at level m (exact rationals): one level
-    of ``death_chain``."""
-    _check_level(m, d)
-    c1, c2 = _numerators(Strategy(strategy), m, d)
-    return RateSchedule(down2=Fraction(c2, d - 1), down1=Fraction(c1, d - 1))
-
-
 def rate_table(strategy: Strategy, d: int, m_max: int):
     """Float arrays (total exit rate, P(jump is -2)) for levels 0..m_max.
 
@@ -212,4 +177,4 @@ def rate_table(strategy: Strategy, d: int, m_max: int):
     chain = death_chain(strategy, d, m_max)
     exits = chain.c1 + chain.c2
     p2 = np.divide(chain.c2, exits, out=np.zeros(m_max + 1), where=exits > 0)
-    return chain.exit_rate, p2
+    return exits / (d - 1), p2

@@ -141,7 +141,8 @@ def _ndtr(x: float) -> float:
 def cutoff_profile(d: int, n: int, theta_list) -> list[CutoffPoint]:
     """Exact TV at cutoff + theta, next to its n -> infinity profile value
     2*Phi(sqrt(d-1)/2 * exp(-d*theta/(d-1))) - 1 (Phi via erf/erfc, <=1e-12
-    error).  Negative times are clamped to 0 and flagged."""
+    error).  Finite negative times are clamped to 0 and flagged; -inf, like
+    +inf and nan, is refused by ``tv_exact``'s time rule."""
     if n < 2:
         raise ValueError("n must be >= 2")
     t_c = cutoff_time(d, n)
@@ -149,7 +150,7 @@ def cutoff_profile(d: int, n: int, theta_list) -> list[CutoffPoint]:
     for theta in theta_list:
         theta = float(theta)
         t = t_c + theta
-        clamped = t < 0
+        clamped = -math.inf < t < 0
         if clamped:
             t = 0.0
         asym = 2.0 * _ndtr(math.sqrt(d - 1) / 2.0 * math.exp(-d * theta / (d - 1))) - 1.0

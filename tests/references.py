@@ -10,9 +10,11 @@ these builders are the tests' reference that Q lumps to that chain.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from cowalk.strategies import RateSchedule, Regime, Strategy, regime
+from cowalk.strategies import RateSchedule, Strategy, _singles_mode, death_chain
 
 
 def _pair(x, y):
@@ -21,6 +23,14 @@ def _pair(x, y):
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     return x, y
+
+
+def level_schedule(strategy: Strategy, m: int, d: int) -> RateSchedule:
+    """Level m of ``death_chain`` as exact rationals: the -1 and -2 rates
+    c1/(d-1) and c2/(d-1)."""
+    chain = death_chain(strategy, d, m)
+    return RateSchedule(down2=Fraction(int(chain.c2[m]), d - 1),
+                        down1=Fraction(int(chain.c1[m]), d - 1))
 
 
 def build_q_matrix(strategy: Strategy, x, y, d: int) -> np.ndarray:
@@ -56,7 +66,7 @@ def build_q_matrix(strategy: Strategy, x, y, d: int) -> np.ndarray:
     q = np.eye(n * d)
     u = np.flatnonzero(x != y)
     m = len(u)
-    if m == 0 or (strategy is Strategy.OPTIMAL and regime(m, d) is Regime.C3):
+    if m == 0 or (strategy is Strategy.OPTIMAL and _singles_mode(m, d)):
         return q
     if strategy is Strategy.PAIRWISE_CLASSIC and m % 2 == 1:
         raise ValueError(

@@ -36,8 +36,6 @@ from cowalk import (
     mean_tau_stationary,
     mk_bound_mean,
     r_diff_table,
-    rates_for,
-    regime,
     survival_exact,
     survival_from_stationary,
     survival_table,
@@ -48,8 +46,9 @@ from cowalk import (
 from cowalk.optimality import sample_feasible_schedules
 from cowalk.ratfun import Poly, RationalFn
 from cowalk.states import WalkParams
-from cowalk.strategies import Regime
+from cowalk.strategies import _singles_mode
 from cowalk.tvcutoff import cutoff_time
+from references import level_schedule
 
 EPS = 1e-12
 
@@ -96,7 +95,7 @@ def test_criterion_2_laplace_identities():
                    == RationalFn(Poly([d - 4]), Poly([2, 1]) * Poly([3, 1]) * Poly([d - 1])))
         for m in range(1, 15):
             vm = laplace_V(d, m)
-            if regime(m, d) is Regime.C2:
+            if not _singles_mode(m, d):
                 lhs = RationalFn((a + m) * (d - 1)) * vm
                 rhs = (RationalFn(Poly([d - 1])) + m * laplace_V(d, m - 2)
                        + m * (d - 2) * laplace_V(d, m - 1))
@@ -106,7 +105,7 @@ def test_criterion_2_laplace_identities():
             ok &= lhs == rhs
         # three-term difference recursion on its derivable levels
         for m in range(2, 14):
-            if regime(m, d) is Regime.C2 and regime(m + 1, d) is Regime.C2:
+            if not _singles_mode(m, d) and not _singles_mode(m + 1, d):
                 lhs = RationalFn((a + (m + 1)) * (d - 1)) * laplace_R(d, m + 1)
                 rhs = m * laplace_R(d, m - 1) + (m * (d - 2) - 1) * laplace_R(d, m)
                 ok &= lhs == rhs
@@ -183,7 +182,7 @@ def test_criterion_5_dominance_and_argmax():
         for m in (2, 5, 8):
             tails = survival_table(d, m + 2, [0.5, 1.0, 2.0], EPS).values
             for j, t in enumerate((0.5, 1.0, 2.0)):
-                self_gaps_zero &= bellman_gap(d, m, t, rates_for(Strategy.OPTIMAL, m, d),
+                self_gaps_zero &= bellman_gap(d, m, t, level_schedule(Strategy.OPTIMAL, m, d),
                                               tails=tails[:, j]) == 0.0
                 for sched in sample_feasible_schedules(d, m, 100, seed=97 * d + m + j):
                     worst_gap = max(worst_gap, bellman_gap(d, m, t, sched,

@@ -688,7 +688,7 @@ def test_refusals_exit_2_with_no_output(argv, message, capsys):
 
 
 _RULE_FLAGS = {"d": "--d", "n": "--n", "m": "--m", "m_max": "--mmax", "workers": "--workers",
-               "horizon": "-T", "t_values": "--t"}
+               "horizon": "-T", "t_values": "--t", "theta": "--theta"}
 _VM = "validate-marginals"
 # every parameter rule the CLI leaves to the library, on each subcommand
 # that reads the flag: (subcommand, its other flags, config key, value,
@@ -718,13 +718,18 @@ LIBRARY_RULES = [
     *[(command, rest, "t_values", [], "t_grid must be nonempty") for command, rest in [
         ("simulate", "--d 3 --m 2 --strategy optimal -R 100"), ("exact", "--d 3 --m 2"),
         ("tv", "--d 3 --n 5"), ("limit", "--n 5 --d-list 10"), ("verify", "--d 4 --mmax 3")]],
+    *[("cutoff", "--d 5 --n 100", "theta", value, "t_grid must be finite")
+      for value in ([-math.inf], [-math.inf, 0.0])],
 ]
 
 
 @pytest.mark.parametrize("command, rest, key, value, message", LIBRARY_RULES)
 def test_library_rules_exit_2_from_a_flag_and_a_config_key(command, rest, key, value, message,
                                                            tmp_path, capsys):
-    flag = [_RULE_FLAGS[key], "," if key == "t_values" else str(value)]  # "," lists no time
+    # a list is written comma-separated ("," lists no time), and attached by
+    # "=" so that a leading "-inf" is read as a value, not a flag
+    text = (",".join(map(str, value)) or ",") if isinstance(value, list) else str(value)
+    flag = [f"{_RULE_FLAGS[key]}={text}"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))  # nan and inf written as NaN / Infinity
     for argv in ([command, *rest.split(), *flag], [command, *rest.split(), "--config", str(cfg)]):

@@ -26,7 +26,7 @@ from cowalk.exact import (
     survival_table,
 )
 from cowalk.ratfun import Poly, RationalFn
-from cowalk.strategies import DeathChain, Regime, Strategy, death_chain, regime
+from cowalk.strategies import DeathChain, Strategy, _singles_mode, death_chain
 from cowalk.tvcutoff import mean_tau_stationary
 
 
@@ -179,7 +179,7 @@ def _generic_levels(d, m_max):
     a = alpha_poly()
     levels = [RationalFn(0)]
     for m in range(1, m_max + 1):
-        if regime(m, d) is Regime.C3:
+        if _singles_mode(m, d):
             v = (RationalFn(d - 1) + m * d * levels[m - 1]) / RationalFn(a * (d - 1) + m * d)
         else:
             prev2 = levels[m - 2] if m >= 2 else RationalFn(0)
@@ -202,7 +202,7 @@ def _scalar_levels(d, m_max, alpha):
     """V(0..m_max) at one rational alpha by a Fraction recursion."""
     values = [Fraction(0)]
     for m in range(1, m_max + 1):
-        if regime(m, d) is Regime.C3:
+        if _singles_mode(m, d):
             values.append((d - 1 + m * d * values[m - 1]) / (m * d + alpha * (d - 1)))
         else:
             prev2 = values[m - 2] if m >= 2 else Fraction(0)
@@ -240,7 +240,8 @@ def test_transforms_canonical(d):
     # denominator coefficient.  The denominator is a product of factors
     # s_j + q*a, s_j = c1 + c2 the death chain's rate numerators at levels
     # j <= m, and the numerator is nonzero at each root -s_j/q of it
-    c1, c2 = death_chain(Strategy.OPTIMAL, d, 30).numerators()
+    chain = death_chain(Strategy.OPTIMAL, d, 30)
+    c1, c2 = chain.c1.tolist(), chain.c2.tolist()
     q = d - 1
     for m in range(1, 31):
         rates = {c1[j] + c2[j] for j in range(1, m + 1)}
@@ -315,7 +316,7 @@ def test_level_recursions_exact(d):
     a = alpha_poly()
     for m in range(1, 16):
         vm = laplace_V(d, m)
-        if regime(m, d) is Regime.C2:
+        if not _singles_mode(m, d):
             lhs = RationalFn((a + m) * (d - 1)) * vm
             rhs = (RationalFn(Poly([d - 1])) + m * laplace_V(d, m - 2)
                    + m * (d - 2) * laplace_V(d, m - 1))
@@ -329,7 +330,7 @@ def _three_term_levels(d, m_top):
     """Levels m where the three-term difference identity is derivable:
     it needs the paired-mode recursion at both m and m+1."""
     return [m for m in range(2, m_top)
-            if regime(m, d) is Regime.C2 and regime(m + 1, d) is Regime.C2]
+            if not _singles_mode(m, d) and not _singles_mode(m + 1, d)]
 
 
 @pytest.mark.parametrize("d", range(3, 13))
@@ -424,7 +425,8 @@ def _fraction_mean_levels(d, m_max):
     """E[tau | N_0 = m], m = 0..m_max, as Fractions reduced at every level:
     (c1 + c2) E_m = (d-1) + c1 E_{m-1} + c2 E_{m-2}.  A reference for the
     integer numerators of ``exact._mean_levels``."""
-    c1, c2 = death_chain(Strategy.OPTIMAL, d, m_max).numerators()
+    chain = death_chain(Strategy.OPTIMAL, d, m_max)
+    c1, c2 = chain.c1.tolist(), chain.c2.tolist()
     levels = [Fraction(0)]
     for m in range(1, m_max + 1):
         levels.append(((d - 1) + c1[m] * levels[m - 1] + c2[m] * levels[max(m - 2, 0)])
@@ -735,7 +737,7 @@ def test_every_r_cell_is_positive(d, m_max, eps):
         assert (tab.r_values < 0).any()
     assert not tab.undetermined_cells()
     for m in range(2, m_max + 1):
-        rule = ("negative" if regime(m, d) is Regime.C3
+        rule = ("negative" if _singles_mode(m, d)
                 else "zero" if (d, m) == (4, 3) else "positive")
         assert (tab.diff_certs[m - 2] == rule).all(), (d, m)
 
@@ -816,7 +818,7 @@ def _absorbed_by(chain, t):
     k-th term is below x^k / k!, and the sum stops once that bound is below
     10^-dps and falls at least twofold per term."""
     mpmath = pytest.importorskip("mpmath")
-    c1, c2 = chain.numerators()
+    c1, c2 = chain.c1.tolist(), chain.c2.tolist()
     h = mpmath.mpf(float(t)) / (chain.d - 1)
     x = 2 * chain.lam_int * float(t)
     term = [mpmath.mpf(m == 0) for m in range(chain.m_max + 1)]
@@ -855,12 +857,13 @@ def test_d3_diff_row_negative_is_reported():
 
 def test_generator_exit_rates():
     gen = death_chain(Strategy.OPTIMAL, 3, 8)
+    exit_rate = gen.down1 + gen.down2
     for m in range(1, 9):
-        if regime(m, 3) is Regime.C3:
-            assert gen.exit_rate[m] == pytest.approx(m * 3 / 2)
+        if _singles_mode(m, 3):
+            assert exit_rate[m] == pytest.approx(m * 3 / 2)
         else:
-            assert gen.exit_rate[m] == pytest.approx(m)
-    assert gen.exit_rate[0] == 0
+            assert exit_rate[m] == pytest.approx(m)
+    assert exit_rate[0] == 0
 
 
 def test_sign_certificates_are_pinned():

@@ -14,12 +14,13 @@ from cowalk.optimality import (
     sample_feasible_schedules,
     verify_argmax_grid,
 )
-from cowalk.strategies import RateSchedule, Regime, Strategy, rates_for, regime
+from cowalk.strategies import RateSchedule, Strategy, _singles_mode
+from references import level_schedule
 
 
 def test_bellman_gap_zero_for_optimal():
     for d, m, t in [(2, 4, 0.5), (4, 6, 1.0), (10, 3, 2.0)]:
-        assert bellman_gap(d, m, t, rates_for(Strategy.OPTIMAL, m, d)) == 0.0
+        assert bellman_gap(d, m, t, level_schedule(Strategy.OPTIMAL, m, d)) == 0.0
 
 
 def test_bellman_gap_nonpositive_for_sampled_feasible():
@@ -99,8 +100,8 @@ def test_block_sampler_equals_scalar_draws(count, d, m):
 def test_bellman_gap_refuses_short_tails():
     tails = survival_table(4, 5, [1.0], 1e-12).values[:, 0]
     with pytest.raises(ValueError, match="at least 7"):
-        bellman_gap(4, 4, 1.0, rates_for(Strategy.OPTIMAL, 4, 4), tails=tails[:6])
-    assert bellman_gap(4, 3, 1.0, rates_for(Strategy.OPTIMAL, 3, 4), tails=tails) == 0.0
+        bellman_gap(4, 4, 1.0, level_schedule(Strategy.OPTIMAL, 4, 4), tails=tails[:6])
+    assert bellman_gap(4, 3, 1.0, level_schedule(Strategy.OPTIMAL, 3, 4), tails=tails) == 0.0
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -243,7 +244,7 @@ def test_argmax_cells_follow_the_regime_rule_for_every_sign(monkeypatch):
             assert (c.status, c.equals_optimal) == ("match", True)
             continue
         sign = SignCert(forged[[0.5, 1.0, 2.0, 4.0].index(c.t)])
-        mode = SignCert.NEGATIVE if regime(c.m, d) is Regime.C3 else SignCert.POSITIVE
+        mode = SignCert.NEGATIVE if _singles_mode(c.m, d) else SignCert.POSITIVE
         if sign in (SignCert.POSITIVE, SignCert.NEGATIVE):
             assert c.status == ("match" if sign is mode else "violation")
             assert c.equals_optimal == (sign is mode)
@@ -268,10 +269,10 @@ def test_vertex_gaps_are_the_signed_rows_where_the_bellman_verdict_holds(d):
     tails = survival_table(d, m_max + 2, README_GRID, eps).values
     r = np.vstack([np.zeros(len(README_GRID)), np.diff(tails, axis=0)])  # r[0] = 0
     for m in range(1, m_max + 1):
-        singles = regime(m, d) is Regime.C3
+        singles = _singles_mode(m, d)
         diff = m / (d - 1) * (r[m - 1] - r[m])
         cap = -m * (d - 2) / (d - 1) * r[m] + (diff if singles else 0)
-        opt = rates_for(Strategy.OPTIMAL, m, d)
+        opt = level_schedule(Strategy.OPTIMAL, m, d)
         no_move = -(float(opt.down2) * (r[m] + r[m - 1]) + float(opt.down1) * r[m])
         paired_gap, singles_gap = (diff, 0 * diff) if singles else (0 * diff, -diff)
         for j, t in enumerate(README_GRID):

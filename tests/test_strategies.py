@@ -10,57 +10,58 @@ from hypothesis import strategies as st
 
 from cowalk.strategies import (
     RateSchedule,
-    Regime,
     Strategy,
+    _singles_mode,
     death_chain,
     rate_table,
-    rates_for,
-    regime,
 )
-from references import build_q_matrix, lump_rates
+from references import build_q_matrix, level_schedule, lump_rates
 
 
 # --- regime thresholds ------------------------------------------------------
+# the ids name each level's mode: C3 singles, C2 paired, ABSORBED at level 0
 
-@pytest.mark.parametrize("m,d,expected", [
-    (7, 2, Regime.C3),       # d=2: every odd level
-    (3, 3, Regime.C3),       # d=3: levels 1 and 3
-    (1, 3, Regime.C3),
-    (5, 3, Regime.C2),
-    (3, 4, Regime.C2),       # d>=4: only level 1
-    (1, 4, Regime.C3),
-    (0, 5, Regime.ABSORBED),
+@pytest.mark.parametrize("m,d,singles", [
+    pytest.param(7, 2, True, id="7-2-Regime.C3"),       # d=2: every odd level
+    pytest.param(3, 3, True, id="3-3-Regime.C3"),       # d=3: levels 1 and 3
+    pytest.param(1, 3, True, id="1-3-Regime.C3"),
+    pytest.param(5, 3, False, id="5-3-Regime.C2"),
+    pytest.param(3, 4, False, id="3-4-Regime.C2"),      # d>=4: only level 1
+    pytest.param(1, 4, True, id="1-4-Regime.C3"),
+    pytest.param(0, 5, False, id="0-5-Regime.ABSORBED"),
 ])
-def test_regime_examples(m, d, expected):
-    assert regime(m, d) is expected
+def test_regime_examples(m, d, singles):
+    assert _singles_mode(m, d) == singles
 
 
 @given(st.integers(0, 200), st.integers(2, 40))
 @settings(max_examples=300, deadline=None)
 def test_regime_threshold_rule(m, d):
-    reg = regime(m, d)
+    singles = _singles_mode(m, d)
     if m == 0:
-        assert reg is Regime.ABSORBED
+        assert not singles
     elif d == 2:
-        assert reg is (Regime.C3 if m % 2 == 1 else Regime.C2)
+        assert singles == (m % 2 == 1)
     elif d == 3:
-        assert reg is (Regime.C3 if m in (1, 3) else Regime.C2)
+        assert singles == (m in (1, 3))
     else:
-        assert reg is (Regime.C3 if m == 1 else Regime.C2)
+        assert singles == (m == 1)
 
 
 # --- optimal rates ----------------------------------------------------------
 
 def test_optimal_rates_examples():
     # d=2 even level: only -2 jumps, rate = level
-    assert rates_for(Strategy.OPTIMAL, 4, 2) == RateSchedule(down2=Fraction(4), down1=Fraction(0))
+    assert level_schedule(Strategy.OPTIMAL, 4, 2) == RateSchedule(down2=Fraction(4),
+                                                                  down1=Fraction(0))
     # d=2 odd level: only -1 jumps, rate 2*level
-    assert rates_for(Strategy.OPTIMAL, 3, 2) == RateSchedule(down2=Fraction(0), down1=Fraction(6))
+    assert level_schedule(Strategy.OPTIMAL, 3, 2) == RateSchedule(down2=Fraction(0),
+                                                                  down1=Fraction(6))
     # single unmatched coordinate for any d: exit rate d/(d-1)
     for d in (2, 3, 4, 17):
-        assert rates_for(Strategy.OPTIMAL, 1, d).down1 == Fraction(d, d - 1)
-        assert rates_for(Strategy.OPTIMAL, 1, d).down2 == 0
-    sched = rates_for(Strategy.OPTIMAL, 6, 10)
+        assert level_schedule(Strategy.OPTIMAL, 1, d).down1 == Fraction(d, d - 1)
+        assert level_schedule(Strategy.OPTIMAL, 1, d).down2 == 0
+    sched = level_schedule(Strategy.OPTIMAL, 6, 10)
     assert sched.down2 == Fraction(6, 9) and sched.down1 == Fraction(48, 9)
     assert (10 - 1) * (sched.down1 + 2 * sched.down2) == 60  # = m*d
 
@@ -68,7 +69,7 @@ def test_optimal_rates_examples():
 @given(st.integers(1, 80), st.integers(2, 20))
 @settings(max_examples=300, deadline=None)
 def test_optimal_rates_feasible_and_saturating(m, d):
-    sched = rates_for(Strategy.OPTIMAL, m, d)
+    sched = level_schedule(Strategy.OPTIMAL, m, d)
     assert sched.up1 == 0 and sched.up2 == 0
     assert sched.is_feasible(m, d)
     assert (d - 1) * (sched.down1 + 2 * sched.down2) == m * d  # saturates the budget
@@ -76,39 +77,31 @@ def test_optimal_rates_feasible_and_saturating(m, d):
 
 
 def test_zero_level_all_zero():
-    sched = rates_for(Strategy.OPTIMAL, 0, 5)
+    sched = level_schedule(Strategy.OPTIMAL, 0, 5)
     assert sched.down2 + sched.down1 + sched.up1 + sched.up2 == 0
 
 
 # --- competitor rates -------------------------------------------------------
 
 def test_competitor_rate_examples():
-    assert rates_for(Strategy.INDEPENDENT, 1, 2).down1 == 2
-    sched = rates_for(Strategy.SYNCHRONOUS, 5, 7)
+    assert level_schedule(Strategy.INDEPENDENT, 1, 2).down1 == 2
+    sched = level_schedule(Strategy.SYNCHRONOUS, 5, 7)
     assert sched.down2 + sched.down1 + sched.up1 + sched.up2 == 0
-    sched = rates_for(Strategy.PAIRWISE_CLASSIC, 2, 5)
+    sched = level_schedule(Strategy.PAIRWISE_CLASSIC, 2, 5)
     assert sched.down2 == Fraction(2, 4) and sched.down1 == Fraction(2 * 3, 4)
 
 
 def test_pairwise_coincides_with_optimal_at_d2():
     for m in range(1, 12):
-        assert rates_for(Strategy.PAIRWISE_CLASSIC, m, 2) == rates_for(Strategy.OPTIMAL, m, 2)
+        assert (level_schedule(Strategy.PAIRWISE_CLASSIC, m, 2)
+                == level_schedule(Strategy.OPTIMAL, m, 2))
 
 
 @given(st.integers(1, 40), st.integers(2, 12),
        st.sampled_from([Strategy.INDEPENDENT, Strategy.SYNCHRONOUS, Strategy.PAIRWISE_CLASSIC]))
 @settings(max_examples=200, deadline=None)
 def test_competitors_feasible(m, d, strat):
-    assert rates_for(strat, m, d).is_feasible(m, d)
-
-
-def test_rate_table_matches_schedules():
-    total, p2 = rate_table(Strategy.OPTIMAL, 4, 6)
-    for m in range(1, 7):
-        sched = rates_for(Strategy.OPTIMAL, m, 4)
-        rate = sched.down2 + sched.down1 + sched.up1 + sched.up2
-        assert total[m] == pytest.approx(float(rate), abs=1e-15)
-        assert p2[m] == pytest.approx(float(sched.down2 / rate), abs=1e-15)
+    assert level_schedule(strat, m, d).is_feasible(m, d)
 
 
 def _level_numerators(strategy, m, d):
@@ -128,8 +121,8 @@ def _level_numerators(strategy, m, d):
 def test_death_chain_numerators(strategy):
     for d in (2, 3, 4, 5, 7, 10):
         chain = death_chain(strategy, d, 60)
-        c1, c2 = chain.numerators()
-        assert all(type(c) is int for c in c1 + c2)
+        assert chain.c1.dtype == chain.c2.dtype == np.int64
+        c1, c2 = chain.c1.tolist(), chain.c2.tolist()
         assert [(c1[m], c2[m]) for m in range(61)] == [
             _level_numerators(strategy, m, d) for m in range(61)]
 
@@ -139,11 +132,10 @@ def test_rate_numerators_stay_below_2_to_the_53():
     for m, d in ((3, 2**62), (3, 2**53 // 3 + 1), (0, 2**53), (1, 2**53)):
         with pytest.raises(ValueError, match=r"max\(m, 1\) \* d must be below 2\^53"):
             death_chain(Strategy.OPTIMAL, d, m)
-        with pytest.raises(ValueError):
-            rates_for(Strategy.OPTIMAL, m, d)
     d = (2**53 - 1) // 3
     chain = death_chain(Strategy.OPTIMAL, d, 3)
-    assert chain.numerators() == ([0, d, 2 * (d - 2), 3 * (d - 2)], [0, 0, 2, 3])
+    assert (chain.c1.tolist(), chain.c2.tolist()) == ([0, d, 2 * (d - 2), 3 * (d - 2)],
+                                                      [0, 0, 2, 3])
     assert chain.down1[3] == 3 * (d - 2) / (d - 1)
 
 
@@ -167,7 +159,7 @@ def test_rate_table_is_correctly_rounded(strategy):
     for d in range(2, 13):
         total, p2 = rate_table(strategy, d, 200)
         for m in range(201):
-            sched = rates_for(strategy, m, d)
+            sched = level_schedule(strategy, m, d)
             rate = sched.down2 + sched.down1 + sched.up1 + sched.up2
             assert total[m] == float(rate)
             assert p2[m] == (float(sched.down2 / rate) if rate else 0.0)
@@ -269,7 +261,7 @@ def test_lump_rates_of_optimal_matches_schedule():
             continue
         q = build_q_matrix(Strategy.OPTIMAL, x, y, d)
         lumped = lump_rates(q, x, y, d)
-        expected = rates_for(Strategy.OPTIMAL, m, d)
+        expected = level_schedule(Strategy.OPTIMAL, m, d)
         for field in ("down2", "down1", "up1", "up2"):
             assert getattr(lumped, field) == pytest.approx(
                 float(getattr(expected, field)), abs=1e-12)
@@ -282,7 +274,7 @@ def test_lump_rates_of_pairwise_matches_schedule():
     assert np.count_nonzero(x != y) == 2
     q = build_q_matrix(Strategy.PAIRWISE_CLASSIC, x, y, 5)
     lumped = lump_rates(q, x, y, 5)
-    expected = rates_for(Strategy.PAIRWISE_CLASSIC, 2, 5)
+    expected = level_schedule(Strategy.PAIRWISE_CLASSIC, 2, 5)
     assert lumped.down2 == pytest.approx(float(expected.down2), abs=1e-12)
     assert lumped.down1 == pytest.approx(float(expected.down1), abs=1e-12)
 

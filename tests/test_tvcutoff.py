@@ -205,6 +205,12 @@ def test_cutoff_profile_values():
 def test_cutoff_profile_clamps_negative_times():
     pts = cutoff_profile(2, 4, [-10.0])
     assert pts[0].clamped and pts[0].t == 0.0
+    # a finite negative time is clamped, -inf goes to the time rule like +inf
+    pts = cutoff_profile(5, 100, [-cutoff_time(5, 100) - 1.0])
+    assert pts[0].clamped and pts[0].t == 0.0 and pts[0].tv_exact == tv_exact(5, 100, 0.0)
+    for theta in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            cutoff_profile(5, 100, [theta])
 
 
 def test_cutoff_gap_shrinks_with_n():
