@@ -276,19 +276,19 @@ def _cmd_limit(cfg: ExperimentConfig):
 def _cmd_verify(cfg: ExperimentConfig):
     _require(cfg, "d", "m_max")
     grid = cfg.t_grid()
-    grid = grid[grid > 0]  # t = 0 objectives vanish identically
+    grid = grid[grid > 0]  # every tail at t = 0 is 1{m >= 1}: no cell there needs a certificate
     if grid.size == 0:
         raise ValueError("verify needs at least one positive time point")
     argmax = optimality.verify_argmax_grid(cfg.d, cfg.m_max, grid)
     statuses = {f"m={cell.m},t={cell.t!r}": cell.status for cell in argmax.cells}
-    sign_table = argmax.sign_table
+    undetermined = argmax.diff_certs == exact.SignCert.UNDETERMINED.value
     # vertex gaps: -obj (no move), -+m/(d-1) (r(m-1) - r(m)) (other mode) and
     # -m(d-2)/(d-1) r(m), plus that term in singles mode (cap): <= 0 by the signs
-    bellman = argmax.n_violations == 0 and not sign_table.undetermined_cells()
+    bellman = argmax.n_violations == 0 and not undetermined.any()
     m0 = min(max(2, cfg.m_max // 2), cfg.m_max)
     signs = {c.value: optimality._dominance_sign(cfg.d, m0, c)
              for c in (Strategy.INDEPENDENT, Strategy.SYNCHRONOUS, Strategy.PAIRWISE_CLASSIC)}
-    r_nonpositive = sign_table.r_certs != exact.SignCert.POSITIVE.value
+    r_nonpositive = argmax.r_certs != exact.SignCert.POSITIVE.value
     payload = {
         "d": cfg.d, "m_max": cfg.m_max, "eps": argmax.eps,
         "argmax": {"cells": statuses, "violations": argmax.n_violations,
@@ -299,8 +299,8 @@ def _cmd_verify(cfg: ExperimentConfig):
         "dominance": {c: {"sign": s, "passed": s in ("positive", "zero")}
                       for c, s in signs.items()},
         "sign_tables": {
-            "undetermined_cells": len(sign_table.undetermined_cells()),
-            "undecided_rows": sorted({m for _, m, _ in sign_table.undetermined_cells()}),
+            "undetermined_cells": int(undetermined.sum()),
+            "undecided_rows": [int(i) + 2 for i in np.flatnonzero(undetermined.any(axis=1))],
             "r_nonpositive_rows": [int(i) + 1 for i in np.flatnonzero(r_nonpositive.any(axis=1))],
         },
     }

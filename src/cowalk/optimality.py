@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (RDiffTable, SignCert, _combine, _row_sign, _spectral_levels, _time_grid,
-                    r_diff_table, survival_exact, survival_table)
+from .exact import (SignCert, _combine, _row_sign, _spectral_levels, _time_grid, r_diff_table,
+                    survival_exact, survival_table)
 from .simulate import SurvivalCurve, estimate_survival
 from .strategies import (RateSchedule, Strategy, _check_level, _paired, _singles,
                          _singles_mode, death_chain)
@@ -104,7 +104,6 @@ def sample_feasible_schedules(d: int, m: int, count: int, seed: int) -> list[Rat
 
 @dataclass(frozen=True)
 class BellmanCell:
-    d: int
     m: int
     t: float
     status: str  # "match" | "tie" | "violation"
@@ -118,7 +117,8 @@ class ArgmaxGridReport:
     t_grid: np.ndarray
     eps: float
     cells: tuple[BellmanCell, ...]
-    sign_table: RDiffTable  # the certified signs the cells were read from
+    r_certs: np.ndarray  # the certified signs the cells were read from, a column per point
+    diff_certs: np.ndarray
 
     @property
     def n_violations(self) -> int:
@@ -137,27 +137,29 @@ def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> Argmax
 
     r(m,t) >= 0 is a theorem (``r_diff_table``), so the certified sign of
     r(m-1,t) - r(m,t) decides the LP: the paired vertex if positive, the
-    singles vertex if negative.  At m = 1 it is -r(1,t) < 0 (R(1) =
-    (d-1)/(d+(d-1)alpha) is nonzero): the singles vertex.  The built-in
-    rates are the singles vertex where ``_singles_mode`` picks singles mode
-    and the paired vertex elsewhere (the two differ in the -2 rate at every
-    m >= 1), so a cell matches where its sign is the one of its level's mode
-    and is a violation where it is the other.  A tie is a cell whose sign is
-    an exact zero or undetermined, so nothing is shown to beat the built-in
-    rates; it reports the paired vertex and is no violation.
+    singles vertex if negative; at m = 1 it is -r(1,t) < 0, as R(1) is
+    nonzero.  Each sign holds at t = 0 or for all t > 0, so one table at
+    t = 0 and t = 1 signs every cell.  The built-in rates are the singles
+    vertex where ``_singles_mode`` holds and the paired vertex elsewhere
+    (they differ in the -2 rate at every m >= 1): a cell matches where its
+    sign is its level's mode's and is a violation where it is the other.  A
+    tie is a cell whose sign is an exact zero or undetermined, so nothing is
+    shown to beat the built-in rates; it reports the paired vertex.
     """
-    signs = r_diff_table(d, m_max, t_grid, eps)
-    singles = [_NEGATIVE] * len(signs.t_grid)
+    t_grid = _time_grid(t_grid)
+    signs = r_diff_table(d, m_max, [0.0, 1.0], eps)
+    col = (t_grid > 0).astype(int)
+    r_certs, diff_certs = signs.r_certs[:, col], signs.diff_certs[:, col]
     cells = []
-    for m, decide in enumerate([singles, *signs.diff_certs], start=1):
+    for m, decide in enumerate([[_NEGATIVE] * len(t_grid), *diff_certs], start=1):
         opt = _NEGATIVE if _singles_mode(m, d) else _POSITIVE
-        for t, sign in zip(signs.t_grid, decide):
+        for t, sign in zip(t_grid, decide):
             tie = sign not in (_POSITIVE, _NEGATIVE)
             status = "tie" if tie else "match" if sign == opt else "violation"
-            cells.append(BellmanCell(d=d, m=m, t=float(t), status=status,
+            cells.append(BellmanCell(m=m, t=float(t), status=status,
                                      equals_optimal=(_POSITIVE if tie else sign) == opt))
-    return ArgmaxGridReport(d=d, m_max=m_max, t_grid=signs.t_grid, eps=eps,
-                            cells=tuple(cells), sign_table=signs)
+    return ArgmaxGridReport(d=d, m_max=m_max, t_grid=t_grid, eps=eps, cells=tuple(cells),
+                            r_certs=r_certs, diff_certs=diff_certs)
 
 
 def _dominance_sign(d: int, m: int, competitor: Strategy) -> str:

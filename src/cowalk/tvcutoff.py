@@ -153,7 +153,8 @@ def cutoff_profile(d: int, n: int, theta_list) -> list[CutoffPoint]:
         clamped = -math.inf < t < 0
         if clamped:
             t = 0.0
-        asym = 2.0 * _ndtr(math.sqrt(d - 1) / 2.0 * math.exp(-d * theta / (d - 1))) - 1.0
+        spread = math.exp(min(-d * theta / (d - 1), 709.0))  # Phi is 1.0 long before overflow
+        asym = 2.0 * _ndtr(math.sqrt(d - 1) / 2.0 * spread) - 1.0
         out.append(CutoffPoint(d=d, n=n, theta=theta, cutoff=t_c, t=t,
                                tv_exact=tv_exact(d, n, t), tv_asymptotic=asym,
                                clamped=clamped))

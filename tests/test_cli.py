@@ -181,6 +181,15 @@ def test_cutoff_cli(tmp_path):
                                                                       abs=1e-10)
 
 
+@pytest.mark.parametrize("d, theta", [("5", "-567"), ("5", "-568"), ("5", "-1e300"),
+                                      ("2", "-354"), ("2", "-355")])
+def test_cutoff_cli_far_below_the_cutoff(d, theta, capsys):
+    # the profile value overflowed exp from theta = -568 at d = 5 (exit 1)
+    assert run_cli("cutoff", "--d", d, "--n", "100", f"--theta={theta}") == 0
+    _, row = capsys.readouterr().out.splitlines()
+    assert row.split(",")[2:] == ["0.0", "1.0", "1.0"]  # t, tv_exact, tv_asymptotic
+
+
 LAPLACE_D5_M3 = """\
 {
   "d": 5,
@@ -285,11 +294,13 @@ def test_verify_cli(tmp_path):
 
 
 def test_verify_builds_one_sign_table(monkeypatch, capsys):
-    calls = []
+    calls, points = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls.append((name, args[1]))
+            if name == "tails":
+                points.append(np.size(args[2]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -303,6 +314,11 @@ def test_verify_builds_one_sign_table(monkeypatch, capsys):
     # one sign table over one tail table; the Bellman and dominance verdicts
     # read the exact tables alone, with no Monte Carlo
     assert calls == [("signs", 5), ("tails", 5)]
+    # the signs hold at t = 0 or for all t > 0, so the tail table has two
+    # points however long the grid
+    assert run_cli("verify", "--d", "4", "--mmax", "5", "--t-start", "0.01",
+                   "--t-stop", "10", "--t-points", "1000") == 0
+    assert calls[2:] == [("signs", 5), ("tails", 5)] and points == [2, 2]
 
 
 def test_verify_reports_one_cell_per_distinct_time(capsys):
@@ -667,7 +683,6 @@ def test_exact_mean_levels_are_bounded(argv, code, capsys):
     ("limit --n 5 --d-list 0,10", "d must be >= 2, got 0"),
     ("limit --n 50001 --d-list 10", "stationary tail runs to n at most 50000"),
     ("exact --d 2 --m 1 --t 1e9", "over 2^20"),
-    ("verify --d 3 --mmax 2 --t 1e9", "over 2^20"),
     ("exact --d 3 --m 2 --t-spacing log --t-start 0 --t-stop 10 --t-points 5",
      "log spacing needs t-start > 0"),
     ("verify --d 3 --mmax 2 --t 0", "verify needs at least one positive time point"),

@@ -210,7 +210,7 @@ def test_undetermined_certificates_make_ties_not_matches():
     # r(m, t) >= 0 is a theorem, so cell (m, t) reads only the sign of
     # r(m-1, t) - r(m, t); every row is signed, so the only ties lie on the
     # zero row m = 3
-    assert rep.sign_table.undetermined_cells() == []
+    assert not (rep.diff_certs == SignCert.UNDETERMINED.value).any()
     assert sorted((c.m, c.t) for c in rep.cells if c.status == "tie") == [
         (3, float(t)) for t in GRID]
     assert rep.n_violations == 0
@@ -226,24 +226,24 @@ def test_argmax_grid_reads_no_rounding_noise_at_small_eps(d, eps):
 
 
 def test_argmax_cells_follow_the_regime_rule_for_every_sign(monkeypatch):
-    # forge one cell of each sign into every diff row; at d = 3 levels 1 and 3
-    # run in singles mode, levels 2 and 4 in paired mode
+    # forge one sign per diff row, each on one even and one odd level; at
+    # d = 2 every odd level runs in singles mode and every even one paired
     real = optimality.r_diff_table
-    forged = np.array([c.value for c in SignCert], dtype=object)
+    forged = np.array([c.value for c in SignCert for _ in range(2)], dtype=object)
 
     def forge(d, m_max, t_grid, eps):
         table = real(d, m_max, t_grid, eps)
-        certs = np.tile(forged, (m_max - 1, 1))
+        certs = np.repeat(forged[:, None], len(table.t_grid), axis=1)
         return dataclasses.replace(table, diff_certs=certs)
 
     monkeypatch.setattr(optimality, "r_diff_table", forge)
-    d = 3
-    rep = verify_argmax_grid(d, 4, [0.5, 1.0, 2.0, 4.0])
+    d, grid = 2, [0.5, 1.0, 2.0, 4.0]
+    rep = verify_argmax_grid(d, 9, grid)
     for c in rep.cells:
         if c.m == 1:  # no diff row: -r(1, t) < 0, the singles vertex
             assert (c.status, c.equals_optimal) == ("match", True)
             continue
-        sign = SignCert(forged[[0.5, 1.0, 2.0, 4.0].index(c.t)])
+        sign = SignCert(forged[c.m - 2])
         mode = SignCert.NEGATIVE if _singles_mode(c.m, d) else SignCert.POSITIVE
         if sign in (SignCert.POSITIVE, SignCert.NEGATIVE):
             assert c.status == ("match" if sign is mode else "violation")
@@ -251,7 +251,26 @@ def test_argmax_cells_follow_the_regime_rule_for_every_sign(monkeypatch):
         else:  # a tie reports the paired vertex
             assert c.status == "tie"
             assert c.equals_optimal == (mode is SignCert.POSITIVE)
-    assert rep.n_violations == 3 and rep.n_ties == 6
+    assert rep.n_violations == 2 * len(grid) and rep.n_ties == 4 * len(grid)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 10])
+def test_argmax_cells_at_t_zero(d):
+    # every tail at t = 0 is 1{m >= 1}: the second difference is 1 at m = 2
+    # (the paired vertex) and 0 beyond, and m = 1 takes the singles vertex
+    rep = verify_argmax_grid(d, 6, [0.0, 0.0])
+    assert [(c.m, c.status) for c in rep.cells] == [
+        (m, "match" if m <= 2 else "tie") for m in range(1, 7) for _ in range(2)]
+    assert all(c.equals_optimal == (c.m <= 2 or not _singles_mode(c.m, d)) for c in rep.cells)
+
+
+@pytest.mark.parametrize("d", [2, 4, 10])
+def test_argmax_cells_at_large_t_are_those_at_t_one(d):
+    # each sign holds for all t > 0 at once, so t = 1e9 reads as t = 1
+    def verdicts(t):
+        return [(c.m, c.status, c.equals_optimal) for c in verify_argmax_grid(d, 30, [t]).cells]
+
+    assert verdicts(1e9) == verdicts(1.0)
 
 
 README_GRID = np.linspace(0.0, 10.0, 50)[1:]  # verify's default grid, t = 0 dropped
@@ -265,7 +284,7 @@ def test_vertex_gaps_are_the_signed_rows_where_the_bellman_verdict_holds(d):
     # one-signed combination of r rows that the verdict reads
     m_max, eps = 10, 1e-12
     rep = verify_argmax_grid(d, m_max, README_GRID, eps)
-    assert rep.n_violations == 0 and not rep.sign_table.undetermined_cells()
+    assert rep.n_violations == 0 and not (rep.diff_certs == SignCert.UNDETERMINED.value).any()
     tails = survival_table(d, m_max + 2, README_GRID, eps).values
     r = np.vstack([np.zeros(len(README_GRID)), np.diff(tails, axis=0)])  # r[0] = 0
     for m in range(1, m_max + 1):

@@ -213,6 +213,16 @@ def test_cutoff_profile_clamps_negative_times():
             cutoff_profile(5, 100, [theta])
 
 
+@pytest.mark.parametrize("d, theta", [(5, -567.0), (5, -568.0), (5, -1e300),
+                                      (2, -354.0), (2, -355.0), (2, -356.0)])
+def test_cutoff_profile_far_below_the_cutoff_is_a_clamped_row(d, theta):
+    # exp(-d theta/(d-1)) overflows a float from theta = -568 at d = 5 and
+    # -355 at d = 2; the profile value is 2 Phi(inf) - 1 = 1.0 there
+    point = cutoff_profile(d, 100, [theta])[0]
+    assert point.clamped and point.t == 0.0
+    assert (point.tv_exact, point.tv_asymptotic) == (tv_exact(d, 100, 0.0), 1.0)
+
+
 def test_cutoff_gap_shrinks_with_n():
     for d in (2, 5, 10):
         for theta in (-1.0, 0.0, 1.0):
@@ -516,7 +526,8 @@ def test_non_finite_or_nonpositive_eps_is_refused(bad):
     grid = [0.5, 1.0]
     for call in (lambda: survival_table(5, 3, grid, eps=bad),
                  lambda: r_diff_table(5, 3, grid, eps=bad),
-                 lambda: survival_from_stationary(5, 3, grid, eps=bad)):
+                 lambda: survival_from_stationary(5, 3, grid, eps=bad),
+                 lambda: verify_argmax_grid(5, 3, grid, eps=bad)):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             call()
 
