@@ -39,7 +39,7 @@ from itertools import accumulate, cycle
 import numpy as np
 
 from .ratfun import Poly, RationalFn
-from .strategies import DeathChain, Strategy, _check_level, _numerators, death_chain
+from .strategies import DeathChain, Strategy, _check_level, _count, _numerators, death_chain
 
 __all__ = [
     "TailTable",
@@ -288,8 +288,9 @@ def survival_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> TailTable:
     for lam_t in _column_blocks(lam * t_grid, k_max):
         w = _poisson_weights(lam_t, k_max)  # zipped first: no step past k_max is drawn
         terms = (np.multiply.outer(s, w_k) for w_k, s in zip(w, _steps(1.0 - p1 - p2, p1, p2)))
-        blocks.append(_kahan(terms, np.zeros((m_max + 1, len(lam_t)))))
-    return TailTable(d=d, m_max=m_max, t_grid=t_grid, values=np.clip(np.hstack(blocks), 0.0, 1.0),
+        blocks.append(_kahan(terms, np.zeros((chain.m_max + 1, len(lam_t)))))
+    return TailTable(d=chain.d, m_max=chain.m_max, t_grid=t_grid,
+                     values=np.clip(np.hstack(blocks), 0.0, 1.0),
                      eps=eps, uniformization_rate=chain.lam_int, n_terms=k_max)
 
 
@@ -372,13 +373,13 @@ def _transform(level, q: int) -> RationalFn:
 
 def laplace_V(d: int, m: int) -> RationalFn:
     """Laplace transform of t -> P(tau > t | N_0 = m), exact in alpha."""
+    m, d = _check_level(m, d)
     return _transform(_optimal_levels(d, m)[m], d - 1)
 
 
 def laplace_R(d: int, m: int) -> RationalFn:
     """Laplace transform of the level difference r(m, t) = v(m,t) - v(m-1,t)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m, d = _check_level(_count("m", m, 1), d)
     v = _optimal_levels(d, m)
     return _transform(_combine((1, v[m]), (-1, v[m - 1])), d - 1)
 
@@ -402,6 +403,7 @@ def _mean_levels(d: int, m_max: int, factor=None):
     list of them.  Levels above 2000 are refused with ValueError before any
     work: the digits grow with m, so the cost grows about as m^2.
     """
+    m_max, d = _check_level(m_max, d)  # Python ints, so no product below wraps
     if m_max > _MAX_MEAN_LEVEL:
         raise ValueError(f"exact means run to level at most {_MAX_MEAN_LEVEL};"
                          f" level {m_max} was asked")
@@ -440,10 +442,10 @@ def _float_levels(d: int, lo: int, hi: int) -> np.ndarray:
     which is exact below 2^53; each step then runs in place on its rows.
     Only the blocks that hold lo..hi keep their rows; the chaining pass
     reads the others' last two steps alone."""
-    if not 0 <= hi <= _MAX_FLOAT_LEVELS:
+    hi, d = _check_level(hi, d)
+    if hi > _MAX_FLOAT_LEVELS:
         raise ValueError(f"the float level means run from level 0 to at most"
                          f" {_MAX_FLOAT_LEVELS}; level {hi} was asked")
-    _check_level(hi, d)
     size = math.isqrt(hi) + 1  # levels per block, 2 or more once hi >= 1
     lanes = np.arange(1, hi + 1, size)  # each block's first level
     blocks, first = lanes.size, max(lo - 1, 0) // size  # first: the first block kept
@@ -508,8 +510,7 @@ def mk_bound_mean(k: int, m: int) -> Fraction:
     that only takes -k steps, at rate equal to its current level."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _count("m", m, 0)
     return sum((Fraction(1, k * i) for i in range(1, m + 1)), Fraction(0))
 
 
@@ -604,13 +605,11 @@ def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
     refused with ValueError before any work: the table's integers grow with
     m, and (4, 200) already takes about 0.5 s.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    if m_max > _MAX_SIGN_LEVEL:
+    if _count("m_max", m_max, 1) > _MAX_SIGN_LEVEL:
         raise ValueError(f"sign tables run to level at most {_MAX_SIGN_LEVEL};"
                          f" level {m_max} was asked")
     table = survival_table(d, m_max, t_grid, eps)
-    t_grid = table.t_grid
+    d, m_max, t_grid = table.d, table.m_max, table.t_grid
     r = table.values[1:] - table.values[:-1]
     diff = r[:-1] - r[1:]
     chain = death_chain(Strategy.OPTIMAL, d, m_max)

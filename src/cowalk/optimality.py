@@ -56,7 +56,7 @@ def bellman_gap(d: int, m: int, t: float, schedule: RateSchedule,
     if len(tails) < m + 3:
         raise ValueError(f"tails must hold v(0..m+2, t): at least {m + 3} entries, "
                          f"got {len(tails)}")
-    _check_level(m, d)
+    m, d = _check_level(m, d)
     row = np.asarray(tails, dtype=float)[max(m - 2, 1):m + 3].tolist()
     v = [0.0] * (5 - len(row)) + row  # v(m-2..m+2)
     dm2, dm1, dp1, dp2 = v[0] - v[2], v[1] - v[2], v[3] - v[2], v[4] - v[2]

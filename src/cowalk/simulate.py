@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from .exact import _time_grid
 from .states import WalkParams
-from .strategies import Strategy, death_chain, rate_table
+from .strategies import Strategy, _count, death_chain, rate_table
 
 __all__ = [
     "SurvivalCurve",
@@ -68,18 +68,6 @@ def _chunk_bounds(replicates: int, m0: int):
     return [(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
 
 
-def _start_level(m0) -> int:
-    """The start level as an int: an int or numpy integer in [0, 10^6]."""
-    if isinstance(m0, bool) or not isinstance(m0, (int, np.integer)):
-        raise ValueError(f"the start level must be an integer, got {m0!r}")
-    if m0 < 0:
-        raise ValueError("m0 must be >= 0")
-    if m0 > _MAX_START_LEVEL:  # before any rate table is allocated
-        raise ValueError(f"the lumped sampler starts at level at most {_MAX_START_LEVEL};"
-                         f" level {m0} was asked")
-    return int(m0)
-
-
 def _run_lumped_chunk(seed, index, lo, hi, total, p2, m0, t_max):
     # sub-blocks draw the chunk's stream in order, so they change no value
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
@@ -111,14 +99,15 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
                           n_workers: int | None = None):
     """Coupling times (and N-jump counts) of ``replicates`` independent runs
     started at unmatched count m0.  Censored runs (no possible move, or
-    absorption after t_max) carry tau = +inf."""
-    m0 = _start_level(m0)
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    absorption after t_max) carry tau = +inf.  m0 is an int or numpy integer
+    in [0, 10^6]."""
+    m0, replicates = _count("m0", m0, 0), _count("replicates", replicates, 1)
+    if m0 > _MAX_START_LEVEL:  # before any rate table is allocated
+        raise ValueError(f"the lumped sampler starts at level at most {_MAX_START_LEVEL};"
+                         f" level {m0} was asked")
     if not t_max > 0:  # also refuses nan
         raise ValueError("t_max must be positive")
-    if n_workers is not None and n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
+    n_workers = None if n_workers is None else _count("n_workers", n_workers, 1)
     total, p2 = rate_table(Strategy(strategy), d, m0)
     if m0 > 0 and total[m0] == 0:  # every run is stuck at the start
         return np.full(replicates, np.inf), np.zeros(replicates, dtype=np.int64)
@@ -140,11 +129,9 @@ def estimate_survival(strategy: Strategy, d: int, start, t_grid, replicates: int
     estimates on the grid.
     """
     t_grid = _time_grid(t_grid)
-    if replicates < 100:
-        raise ValueError("need at least 100 replicates")
-    m0 = _start_level(start)
+    replicates = _count("replicates", replicates, 100)
     t_max = float(t_grid.max())
-    tau, _ = sample_coupling_times(strategy, d, m0, replicates, seed,
+    tau, _ = sample_coupling_times(strategy, d, start, replicates, seed,
                                    t_max=np.inf if t_max == 0 else t_max * (1 + 1e-12),
                                    n_workers=n_workers)
     # count of tau > t for each t, from the sorted sample: O(R) memory
@@ -281,8 +268,7 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
         raise ValueError(f"{strategy.value} has no full-coordinate realization")
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    replicates = _count("replicates", replicates, 1)
     d, n = params.d, params.n
     rate_dom = _kernels._DOMINATING_BLOCK_RATE * n
     if rate_dom * horizon > _MAX_REPLICATE_EVENTS or replicates * rate_dom * horizon > _MAX_EVENTS:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .strategies import _count
+
 
 @dataclass(frozen=True)
 class WalkParams:
@@ -17,7 +19,5 @@ class WalkParams:
     n: int
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "d", _count("d", self.d, 2))
+        object.__setattr__(self, "n", _count("n", self.n, 1))

@@ -72,13 +72,22 @@ class RateSchedule:
         return (d - 1) * (self.down1 + 2 * self.down2) <= m * d and (d - 1) * self.down2 <= m
 
 
-def _check_level(m: int, d: int) -> None:
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+def _count(name: str, value, low: int) -> int:
+    """A count (d, n, m, ...) as a Python int: an int or numpy integer, not a bool, >= low."""
+    if type(value) is not int:  # the fast path: nearly every call passes a plain int
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _check_level(m: int, d: int) -> tuple[int, int]:
+    m, d = _count("m", m, 0), _count("d", d, 2)  # Python ints: the product cannot wrap
     if max(m, 1) * d >= 2**53:  # the rate numerators are int64 and exact as floats
         raise ValueError(f"max(m, 1) * d must be below 2^53, got m = {m}, d = {d}")
+    return m, d
 
 
 def _singles_mode(m, d: int):
@@ -163,7 +172,7 @@ def _numerators(strategy: Strategy, m, d: int):
 
 def death_chain(strategy: Strategy, d: int, m_max: int) -> DeathChain:
     """Death chain of ``strategy`` on levels 0..m_max."""
-    _check_level(m_max, d)
+    m_max, d = _check_level(m_max, d)
     c1, c2 = _numerators(Strategy(strategy), np.arange(m_max + 1, dtype=np.int64), d)
     return DeathChain(d, m_max, c1, c2)
 
@@ -177,4 +186,4 @@ def rate_table(strategy: Strategy, d: int, m_max: int):
     chain = death_chain(strategy, d, m_max)
     exits = chain.c1 + chain.c2
     p2 = np.divide(chain.c2, exits, out=np.zeros(m_max + 1), where=exits > 0)
-    return exits / (d - 1), p2
+    return exits / (chain.d - 1), p2

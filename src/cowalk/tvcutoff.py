@@ -23,7 +23,7 @@ import numpy as np
 
 from .exact import _MAX_MEAN_LEVEL, _float_levels, _mean_levels, _start_law_tail, _time_grid
 from .simulate import SurvivalCurve
-from .strategies import _check_level
+from .strategies import _check_level, _count
 
 __all__ = [
     "CoordinateLaw",
@@ -51,10 +51,11 @@ class CoordinateLaw:
 
 def coordinate_law(d: int, t: float) -> CoordinateLaw:
     """Spectral solution of the rate-1 walk on K_d (relaxation rate d/(d-1));
-    t passes ``_time_grid``."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    t passes ``_time_grid`` and must be a scalar."""
+    d = _count("d", d, 2)
     _time_grid(t)
+    if np.ndim(t):
+        raise ValueError(f"t must be a scalar, got shape {np.shape(t)}")
     a = 1.0 / d + (1.0 - 1.0 / d) * math.exp(-d * t / (d - 1))
     return CoordinateLaw(d=d, t=t, a=a, b=(1.0 - a) / (d - 1))
 
@@ -75,7 +76,8 @@ def tv_exact(d: int, n: int, t: float) -> float:
     outside the windows is below 1e-24, and the ratio recurrence, the sums
     and the subtraction round by at most 4 u L per window.  n up to 10^10.
     """
-    if not 1 <= n <= _TV_MAX_N:
+    n = _count("n", n, 1)
+    if n > _TV_MAX_N:
         raise ValueError(f"n must be in [1, {_TV_MAX_N}]")
     law = coordinate_law(d, t)
     if law.b == 0.0:  # point mass vs uniform
@@ -112,8 +114,7 @@ def _binomial_sf(n: int, p: float, k: int) -> float:
 
 def cutoff_time(d: int, n: int) -> float:
     """Center of the TV cutoff window: ((d-1)/d) * log(n) / 2."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    d, n = _count("d", d, 2), _count("n", n, 1)
     return 0.5 * (d - 1) / d * math.log(n)
 
 
@@ -143,8 +144,7 @@ def cutoff_profile(d: int, n: int, theta_list) -> list[CutoffPoint]:
     2*Phi(sqrt(d-1)/2 * exp(-d*theta/(d-1))) - 1 (Phi via erf/erfc, <=1e-12
     error).  Finite negative times are clamped to 0 and flagged; -inf, like
     +inf and nan, is refused by ``tv_exact``'s time rule."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n, d = _count("n", n, 2), _count("d", d, 2)
     t_c = cutoff_time(d, n)
     out = []
     for theta in theta_list:
@@ -193,12 +193,10 @@ def survival_from_stationary(d: int, n: int, t_grid, eps: float = 1e-12) -> Surv
     grows about as n^2.3, and n = 5*10^4 already takes about 10 s at d = 5
     and 16-20 s at d = 2 and 50 on 50 points over [0, 12] (Xeon).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > _STATIONARY_MAX_N:
+    if _count("n", n, 1) > _STATIONARY_MAX_N:
         raise ValueError(f"the stationary tail runs to n at most {_STATIONARY_MAX_N};"
                          f" n = {n} was asked")
-    _check_level(n, d)  # d >= 2 before 1 - 1/d
+    n, d = _check_level(n, d)  # d >= 2 before 1 - 1/d
     t_grid, value = _start_law_tail(d, _binomial_weights(n, 1.0 - 1.0 / d), t_grid, eps)
     zeros = np.zeros_like(t_grid)
     return SurvivalCurve(t_grid=t_grid, value=value, half_width_95=zeros,
@@ -209,8 +207,7 @@ def limit_tail(n: int, t):
     """d -> infinity limit: both the TV distance and the optimal-coupling
     tail converge to 1 - (1 - e^{-t})^n.  t passes ``_time_grid``; a scalar
     gives a float."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _count("n", n, 1)
     t = np.asarray(t, dtype=float)
     _time_grid(t)
     out = 1.0 - (-np.expm1(-t)) ** n
@@ -258,9 +255,7 @@ def mean_tau_stationary(d: int, n: int, exact: bool | None = None):
     window reaches past level 10^7 (n above about 10^7 d/(d-1)) with
     ValueError.  Returns a Fraction or a float accordingly.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_level(n, d)  # d >= 2 before 1 - 1/d
+    n, d = _check_level(_count("n", n, 1), d)  # d >= 2 before 1 - 1/d
     if exact is None:
         exact = n <= _MAX_MEAN_LEVEL
     if exact:

@@ -715,7 +715,7 @@ LIBRARY_RULES = [
         ("cutoff", "--n 10"), ("verify", "--mmax 3 --t 1"),
         (_VM, "--n 2 --strategy synchronous -T 1 -R 100")]],
     ("mean-tau", "--d 5 --m 2", "n", 0, "n must be >= 1"),
-    ("tv", "--d 3 --t 1", "n", 0, "n must be in [1, 10000000000]"),
+    ("tv", "--d 3 --t 1", "n", 0, "n must be >= 1, got 0"),
     ("cutoff", "--d 3", "n", 0, "n must be >= 2"),
     ("limit", "--d-list 10 --t 1", "n", 0, "n must be >= 1"),
     (_VM, "--d 2 --strategy synchronous -T 1 -R 100", "n", 0, "n must be >= 1, got 0"),

@@ -120,9 +120,9 @@ def test_non_integer_start_level_is_refused(monkeypatch, start):
         raise AssertionError("a refused start level drew")
 
     monkeypatch.setattr(simulate, "_run_lumped_chunk", no_draws)
-    with pytest.raises(ValueError, match="start level must be an integer"):
+    with pytest.raises(ValueError, match="m0 must be an integer"):
         sample_coupling_times("optimal", 3, start, 100, 1)
-    with pytest.raises(ValueError, match="start level must be an integer"):
+    with pytest.raises(ValueError, match="m0 must be an integer"):
         estimate_survival("optimal", 3, start, [0.5], 100, 1)
 
 

@@ -546,9 +546,14 @@ def test_bad_n_and_t_are_refused():
                      lambda: cutoff_profile(5, 10, [0.0, t])):
             with pytest.raises(ValueError, match="t_grid must be finite"):
                 call()
-    for call in (lambda: coordinate_law(5, -0.5), lambda: tv_exact(5, 3, -0.5)):
+    for call in (lambda: coordinate_law(5, -0.5), lambda: tv_exact(5, 3, -0.5),
+                 lambda: coordinate_law(5, [1.0, -0.5])):  # the time-grid rule reads first
         with pytest.raises(ValueError, match="t_grid must be nonnegative"):
             call()
+    for t in ([1.0, 2.0], [1.0], np.array([1.0])):  # one time, not a grid of them
+        for call in (lambda: coordinate_law(5, t), lambda: tv_exact(5, 3, t)):
+            with pytest.raises(ValueError, match=r"t must be a scalar, got shape \("):
+                call()
 
 
 @pytest.mark.parametrize("t, message", [
