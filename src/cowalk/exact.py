@@ -508,6 +508,7 @@ def expected_tau_float(d: int, m_max: int) -> np.ndarray:
 def mk_bound_mean(k: int, m: int) -> Fraction:
     """Mean absorption time sum(1/(k*i), i=1..m) of the comparison process
     that only takes -k steps, at rate equal to its current level."""
+    k = _count("k", k, 1)
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     m = _count("m", m, 0)

@@ -21,7 +21,7 @@ import numpy as np
 from .exact import (SignCert, _combine, _row_sign, _spectral_levels, _time_grid, r_diff_table,
                     survival_exact, survival_table)
 from .simulate import SurvivalCurve, estimate_survival
-from .strategies import (RateSchedule, Strategy, _check_level, _paired, _singles,
+from .strategies import (RateSchedule, Strategy, _check_level, _count, _paired, _singles,
                          _singles_mode, death_chain)
 
 __all__ = [
@@ -89,6 +89,8 @@ def sample_feasible_schedules(d: int, m: int, count: int, seed: int) -> list[Rat
     accepted in draw order, so the schedules are those of a loop drawing
     ``uniform(0, box1)`` then ``uniform(0, box2)`` per pair.
     """
+    count = _count("count", count, 0)
+    m, d = _check_level(m, d)  # both rules before any draw
     rng = np.random.default_rng(seed)
     out = _lp_vertices(m, d)
     box1 = m * d / (d - 1)
@@ -148,6 +150,7 @@ def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> Argmax
     """
     t_grid = _time_grid(t_grid)
     signs = r_diff_table(d, m_max, [0.0, 1.0], eps)
+    d, m_max = signs.d, signs.m_max  # Python ints, as its count rules return them
     col = (t_grid > 0).astype(int)
     r_certs, diff_certs = signs.r_certs[:, col], signs.diff_certs[:, col]
     cells = []
@@ -204,6 +207,7 @@ def dominance_test(d: int, m0: int, competitor: Strategy, t_grid,
     if competitor is Strategy.OPTIMAL:
         raise ValueError("dominance_test compares baselines against optimal")
     t_grid = _time_grid(t_grid)
+    m0, d = _count("m0", m0, 0), _count("d", d, 2)
     emp = estimate_survival(competitor, d, m0, t_grid, replicates, seed,
                             n_workers=n_workers)
     exact = survival_exact(d, m0, t_grid, eps)

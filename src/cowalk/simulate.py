@@ -68,30 +68,41 @@ def _chunk_bounds(replicates: int, m0: int):
     return [(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
 
 
-def _run_lumped_chunk(seed, index, lo, hi, total, p2, m0, t_max):
-    # sub-blocks draw the chunk's stream in order, so they change no value
+def _run_lumped_chunk(seed, index, tau, njumps, total, p2, m0, t_max):
+    # fills the chunk's slices tau and njumps; sub-blocks draw the chunk's
+    # stream in order, so they change no value
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
     # the row floor keeps numpy's per-step overhead small at large m0
     steps = max(m0, 1)
     rows = max(1, _LUMPED_BLOCK // steps, min(_LUMPED_ROWS, 16 * _LUMPED_BLOCK // steps))
-    sizes = [min(rows, hi - start) for start in range(lo, hi, rows)]
-    parts = []
+    starts = range(0, tau.size, rows)
+    rows = min(rows, tau.size)
+    # the sub-blocks take turns in two uniform buffers and share one of holding times
+    uniforms = np.empty((min(2, len(starts)), rows, m0, 2))
+    hold = np.empty((rows, m0))
 
-    def run(u):
-        exp_draws = -np.log1p(-u[:, :, 0])  # holding-time deviates, host-side
-        parts.append(_kernels.lumped_batch(total, p2, m0, t_max, exp_draws, u[:, :, 1]))
+    def draw(i):
+        return rng.random(out=uniforms[i % 2, :tau.size - starts[i]])
 
-    # a helper thread draws sub-block i+1 (rng.random releases the GIL)
-    # while this one runs sub-block i; only the helper touches rng, in
-    # stream order, and leaving the block joins it, on error too
+    def run(start, u):
+        exp_draws = hold[:len(u)]  # holding-time deviates -log1p(-u), host-side, in place
+        np.log1p(np.negative(u[:, :, 0], out=exp_draws), out=exp_draws)
+        np.negative(exp_draws, out=exp_draws)
+        stop = start + len(u)
+        tau[start:stop], njumps[start:stop] = _kernels.lumped_batch(
+            total, p2, m0, t_max, exp_draws, u[:, :, 1])
+
+    # a helper thread draws sub-block i+1 (rng.random releases the GIL) into
+    # the buffer sub-block i-1 left while this one runs sub-block i; only
+    # the helper touches rng, in stream order, and leaving the block joins
+    # it, on error too
     with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(rng.random, (sizes[0], m0, 2))
-        for size in sizes[1:]:
-            u, ahead = ahead.result(), helper.submit(rng.random, (size, m0, 2))
-            run(u)
-        run(ahead.result())
-    tau, njumps = zip(*parts)
-    return np.concatenate(tau), np.concatenate(njumps)
+        ahead = helper.submit(draw, 0)
+        for i, start in enumerate(starts):
+            u = ahead.result()
+            if i + 1 < len(starts):
+                ahead = helper.submit(draw, i + 1)
+            run(start, u)
 
 
 def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
@@ -100,7 +111,11 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
     """Coupling times (and N-jump counts) of ``replicates`` independent runs
     started at unmatched count m0.  Censored runs (no possible move, or
     absorption after t_max) carry tau = +inf.  m0 is an int or numpy integer
-    in [0, 10^6]."""
+    in [0, 10^6].
+
+    Memory: the output, 16 B per replicate, filled in place by every chunk,
+    plus per worker two uniform sub-blocks and one holding-time block (5 MB
+    at m0 = 40): 21.9 MB traced at R = 2^20, m0 = 40, 26.3 MB on two workers."""
     m0, replicates = _count("m0", m0, 0), _count("replicates", replicates, 1)
     if m0 > _MAX_START_LEVEL:  # before any rate table is allocated
         raise ValueError(f"the lumped sampler starts at level at most {_MAX_START_LEVEL};"
@@ -111,14 +126,16 @@ def sample_coupling_times(strategy: Strategy, d: int, m0: int, replicates: int,
     total, p2 = rate_table(Strategy(strategy), d, m0)
     if m0 > 0 and total[m0] == 0:  # every run is stuck at the start
         return np.full(replicates, np.inf), np.zeros(replicates, dtype=np.int64)
+    tau, njumps = np.empty(replicates), np.empty(replicates, dtype=np.int64)
     bounds = _chunk_bounds(replicates, m0)
 
-    def run(idx):
-        return _run_lumped_chunk(seed, idx, *bounds[idx], total, p2, m0, t_max)
+    def run(idx):  # the chunks' slices of tau and njumps are disjoint
+        lo, hi = bounds[idx]
+        _run_lumped_chunk(seed, idx, tau[lo:hi], njumps[lo:hi], total, p2, m0, t_max)
 
     with ThreadPoolExecutor(max_workers=n_workers or 1) as pool:
-        tau, njumps = zip(*pool.map(run, range(len(bounds))))  # yields in chunk order
-    return np.concatenate(tau), np.concatenate(njumps)
+        list(pool.map(run, range(len(bounds))))  # re-raises a chunk's error
+    return tau, njumps
 
 
 def estimate_survival(strategy: Strategy, d: int, start, t_grid, replicates: int,
@@ -127,6 +144,10 @@ def estimate_survival(strategy: Strategy, d: int, start, t_grid, replicates: int
     unmatched coordinates (an int or numpy integer in [0, 10^6]).  Runs not absorbed
     by max(t_grid) are censored, which still gives unbiased pointwise
     estimates on the grid.
+
+    Memory: that of ``sample_coupling_times``, as the sample is sorted in
+    place; 21.2 MB traced at R = 2^20, start 40, and 104 MB ``ru_maxrss`` in
+    a fresh interpreter at R = 4*10^6.
     """
     t_grid = _time_grid(t_grid)
     replicates = _count("replicates", replicates, 100)
@@ -134,8 +155,8 @@ def estimate_survival(strategy: Strategy, d: int, start, t_grid, replicates: int
     tau, _ = sample_coupling_times(strategy, d, start, replicates, seed,
                                    t_max=np.inf if t_max == 0 else t_max * (1 + 1e-12),
                                    n_workers=n_workers)
-    # count of tau > t for each t, from the sorted sample: O(R) memory
-    survivors = replicates - np.searchsorted(np.sort(tau), t_grid, side="right")
+    tau.sort()  # in place: count of tau > t for each t, with no copy of the sample
+    survivors = replicates - np.searchsorted(tau, t_grid, side="right")
     value = survivors / replicates
     sigma = np.sqrt(value * (1.0 - value) / replicates)
     return SurvivalCurve(t_grid=t_grid, value=value,
@@ -262,6 +283,10 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
     which exercises the coupled moves; per-coordinate value-change counts
     are tested against Poisson(horizon) and pooled increments against the
     uniform law on {1, .., d-1}, separately for X and Y.
+
+    Memory: every sub-block of uniforms (at most 2^21, 16 MB) is drawn into
+    one buffer per call, grown to the largest sub-block drawn; 18.1 MB
+    traced at n = 5, horizon 10, 10^4 replicates.
     """
     strategy = Strategy(strategy)
     if strategy is Strategy.PAIRWISE_CLASSIC:
@@ -281,23 +306,33 @@ def validate_marginals(strategy: Strategy, params: WalkParams, horizon: float,
     paired = death_chain(Strategy.OPTIMAL, d, n).c2 > 0
 
     parts = []
+    uniforms = np.empty((0, 4))
     for idx, (lo, hi) in enumerate(_chunk_bounds(replicates, 1)):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, idx))))
         ev_count = rng.poisson(rate_dom * horizon, hi - lo).astype(np.int64)
         ends = np.cumsum(ev_count)
+        # sub-blocks of consecutive replicates within a cap (or one
+        # replicate), drawn in stream order, so they change no value.  A cap
+        # of E/k events plus the largest replicate's makes each but the last
+        # hold at least E/k of the chunk's E, so k = ceil(E / (_BLOCK/4)) even
+        # sub-blocks of at most _BLOCK uniforms (4 per event) hold them all.
+        # Each is drawn into the one buffer, grown (the old one freed first).
+        k = max(1, -(-int(ends[-1]) // (_BLOCK // 4)))
+        cap = min(_BLOCK // 4, -(-int(ends[-1]) // k) + int(ev_count.max()))
         start = 0
         while start < hi - lo:
-            # consecutive replicates with at most _BLOCK uniforms (4 per
-            # event), or one replicate; drawn in stream order, so the
-            # sub-blocks change no value.  Only the call holds the uniforms,
-            # so they are freed before the next sub-block is drawn.
             first = ends[start] - ev_count[start]
-            stop = max(start + 1, int(np.searchsorted(ends, first + _BLOCK // 4, "right")))
+            stop = max(start + 1, int(np.searchsorted(ends, first + cap, "right")))
             count = ev_count[start:stop]
+            events = int(ends[stop - 1] - first)
+            if events > len(uniforms):
+                uniforms = None
+                uniforms = np.empty((events, 4))
             parts.append(_kernels.marginal_batch(
                 strategy, d, n, x0, y0, count, ends[start:stop] - count - first,
-                rng.random((int(ends[stop - 1] - first), 4)), paired))
+                rng.random(out=uniforms[:events]), paired))
             start = stop
+    del uniforms  # before the outputs are joined and tested
     xchg, ychg, xinc, yinc, joint = zip(*parts)
     xchg, ychg, xinc, yinc = np.concatenate(xchg), np.concatenate(ychg), sum(xinc), sum(yinc)
 

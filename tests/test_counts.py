@@ -1,14 +1,16 @@
 """The count rule: every count parameter (d, n, m, m_max, m0, replicates,
-n_workers) of the entry points is an int or a numpy integer, and anything
+n_workers, a step k, a schedule count) of the entry points is an int or a numpy integer, and anything
 else, bools included, is refused with ValueError naming the parameter.  A
 numpy integer gives the bits of the equal Python int."""
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cowalk as cw
 from cowalk.exact import expected_tau_float
+from cowalk.optimality import sample_feasible_schedules
 from cowalk.strategies import death_chain, rate_table
 
 T = [0.5, 1.0]
@@ -24,8 +26,15 @@ CALLS = [
     (cw.expected_tau, dict(d=4, m=3), {"d": "d", "m": "m"}),
     (expected_tau_float, dict(d=4, m_max=30), {"d": "d", "m_max": "m"}),
     (cw.mk_bound_mean, dict(k=2, m=5), {"m": "m"}),
+    (cw.mk_bound_mean, dict(k=1, m=5), {"k": "k"}),
     (cw.r_diff_table, dict(d=4, m_max=4, t_grid=T), {"d": "d", "m_max": "m_max"}),
     (cw.bellman_gap, dict(d=4, m=3, t=1.0, schedule=cw.RateSchedule()), {"d": "d", "m": "m"}),
+    (sample_feasible_schedules, dict(d=4, m=3, count=5, seed=1),
+     {"d": "d", "m": "m", "count": "count"}),
+    (cw.verify_argmax_grid, dict(d=4, m_max=3, t_grid=T), {"d": "d", "m_max": "m_max"}),
+    (cw.dominance_test,
+     dict(d=4, m0=3, competitor="independent", t_grid=T, replicates=200, seed=1, n_workers=1),
+     {"d": "d", "m0": "m0", "replicates": "replicates", "n_workers": "n_workers"}),
     (cw.WalkParams, dict(d=4, n=3), {"d": "d", "n": "n"}),
     (cw.coordinate_law, dict(d=4, t=1.0), {"d": "d"}),
     (cw.cutoff_time, dict(d=4, n=100), {"d": "d", "n": "n"}),
@@ -98,3 +107,25 @@ def test_cutoff_time_refuses_n_below_1():
     with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         cw.cutoff_time(5, 0)
     assert cw.cutoff_time(5, 1) == 0.0
+
+
+def test_mk_bound_mean_steps_are_1_or_2():
+    assert cw.mk_bound_mean(np.int64(1), 3) == cw.mk_bound_mean(1, 3) == Fraction(11, 6)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=r"^k must be "):
+            cw.mk_bound_mean(k, 3)
+
+
+def test_sample_feasible_schedules_checks_its_counts_before_any_draw(monkeypatch):
+    assert len(sample_feasible_schedules(4, 3, 0, 1)) == 4  # the vertices alone
+
+    def no_draws(*args):
+        raise AssertionError("a refused input drew")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for bad, message in [(dict(count=2.5), "count must be an integer"),
+                         (dict(count=True), "count must be an integer"),
+                         (dict(count=-1), "count must be >= 0"),
+                         (dict(m=-1), "m must be >= 0"), (dict(d=1), "d must be >= 2")]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            sample_feasible_schedules(**{**dict(d=4, m=3, count=5, seed=1), **bad})

@@ -70,10 +70,11 @@ def test_synchronous_never_couples():
 def test_all_stuck_start_draws_nothing_and_matches_the_chunk_path(monkeypatch):
     # three chunks, each drawn and run as before the shortcut
     total, p2 = rate_table(Strategy.SYNCHRONOUS, 4, 40)
-    parts = [simulate._run_lumped_chunk(7, i, lo, hi, total, p2, 40, np.inf)
-             for i, (lo, hi) in enumerate(simulate._chunk_bounds(70_000, 40))]
-    assert len(parts) == 3
-    want_tau, want_nj = (np.concatenate(x) for x in zip(*parts))
+    want_tau, want_nj = np.empty(70_000), np.empty(70_000, dtype=np.int64)
+    bounds = simulate._chunk_bounds(70_000, 40)
+    assert len(bounds) == 3
+    for i, (lo, hi) in enumerate(bounds):
+        simulate._run_lumped_chunk(7, i, want_tau[lo:hi], want_nj[lo:hi], total, p2, 40, np.inf)
     monkeypatch.setattr(simulate, "_run_lumped_chunk", None)  # any draw fails
     tau, nj = sample_coupling_times(Strategy.SYNCHRONOUS, 4, 40, 70_000, seed=7)
     assert tau.dtype == want_tau.dtype and tau.tobytes() == want_tau.tobytes()
@@ -165,6 +166,27 @@ def test_worker_count_does_not_change_results():
     tau1, _ = sample_coupling_times(Strategy.OPTIMAL, 4, 500, 70_000, seed=6, n_workers=1)
     tau3, _ = sample_coupling_times(Strategy.OPTIMAL, 4, 500, 70_000, seed=6, n_workers=3)
     assert (tau1 == tau3).all()
+
+
+def test_chunks_filled_in_place_match_one_draw_per_chunk_under_thread_switching():
+    # four workers on fewer cores, each chunk's helper drawing into one of two
+    # buffers while the kernel reads the other, threads switching every
+    # microsecond: each chunk's slice must hold what one whole-chunk draw gives
+    total, p2 = rate_table(Strategy.OPTIMAL, 4, 40)
+    want = []
+    for i, (lo, hi) in enumerate(simulate._chunk_bounds(70_000, 40)):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, i))))
+        u = rng.random((hi - lo, 40, 2))
+        want.append(_kernels.lumped_batch(total, p2, 40, np.inf, -np.log1p(-u[:, :, 0]),
+                                          u[:, :, 1]))
+    want_tau, want_nj = (np.concatenate(x) for x in zip(*want))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tau, nj = sample_coupling_times("optimal", 4, 40, 70_000, seed=8, n_workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert tau.tobytes() == want_tau.tobytes() and nj.tobytes() == want_nj.tobytes()
 
 
 def test_simulate_coupling_censoring_sentinel():
@@ -746,6 +768,38 @@ def test_lumped_sampler_working_set_is_bounded():
     assert peak < 128 * 2**20
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the working set of R runs from start level 40 is the output, 16 B per
+# replicate (tau and the jump count), plus each worker's draw buffers: two
+# uniform sub-blocks of two numbers a step and one holding-time block of
+# one, all of 3,276 rows of 40 steps (5 MB in all); 2 MB covers the rate
+# tables and the kernel's per-sub-block arrays.  There is no concatenation
+# copy and no sorted copy.
+_R = 2**20
+_DRAW_BUFFERS = 5 * (simulate._LUMPED_BLOCK // 40) * 40 * 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lumped_sampler_peak_is_output_plus_draw_buffers(workers):
+    peak = _traced_peak(lambda: sample_coupling_times("optimal", 4, 40, _R, seed=1,
+                                                      n_workers=workers))
+    assert peak <= 16 * _R + workers * _DRAW_BUFFERS + 2 * 2**20
+
+
+def test_survival_curve_peak_is_output_plus_draw_buffers():
+    grid = np.linspace(0.0, 12.0, 200)
+    peak = _traced_peak(lambda: estimate_survival("optimal", 4, 40, grid, _R, seed=3))
+    assert peak <= 16 * _R + _DRAW_BUFFERS + 2 * 2**20
+
+
 def test_marginal_validation_working_set_is_bounded():
     # 8192 replicates of about 400 candidate events: one chunk whose
     # uniforms (105 MB) are drawn in several sub-blocks
@@ -766,7 +820,7 @@ def test_marginal_validation_working_set_is_bounded():
 
 def test_marginal_validation_readme_size_working_set():
     # the README command's size: one chunk of two sub-blocks of uniforms
-    # (16 MB each), never both live at once
+    # (about 15 MB each), drawn in turn into one buffer
     tracemalloc.start()
     try:
         validate_marginals("optimal", WalkParams(d=4, n=5), 10.0, 10_000, 0)
