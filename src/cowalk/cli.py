@@ -5,8 +5,9 @@ validate-marginals.  Every run writes its artifact (CSV or JSON) plus a
 ``<file>.meta.json`` sidecar with the seed, parameters, and versions; with
 no --out it goes to stdout, byte for byte the same, with no sidecar.  Each
 subcommand takes only the flags it reads, which win over an optional JSON
-config file (--config).  verify reads its argmax, Bellman and dominance
-verdicts off the exact tables for all t > 0, and exits 0 whatever they are.
+config file (--config).  verify reads one argmax, Bellman and dominance
+verdict per level off the exact tables, for all t > 0 at once (so it takes
+no time grid), and exits 0 whatever they are.
 
 Exit codes: 0 success, 2 invalid configuration, 1 runtime failure,
 3 internal assertion failure.
@@ -275,34 +276,26 @@ def _cmd_limit(cfg: ExperimentConfig):
 
 def _cmd_verify(cfg: ExperimentConfig):
     _require(cfg, "d", "m_max")
-    grid = cfg.t_grid()
-    grid = grid[grid > 0]  # every tail at t = 0 is 1{m >= 1}: no cell there needs a certificate
-    if grid.size == 0:
-        raise ValueError("verify needs at least one positive time point")
-    argmax = optimality.verify_argmax_grid(cfg.d, cfg.m_max, grid)
-    statuses = {f"m={cell.m},t={cell.t!r}": cell.status for cell in argmax.cells}
-    undetermined = argmax.diff_certs == exact.SignCert.UNDETERMINED.value
+    # each sign holds for all t > 0 at once, so t = 1 stands for every t > 0
+    argmax = optimality.verify_argmax_grid(cfg.d, cfg.m_max, [1.0])
+    undecided = [m for m, (sign,) in enumerate(argmax.diff_certs, 2) if sign == "undetermined"]
     # vertex gaps: -obj (no move), -+m/(d-1) (r(m-1) - r(m)) (other mode) and
     # -m(d-2)/(d-1) r(m), plus that term in singles mode (cap): <= 0 by the signs
-    bellman = argmax.n_violations == 0 and not undetermined.any()
+    bellman = argmax.n_violations == 0 and not undecided
     m0 = min(max(2, cfg.m_max // 2), cfg.m_max)
     signs = {c.value: optimality._dominance_sign(cfg.d, m0, c)
              for c in (Strategy.INDEPENDENT, Strategy.SYNCHRONOUS, Strategy.PAIRWISE_CLASSIC)}
-    r_nonpositive = argmax.r_certs != exact.SignCert.POSITIVE.value
     payload = {
-        "d": cfg.d, "m_max": cfg.m_max, "eps": argmax.eps,
-        "argmax": {"cells": statuses, "violations": argmax.n_violations,
-                   "ties": argmax.n_ties,
+        "d": cfg.d, "m_max": cfg.m_max,
+        "argmax": {"cells": [cell.status for cell in argmax.cells],  # entry m - 1: level m
+                   "violations": argmax.n_violations, "ties": argmax.n_ties,
                    "all_equal_optimal": bool(all(c.equals_optimal for c in argmax.cells))},
-        "bellman": {"vertices": 4 * cfg.m_max * grid.size,
-                    "all_nonpositive_within_slack": bellman},
+        "bellman": {"vertices": 4 * cfg.m_max, "all_nonpositive_within_slack": bellman},
         "dominance": {c: {"sign": s, "passed": s in ("positive", "zero")}
                       for c, s in signs.items()},
-        "sign_tables": {
-            "undetermined_cells": int(undetermined.sum()),
-            "undecided_rows": [int(i) + 2 for i in np.flatnonzero(undetermined.any(axis=1))],
-            "r_nonpositive_rows": [int(i) + 1 for i in np.flatnonzero(r_nonpositive.any(axis=1))],
-        },
+        "sign_tables": {"undetermined_cells": len(undecided), "undecided_rows": undecided,
+                        "r_nonpositive_rows": [m for m, (sign,) in enumerate(argmax.r_certs, 1)
+                                               if sign != "positive"]},
     }
     _emit(cfg, "verify", payload)
 
@@ -357,7 +350,7 @@ _COMMANDS = {
     "cutoff": ("TV cutoff profile vs the normal asymptotic", "d n theta format", _cmd_cutoff),
     "limit": ("large-d limiting tail and convergence gaps", f"n d-list format eps {_GRID}",
               _cmd_limit),
-    "verify": ("optimality certification report", f"d mmax {_GRID}", _cmd_verify),
+    "verify": ("optimality certification report", "d mmax", _cmd_verify),
     "validate-marginals": ("chi-square marginal-law checks",
                            "d n strategy horizon replicates seed", _cmd_validate_marginals),
 }

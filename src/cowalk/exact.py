@@ -20,13 +20,11 @@ derived from that chain:
   of its level differences off that table, term by term, as exact rational
   functions in canonical form (``_transform``).
 * ``expected_tau`` is the transform at 0, evaluated as an exact rational.
-* ``r_diff_table`` signs the level differences r(m,t) = v(m,t)-v(m-1,t) and
-  the second differences r(m-1,t)-r(m,t) by rows, for all t > 0 at once,
-  from the same table.  An r row is ZERO where its coefficients vanish and
-  POSITIVE otherwise, because the uniformized chain is stochastically
-  monotone.  A second-difference row is signed by Descartes' rule on
-  (0, 1) in x = e^{-t/(d-1)} (``_row_sign``), or stays UNDETERMINED: no
-  cell is signed from numerical noise.
+* ``_level_signs`` signs the level differences r(m,t) = v(m,t)-v(m-1,t) and
+  the second differences r(m-1,t)-r(m,t) by rows off the same table, for
+  all t > 0 at once: an r row by the chain's monotonicity, a second
+  difference by Descartes' rule on (0, 1) in x = e^{-t/(d-1)} or as
+  UNDETERMINED (no cell is signed from noise); ``r_diff_table`` adds floats.
 """
 from __future__ import annotations
 
@@ -112,6 +110,13 @@ def _poisson_tail_upper(lam_t: float, k: int) -> float:
     return math.exp(logw) / (1.0 - rho) * (1.0 + 1e-9)
 
 
+def _check_eps(eps: float) -> float:
+    """eps, refused unless positive and finite (before any work)."""
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    return eps
+
+
 def _truncation_order(lam_t_max: float, eps: float) -> int:
     """Smallest k in the search schedule with certified Poisson tail mass
     P(Poisson(lam_t_max) > k) below eps/2.
@@ -119,8 +124,7 @@ def _truncation_order(lam_t_max: float, eps: float) -> int:
     The bound is ``_poisson_tail_upper``, a ratio bound on the tail itself:
     1 - sum(weights) would cancel to rounding noise once lam_t is large.
     """
-    if not 0 < eps < math.inf:  # the eps rule of both series, before their work
-        raise ValueError("eps must be positive and finite")
+    _check_eps(eps)
     k_max = max(20, int(lam_t_max + 12 * math.sqrt(lam_t_max + 1) + 20))
     while _poisson_tail_upper(lam_t_max, k_max) > eps / 2:
         k_max = int(k_max * 1.3) + 16
@@ -565,6 +569,33 @@ def _row_sign(terms: dict[int, int]) -> str:
     return SignCert.POSITIVE.value if terms[low] > 0 else SignCert.NEGATIVE.value
 
 
+_MAX_SIGN_LEVEL = 200  # deepest level of the row signs, so of r_diff_table and verify_argmax_grid
+
+
+def _level_signs(d: int, m_max: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(d, r, diff): d as its count rule returns it, and the SignCert values
+    of r(m,t) = v(m,t) - v(m-1,t), m = 1..m_max, and r(m-1,t) - r(m,t),
+    m >= 2, a row per level in two columns, t = 0 and every t > 0: exact,
+    with no grid and no eps.  At t = 0 every tail is 1{m >= 1}.  For t > 0
+    an r row, a Poisson mixture of the s_k[m] - s_k[m-1] >= 0 of ``_steps``
+    (a monotone kernel, Keilson & Kester 1977), is ZERO if its coefficients
+    vanish and POSITIVE otherwise; a second difference has its ``_row_sign``.
+    m_max above 200 is refused before any work; (4, 200) takes about 0.5 s."""
+    if _count("m_max", m_max, 1) > _MAX_SIGN_LEVEL:
+        raise ValueError(f"sign tables run to level at most {_MAX_SIGN_LEVEL};"
+                         f" level {m_max} was asked")
+    chain = death_chain(Strategy.OPTIMAL, d, m_max)
+    _check_monotone(chain)
+    v = _spectral_levels(chain)
+    pos, zero = SignCert.POSITIVE.value, SignCert.ZERO.value
+    r = [[pos if m == 1 else zero, pos if _combine((1, v[m]), (-1, v[m - 1]))[1] else zero]
+         for m in range(1, chain.m_max + 1)]
+    diff = [[pos if m == 2 else zero,
+             _row_sign(_combine((2, v[m - 1]), (-1, v[m - 2]), (-1, v[m]))[1])]
+            for m in range(2, chain.m_max + 1)]
+    return chain.d, *(np.array(rows, dtype=object).reshape(-1, 2) for rows in (r, diff))
+
+
 @dataclass(frozen=True)
 class RDiffTable:
     """Signed tables of r(m,t) and r(m-1,t) - r(m,t) for the optimal coupling.
@@ -589,42 +620,17 @@ class RDiffTable:
                 for i, j in zip(*np.nonzero(self.diff_certs == SignCert.UNDETERMINED.value))]
 
 
-_MAX_SIGN_LEVEL = 200  # deepest level of r_diff_table, so of verify_argmax_grid
-
-
 def r_diff_table(d: int, m_max: int, t_grid, eps: float = 1e-12) -> RDiffTable:
-    """Tabulate level differences of the tail with signs certified for all t.
-
-    Values are differences of ``survival_table``; signs come from the exact
-    table of ``_spectral_levels``.  r(m, t) = v(m,t) - v(m-1,t), m = 1..m_max,
-    is a Poisson mixture of the terms s_k[m] - s_k[m-1] >= 0 of ``_steps``
-    (the kernel is stochastically monotone, Keilson & Kester 1977), so its
-    row is ZERO if its coefficients vanish and POSITIVE otherwise; r(m, 0)
-    is 0 for m >= 2.  r(m-1,t) - r(m,t) = 2v(m-1) - v(m-2) - v(m),
-    m = 2..m_max, has its row's ``_row_sign`` at every t > 0, and at t = 0
-    is 1 for m = 2 (v(0, 0) = 0) and 0 beyond.  Levels above 200 are
-    refused with ValueError before any work: the table's integers grow with
-    m, and (4, 200) already takes about 0.5 s.
+    """Level differences of the tail, valued by ``survival_table`` and signed,
+    exactly for all t, by the t = 0 or the t > 0 column of ``_level_signs``.
+    m_max above 200 is refused before any work, the grid and eps before the
+    row signs, and a grid past the 2^20 series terms of the table after them.
     """
-    if _count("m_max", m_max, 1) > _MAX_SIGN_LEVEL:
-        raise ValueError(f"sign tables run to level at most {_MAX_SIGN_LEVEL};"
-                         f" level {m_max} was asked")
+    t_grid, eps = _time_grid(t_grid), _check_eps(eps)
+    d, r_signs, diff_signs = _level_signs(d, m_max)
     table = survival_table(d, m_max, t_grid, eps)
-    d, m_max, t_grid = table.d, table.m_max, table.t_grid
     r = table.values[1:] - table.values[:-1]
-    diff = r[:-1] - r[1:]
-    chain = death_chain(Strategy.OPTIMAL, d, m_max)
-    _check_monotone(chain)
-    v = _spectral_levels(chain)
-    at_zero = t_grid == 0
-    r_certs = np.full(r.shape, SignCert.POSITIVE.value, dtype=object)
-    r_certs[[m - 1 for m in range(1, m_max + 1)
-             if not _combine((1, v[m]), (-1, v[m - 1]))[1]]] = SignCert.ZERO.value
-    r_certs[1:, at_zero] = SignCert.ZERO.value
-    signs = [_row_sign(_combine((2, v[m - 1]), (-1, v[m - 2]), (-1, v[m]))[1])
-             for m in range(2, m_max + 1)]
-    certs = np.repeat(np.array(signs, dtype=object).reshape(-1, 1), len(t_grid), axis=1)
-    certs[:, at_zero] = SignCert.ZERO.value
-    certs[:1, at_zero] = SignCert.POSITIVE.value
-    return RDiffTable(d=d, m_max=m_max, t_grid=t_grid, eps=eps, r_values=r, r_certs=r_certs,
-                      diff_values=diff, diff_certs=certs)
+    col = (t_grid > 0).astype(int)
+    return RDiffTable(d=d, m_max=table.m_max, t_grid=t_grid, eps=eps, r_values=r,
+                      r_certs=r_signs[:, col], diff_values=r[:-1] - r[1:],
+                      diff_certs=diff_signs[:, col])

@@ -9,7 +9,7 @@ with any mass on upward jumps worthless whenever the tail is increasing in
 m.  The polytope has at most four vertices; r(m,t) >= 0 (the death chain
 is stochastically monotone), so the budget-saturating ones win, and they
 differ in objective by m*(r(m-1,t) - r(m,t))/(d-1): ``verify_argmax_grid``
-reads the argmax from the certified second differences (``r_diff_table``).
+reads the argmax from the certified second differences (``_level_signs``).
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (SignCert, _combine, _row_sign, _spectral_levels, _time_grid, r_diff_table,
-                    survival_exact, survival_table)
+from .exact import (SignCert, _check_eps, _combine, _level_signs, _row_sign, _spectral_levels,
+                    _time_grid, survival_exact, survival_table)
 from .simulate import SurvivalCurve, estimate_survival
 from .strategies import (RateSchedule, Strategy, _check_level, _count, _paired, _singles,
                          _singles_mode, death_chain)
@@ -137,22 +137,21 @@ _POSITIVE, _NEGATIVE = SignCert.POSITIVE.value, SignCert.NEGATIVE.value
 def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> ArgmaxGridReport:
     """Check cell-by-cell that the rate LP selects the built-in rates.
 
-    r(m,t) >= 0 is a theorem (``r_diff_table``), so the certified sign of
+    r(m,t) >= 0 is a theorem (``_level_signs``), so the certified sign of
     r(m-1,t) - r(m,t) decides the LP: the paired vertex if positive, the
     singles vertex if negative; at m = 1 it is -r(1,t) < 0, as R(1) is
-    nonzero.  Each sign holds at t = 0 or for all t > 0, so one table at
-    t = 0 and t = 1 signs every cell.  The built-in rates are the singles
-    vertex where ``_singles_mode`` holds and the paired vertex elsewhere
-    (they differ in the -2 rate at every m >= 1): a cell matches where its
-    sign is its level's mode's and is a violation where it is the other.  A
-    tie is a cell whose sign is an exact zero or undetermined, so nothing is
-    shown to beat the built-in rates; it reports the paired vertex.
+    nonzero.  A cell reads its level's sign at t = 0 or for all t > 0, with
+    no float table; eps is only checked and stored.  The built-in rates are
+    the singles vertex where ``_singles_mode`` holds and the paired vertex
+    elsewhere (they differ in the -2 rate at every m >= 1): a cell matches
+    where its sign is its level's mode's and is a violation where it is the
+    other.  A tie is a cell whose sign is an exact zero or undetermined, so
+    nothing is shown to beat the built-in rates; it reports the paired vertex.
     """
-    t_grid = _time_grid(t_grid)
-    signs = r_diff_table(d, m_max, [0.0, 1.0], eps)
-    d, m_max = signs.d, signs.m_max  # Python ints, as its count rules return them
+    t_grid, eps = _time_grid(t_grid), _check_eps(eps)
+    d, r_signs, diff_signs = _level_signs(d, m_max)
     col = (t_grid > 0).astype(int)
-    r_certs, diff_certs = signs.r_certs[:, col], signs.diff_certs[:, col]
+    r_certs, diff_certs = r_signs[:, col], diff_signs[:, col]
     cells = []
     for m, decide in enumerate([[_NEGATIVE] * len(t_grid), *diff_certs], start=1):
         opt = _NEGATIVE if _singles_mode(m, d) else _POSITIVE
@@ -161,7 +160,7 @@ def verify_argmax_grid(d: int, m_max: int, t_grid, eps: float = 1e-12) -> Argmax
             status = "tie" if tie else "match" if sign == opt else "violation"
             cells.append(BellmanCell(m=m, t=float(t), status=status,
                                      equals_optimal=(_POSITIVE if tie else sign) == opt))
-    return ArgmaxGridReport(d=d, m_max=m_max, t_grid=t_grid, eps=eps, cells=tuple(cells),
+    return ArgmaxGridReport(d=d, m_max=len(r_signs), t_grid=t_grid, eps=eps, cells=tuple(cells),
                             r_certs=r_certs, diff_certs=diff_certs)
 
 

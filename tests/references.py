@@ -110,3 +110,18 @@ def lump_rates(q: np.ndarray, x, y, d: int) -> RateSchedule:
         delta = int(np.count_nonzero(x2 != y2)) - m0
         lam[delta] += q[r, c] / (d - 1)
     return RateSchedule(down2=lam[-2], down1=lam[-1], up1=lam[1], up2=lam[2])
+
+
+def count_changes(x, y, d: int) -> np.ndarray:
+    """Integer matrix of the change in the unmatched count when the proposal
+    ((i,k),(j,l)) of ``lump_rates`` fires at (x, y): X(i) = k, Y(j) = l.
+
+    Coordinate i then compares k with y(i) and coordinate j compares x(j)
+    with l; on one coordinate (i == j) it compares k with l."""
+    x, y = _pair(x, y)
+    i, k = np.divmod(np.arange(x.shape[0] * d), d)
+    before = (x != y).astype(np.int64)[i]
+    delta = ((k != y[i]) - before)[:, None] + ((x[i] != k) - before)[None, :]
+    same = i[:, None] == i[None, :]
+    delta[same] = ((k[:, None] != k[None, :]) - before[:, None])[same]
+    return delta

@@ -280,8 +280,7 @@ def test_limit_cli(capsys):
 
 def test_verify_cli(tmp_path):
     path = tmp_path / "verify.json"
-    assert run_cli("verify", "--d", "4", "--mmax", "6", "--t", "0.5,1.0,2.0",
-                   "--out", str(path)) == 0
+    assert run_cli("verify", "--d", "4", "--mmax", "6", "--out", str(path)) == 0
     payload = json.loads(path.read_text())
     assert payload["argmax"]["violations"] == 0
     assert payload["argmax"]["all_equal_optimal"]
@@ -290,44 +289,40 @@ def test_verify_cli(tmp_path):
                                     ("independent", "synchronous", "pairwise-classic")}
     assert payload["sign_tables"]["undetermined_cells"] == 0
     assert payload["sign_tables"]["undecided_rows"] == []
-    assert set(payload["argmax"]["cells"].values()) <= {"match", "tie"}
+    assert payload["argmax"]["cells"] == ["match", "match", "tie", "match", "match", "match"]
+    assert payload["bellman"]["vertices"] == 24 and "eps" not in payload
 
 
-def test_verify_builds_one_sign_table(monkeypatch, capsys):
-    calls, points = [], []
+def test_verify_builds_no_float_table(monkeypatch, capsys):
+    calls = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append((name, args[1]))
-            if name == "tails":
-                points.append(np.size(args[2]))
+            calls.append(name)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(exact, "survival_table", counted("tails", exact.survival_table))
-    sign_table = counted("signs", exact.r_diff_table)
-    monkeypatch.setattr(exact, "r_diff_table", sign_table)
-    monkeypatch.setattr(optimality, "r_diff_table", sign_table, raising=False)
+    real = {name: getattr(exact, name) for name in ("survival_table", "r_diff_table")}
+    for module in (exact, optimality):
+        for name, fn in real.items():
+            monkeypatch.setattr(module, name, counted(name, fn), raising=False)
     monkeypatch.setattr(simulate, "sample_coupling_times",
                         counted("samples", simulate.sample_coupling_times))
-    assert run_cli("verify", "--d", "4", "--mmax", "5", "--t", "0.5,1") == 0
-    # one sign table over one tail table; the Bellman and dominance verdicts
-    # read the exact tables alone, with no Monte Carlo
-    assert calls == [("signs", 5), ("tails", 5)]
-    # the signs hold at t = 0 or for all t > 0, so the tail table has two
-    # points however long the grid
-    assert run_cli("verify", "--d", "4", "--mmax", "5", "--t-start", "0.01",
-                   "--t-stop", "10", "--t-points", "1000") == 0
-    assert calls[2:] == [("signs", 5), ("tails", 5)] and points == [2, 2]
+    # every verdict reads the exact row signs alone: no tail table, no
+    # float difference table and no Monte Carlo, on the CLI or in the library
+    assert run_cli("verify", "--d", "4", "--mmax", "5") == 0
+    rep = optimality.verify_argmax_grid(4, 5, [0.0, 0.5, 1e4])
+    assert calls == [] and len(rep.cells) == 15
 
 
-def test_verify_reports_one_cell_per_distinct_time(capsys):
-    # the five times agree to 6 significant digits, so no shorter key tells them apart
-    assert run_cli("verify", "--d", "4", "--mmax", "3", "--t-start", "1",
-                   "--t-stop", "1.000001", "--t-points", "5") == 0
-    cells = json.loads(capsys.readouterr().out)["argmax"]["cells"]
-    assert len(cells) == 15
-    assert "m=2,t=1.00000025" in cells
+def test_verify_reports_one_verdict_per_level(capsys):
+    assert run_cli("verify", "--d", "4", "--mmax", "30") == 0
+    payload = json.loads(capsys.readouterr().out)
+    # entry m - 1 is level m, in level order; R(2) - R(3) is zero at d = 4
+    assert payload["argmax"]["cells"] == ["match"] * 2 + ["tie"] + ["match"] * 27
+    assert payload["argmax"]["cells"] == [
+        c.status for c in optimality.verify_argmax_grid(4, 30, [1.0]).cells]
+    assert payload["bellman"]["vertices"] == 120
 
 
 def test_verify_verdicts_fail_where_no_row_is_signed(monkeypatch, capsys):
@@ -336,10 +331,11 @@ def test_verify_verdicts_fail_where_no_row_is_signed(monkeypatch, capsys):
 
     monkeypatch.setattr(exact, "_row_sign", undetermined)
     monkeypatch.setattr(optimality, "_row_sign", undetermined)
-    assert run_cli("verify", "--d", "4", "--mmax", "4", "--t", "0.5,2") == 0
+    assert run_cli("verify", "--d", "4", "--mmax", "4") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["argmax"]["violations"] == 0
-    assert payload["sign_tables"]["undetermined_cells"] == 6
+    assert payload["sign_tables"]["undetermined_cells"] == 3
+    assert payload["sign_tables"]["undecided_rows"] == [2, 3, 4]
     assert payload["bellman"]["all_nonpositive_within_slack"] is False
     assert payload["dominance"] == {c: {"sign": "undetermined", "passed": False} for c in
                                     ("independent", "synchronous", "pairwise-classic")}
@@ -348,9 +344,12 @@ def test_verify_verdicts_fail_where_no_row_is_signed(monkeypatch, capsys):
 def test_readme_verify_report_is_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("verify", "--d", "4", "--mmax", "10", "--out", "report.json") == 0
-    # sha256 of the README command's report: every verdict read off exact signs
-    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == (
-        "601225768073c67d1184d2eef057bd739c70360f9183f382113582321e4f81d0")
+    # sha256 of the README command's report, re-pinned when it went per level:
+    # each level's status is the one its 49 cells had in the per-cell report
+    report = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == (
+        "b94b55e3e10a858ca6faf9940d1fc746af83ac2b8776c3c9c1980a80448134e9")
+    assert len(report) < 2048
 
 
 def test_readme_validate_marginals_stdout_is_pinned(capsys):
@@ -398,16 +397,21 @@ def test_config_file_key_of_a_flag_the_command_lacks_is_refused(tmp_path, capsys
     assert "'eps', 'seed'" in capsys.readouterr().err
     # no verdict of verify reads eps, so it takes neither the flag nor the key
     cfg.write_text(json.dumps({"eps": 1e-9}))
-    assert run_cli("verify", "--d", "3", "--mmax", "2", "--t", "1", "--config", str(cfg)) == 2
+    assert run_cli("verify", "--d", "3", "--mmax", "2", "--config", str(cfg)) == 2
     assert "does not take: ['eps']" in capsys.readouterr().err
+    # nor a time grid: one verdict per level holds for every t > 0
+    cfg.write_text(json.dumps({"t_values": [1.0]}))
+    assert run_cli("verify", "--d", "3", "--mmax", "2", "--config", str(cfg)) == 2
+    assert "does not take: ['t_values']" in capsys.readouterr().err
 
 
-def test_verify_refuses_a_certificate_beyond_its_rounding_bound(capsys):
+def test_verify_refuses_a_certificate_beyond_its_rounding_bound():
     # no per-cell certificate, so no rounding bound: row signs hold for all
-    # t > 0, and t = 1e4 is signed with exit 0
-    assert run_cli("verify", "--d", "4", "--mmax", "2", "--t", "10000") == 0
-    signs = json.loads(capsys.readouterr().out)["sign_tables"]
-    assert signs["undetermined_cells"] == 0 and signs["undecided_rows"] == []
+    # t > 0, and the verdicts verify reports at t = 1 are those at t = 1e4
+    far = optimality.verify_argmax_grid(4, 2, [10000.0])
+    assert not (far.diff_certs == exact.SignCert.UNDETERMINED.value).any()
+    assert [c.status for c in far.cells] == [
+        c.status for c in optimality.verify_argmax_grid(4, 2, [1.0]).cells]
 
 
 @pytest.mark.parametrize("values", [
@@ -438,11 +442,12 @@ BASE_ARGV = {
     "tv": "--d 3 --n 1 --t 0",
     "cutoff": "--d 3 --n 10 --theta 0",
     "limit": "--n 2 --t 1",
-    "verify": "--d 3 --mmax 2 --t 1",
+    "verify": "--d 3 --mmax 2",
     "validate-marginals": "--d 2 --n 2 --strategy synchronous -T 1 -R 100",
 }
 FLAG_VALUES = {"--seed": "1", "--eps": "1e-9", "--workers": "1", "--format": "json", "--m0": "2",
-               "--replicates": "100"}
+               "--replicates": "100", "--t": "1", "--t-start": "0.5", "--t-stop": "1",
+               "--t-points": "2", "--t-spacing": "log"}
 UNREAD_FLAGS = [
     ("simulate", "--eps"), ("simulate", "--m0"),
     ("exact", "--seed"), ("exact", "--workers"),
@@ -450,7 +455,8 @@ UNREAD_FLAGS = [
       for flag in ("--seed", "--eps", "--workers", "--format")],
     *[(cmd, flag) for cmd in ("tv", "cutoff") for flag in ("--seed", "--eps", "--workers")],
     ("limit", "--seed"), ("limit", "--workers"),
-    *[("verify", flag) for flag in ("--format", "--replicates", "--seed", "--workers", "--eps")],
+    *[("verify", flag) for flag in ("--format", "--replicates", "--seed", "--workers", "--eps",
+                                    "--t", "--t-start", "--t-stop", "--t-points", "--t-spacing")],
     ("validate-marginals", "--eps"), ("validate-marginals", "--workers"),
     ("validate-marginals", "--format"),
 ]
@@ -511,7 +517,6 @@ def test_non_finite_horizon_is_refused(horizon, tmp_path, capsys):
     "tv --d 3 --n 10 --t-points 2",
     "exact --d 3 --m 2 --t-points 2",
     "simulate --d 3 --m 2 --strategy optimal -R 100 --t-points 2",
-    "verify --d 3 --mmax 2 --t-points 2",
     "limit --n 3 --t-points 2",
 ])
 @pytest.mark.parametrize("bound", ["--t-stop inf", "--t-stop nan", "--t-start=-inf"])
@@ -574,8 +579,8 @@ def test_non_finite_time_is_refused(t, capsys):
 
 
 @pytest.mark.parametrize("argv, t, message", [
-    ("verify --d 4 --mmax 3", [math.nan, 1.0], "t_grid must be finite"),
-    ("verify --d 4 --mmax 3", [-2.0, 1.0], "t_grid must be nonnegative"),
+    ("exact --d 3 --m 2", [math.nan, 1.0], "t_grid must be finite"),
+    ("simulate --d 3 --m 2 --strategy optimal -R 100", [-2.0, 1.0], "t_grid must be nonnegative"),
     ("tv --d 3 --n 5", [math.inf], "t_grid must be finite"),
     ("tv --d 3 --n 5", [-1.0], "t_grid must be nonnegative"),
     ("limit --n 3", [math.inf], "t_grid must be finite"),
@@ -599,20 +604,11 @@ def test_every_time_grid_passes_one_rule(argv, t, message, tmp_path, capsys):
     assert message in captured.err
 
 
-def test_verify_drops_t_0_after_the_grid_rule(capsys):
-    assert main("verify --d 4 --mmax 3 --t 0,1".split()) == 0
-    with_zero = capsys.readouterr().out
-    assert main("verify --d 4 --mmax 3 --t 1".split()) == 0
-    assert with_zero == capsys.readouterr().out
-    assert set(json.loads(with_zero)["argmax"]["cells"]) == {f"m={m},t=1.0" for m in (1, 2, 3)}
-
-
 @pytest.mark.parametrize("argv", [
     "exact --d 3 --m 2",
     "simulate --d 3 --m 2 --strategy optimal -R 100",
     "tv --d 3 --n 10",
     "limit --n 3",
-    "verify --d 3 --mmax 2",
 ])
 def test_generated_grids_hold_at_most_10000_points(argv, capsys):
     assert main([*argv.split(), "--t-stop", "1", "--t-points", "10000"]) == 0
@@ -685,7 +681,6 @@ def test_exact_mean_levels_are_bounded(argv, code, capsys):
     ("exact --d 2 --m 1 --t 1e9", "over 2^20"),
     ("exact --d 3 --m 2 --t-spacing log --t-start 0 --t-stop 10 --t-points 5",
      "log spacing needs t-start > 0"),
-    ("verify --d 3 --mmax 2 --t 0", "verify needs at least one positive time point"),
     ("tv --d 3 --t 1", "missing required parameter --n"),
     ("cutoff --d 5 --n 100 --theta inf", "t_grid must be finite"),
     ("cutoff --d 5 --n 100 --theta nan", "t_grid must be finite"),
@@ -712,7 +707,7 @@ LIBRARY_RULES = [
     *[(command, rest, "d", 1, "d must be >= 2, got 1") for command, rest in [
         ("simulate", "--m 2 --strategy optimal -R 100 --t 1"), ("exact", "--m 2 --t 1"),
         ("laplace", "--m 3"), ("mean-tau", "--m 2 --n 10"), ("tv", "--n 5 --t 1"),
-        ("cutoff", "--n 10"), ("verify", "--mmax 3 --t 1"),
+        ("cutoff", "--n 10"), ("verify", "--mmax 3"),
         (_VM, "--n 2 --strategy synchronous -T 1 -R 100")]],
     ("mean-tau", "--d 5 --m 2", "n", 0, "n must be >= 1"),
     ("tv", "--d 3 --t 1", "n", 0, "n must be >= 1, got 0"),
@@ -724,17 +719,17 @@ LIBRARY_RULES = [
       for command, rest in [("exact", "--d 3 --t 1"), ("laplace", "--d 5"),
                             ("mean-tau", "--d 5 --n 10")]],
     ("exact", "--d 3 --t 1", "m_max", -1, "m must be >= 0, got -1"),
-    ("verify", "--d 4 --t 1", "m_max", -1, "m_max must be >= 1"),
-    ("verify", "--d 4 --t 1", "m_max", 0, "m_max must be >= 1"),
+    ("verify", "--d 4", "m_max", -1, "m_max must be >= 1"),
+    ("verify", "--d 4", "m_max", 0, "m_max must be >= 1"),
     ("simulate", "--d 3 --m 2 --strategy optimal -R 100 --t 1", "workers", 0,
      "n_workers must be >= 1"),
     *[(_VM, "--d 2 --n 2 --strategy synchronous -R 100", "horizon", value,
        "horizon must be positive and finite") for value in (math.nan, math.inf)],
     *[(command, rest, "t_values", [], "t_grid must be nonempty") for command, rest in [
         ("simulate", "--d 3 --m 2 --strategy optimal -R 100"), ("exact", "--d 3 --m 2"),
-        ("tv", "--d 3 --n 5"), ("limit", "--n 5 --d-list 10"), ("verify", "--d 4 --mmax 3")]],
+        ("tv", "--d 3 --n 5"), ("limit", "--n 5 --d-list 10")]],
     *[("cutoff", "--d 5 --n 100", "theta", value, "t_grid must be finite")
-      for value in ([-math.inf], [-math.inf, 0.0])],
+      for value in ([math.inf], [-math.inf], [-math.inf, 0.0])],
 ]
 
 
@@ -768,7 +763,7 @@ def test_exact_log_spacing_writes_the_geometric_grid(capsys):
 
 def test_verify_refuses_mmax_above_the_sign_table_bound(capsys):
     start = time.perf_counter()
-    assert main(["verify", "--d", "4", "--mmax", "201", "--t", "1,5"]) == 2
+    assert main(["verify", "--d", "4", "--mmax", "201"]) == 2
     assert time.perf_counter() - start < 0.1
     captured = capsys.readouterr()
     assert captured.out == ""

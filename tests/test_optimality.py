@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -228,15 +227,14 @@ def test_argmax_grid_reads_no_rounding_noise_at_small_eps(d, eps):
 def test_argmax_cells_follow_the_regime_rule_for_every_sign(monkeypatch):
     # forge one sign per diff row, each on one even and one odd level; at
     # d = 2 every odd level runs in singles mode and every even one paired
-    real = optimality.r_diff_table
+    real = optimality._level_signs
     forged = np.array([c.value for c in SignCert for _ in range(2)], dtype=object)
 
-    def forge(d, m_max, t_grid, eps):
-        table = real(d, m_max, t_grid, eps)
-        certs = np.repeat(forged[:, None], len(table.t_grid), axis=1)
-        return dataclasses.replace(table, diff_certs=certs)
+    def forge(d, m_max):
+        d, r_signs, _ = real(d, m_max)
+        return d, r_signs, np.repeat(forged[:, None], 2, axis=1)
 
-    monkeypatch.setattr(optimality, "r_diff_table", forge)
+    monkeypatch.setattr(optimality, "_level_signs", forge)
     d, grid = 2, [0.5, 1.0, 2.0, 4.0]
     rep = verify_argmax_grid(d, 9, grid)
     for c in rep.cells:
@@ -271,6 +269,22 @@ def test_argmax_cells_at_large_t_are_those_at_t_one(d):
         return [(c.m, c.status, c.equals_optimal) for c in verify_argmax_grid(d, 30, [t]).cells]
 
     assert verdicts(1e9) == verdicts(1.0)
+
+
+def test_per_level_verdicts_are_pinned():
+    # sha256 of every status, equals_optimal and certificate at t = 0 and
+    # t = 1, pinned while the signs were read off r_diff_table; the same
+    # check against that code at m_max = 120 and 200 agreed too
+    digest = hashlib.sha256()
+    for d in (2, 3, 4, 5, 10, 50):
+        for m_max in (1, 2, 5, 30):
+            rep = verify_argmax_grid(d, m_max, [0.0, 1.0])
+            digest.update(repr([(c.m, c.t, c.status, c.equals_optimal)
+                                for c in rep.cells]).encode())
+            for certs in (rep.r_certs, rep.diff_certs):
+                digest.update(",".join(certs.ravel()).encode() + b";")
+    assert digest.hexdigest() == (
+        "132cae2496e909193960768b03df9b4bb71e80975a040afcca619bc827f06f04")
 
 
 README_GRID = np.linspace(0.0, 10.0, 50)[1:]  # verify's default grid, t = 0 dropped

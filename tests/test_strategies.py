@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from cowalk.strategies import (
     RateSchedule,
@@ -15,7 +16,7 @@ from cowalk.strategies import (
     death_chain,
     rate_table,
 )
-from references import build_q_matrix, level_schedule, lump_rates
+from references import build_q_matrix, count_changes, level_schedule, lump_rates
 
 
 # --- regime thresholds ------------------------------------------------------
@@ -311,6 +312,73 @@ def test_lump_rates_budget_bound_random_doubly_stochastic():
             q /= q.sum(axis=0, keepdims=True)
         lumped = lump_rates(q, x, y, d)
         assert lumped.down1 + 2 * lumped.down2 <= m * d / (d - 1) + 1e-9
+
+
+def _budget_maxima(x, y, d):
+    """The largest (d-1)(lam(-1) + 2 lam(-2)) and the largest (d-1) lam(-2)
+    over every doubly stochastic control at (x, y), each with a permutation
+    matrix that attains it.  Both are linear in Q, so a permutation matrix
+    attains each (Birkhoff-von Neumann): an assignment problem over the
+    integer weights of ``count_changes`` (Kuhn 1955), so exact."""
+    delta = count_changes(x, y, d)
+    out = []
+    for weights in (np.maximum(-delta, 0), (delta == -2).astype(np.int64)):
+        rows, cols = linear_sum_assignment(weights, maximize=True)
+        perm = np.zeros(weights.shape)
+        perm[rows, cols] = 1.0
+        out.append((int(weights[rows, cols].sum()), perm))
+    return out
+
+
+def test_count_changes_classify_each_proposal_as_lump_rates_does():
+    # a random positive q weights every proposal differently, at every pair
+    d, n = 3, 2
+    q = np.random.default_rng(5).random((n * d, n * d))
+    for x in itertools.product(range(d), repeat=n):
+        for y in itertools.product(range(d), repeat=n):
+            delta = count_changes(x, y, d)
+            lumped = lump_rates(q, x, y, d)
+            for rate, step in ((lumped.down2, -2), (lumped.down1, -1), (lumped.up1, 1),
+                               (lumped.up2, 2)):
+                assert (d - 1) * rate == pytest.approx(q[delta == step].sum(), abs=1e-12)
+
+
+def _class_pair(n, m):
+    """The pair standing for every state pair with m unmatched coordinates:
+    relabelling a coordinate's values and permuting coordinates keep the
+    walk pair, so x = 0 and y = 1 on the first m coordinates."""
+    return np.zeros(n, dtype=np.int64), (np.arange(n) < m).astype(np.int64)
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (4, 2), (3, 3), (5, 2), (3, 6), (5, 5), (10, 4),
+                                  (4, 10), (2, 30), (6, 10), (3, 20)])
+def test_rate_budget_is_exact_at_every_level(d, n):
+    # link (a) of the optimality certificate, exactly: every co-adapted
+    # control's down rates lie in the LP polytope {(d-1)(lam(-1) + 2 lam(-2))
+    # <= m d, (d-1) lam(-2) <= m}.  The budget m d is attained at every m;
+    # the cap m at every m but m = 1, which has no -2 jump (0 < 1): an outer
+    # bound there, which is all the Bellman argument needs
+    for m in range(n + 1):
+        x, y = _class_pair(n, m)
+        (budget, p_budget), (cap, p_cap) = _budget_maxima(x, y, d)
+        assert budget <= m * d and cap <= m
+        assert budget == m * d and cap == (0 if m == 1 else m)
+        # the permutations' rates in lump_rates' own terms
+        lumped, capped = lump_rates(p_budget, x, y, d), lump_rates(p_cap, x, y, d)
+        assert (d - 1) * (lumped.down1 + 2 * lumped.down2) == pytest.approx(budget, abs=1e-9)
+        assert (d - 1) * capped.down2 == pytest.approx(cap, abs=1e-9)
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (4, 2)])
+def test_rate_budget_depends_on_the_level_alone(d, n):
+    # the class reduction, exhaustively: every state pair has the maxima of
+    # its level's class pair
+    by_level = [[w for w, _ in _budget_maxima(*_class_pair(n, m), d)] for m in range(n + 1)]
+    for x in itertools.product(range(d), repeat=n):
+        for y in itertools.product(range(d), repeat=n):
+            x_, y_ = np.array(x), np.array(y)
+            m = np.count_nonzero(x_ != y_)
+            assert [w for w, _ in _budget_maxima(x_, y_, d)] == by_level[m], (x, y)
 
 
 def test_marginal_rate_contract():
